@@ -55,9 +55,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--visited", type=int, default=DEFAULT_VISITED)
     p.add_argument("--emit-proof", metavar="F")
-    p.add_argument("--tbox-local", action="store_true",
-                   help="accepted for symmetry with the semantic commands; "
-                        "proof search itself is syntactic")
 
     p = sub.add_parser("check", help="check a sequent proof tree or an "
                                      "axiomatic proof file")
@@ -99,8 +96,7 @@ def _load_problem(path: str):
 
 
 def _cmd_prove(args) -> int:
-    problem = _load_problem(args.problem)
-    goal = problem.sequent()
+    goal = _load_problem(args.problem).sequent()
     result = prove(goal, max_depth=args.depth, max_visited=args.visited)
     if not result.proved:
         print(f"unknown within budget (depth {args.depth}, "
@@ -114,29 +110,23 @@ def _cmd_prove(args) -> int:
 
 
 def _sniff_is_tree(text: str) -> bool:
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            return stripped.startswith("{")
-    return False
+    lines = (line.strip() for line in text.splitlines())
+    return next((s for s in lines if s and not s.startswith("#")), "").startswith("{")
 
 
 def _cmd_check(args) -> int:
     with open(args.prooffile, "r", encoding="utf-8") as fh:
         text = fh.read()
     if _sniff_is_tree(text):
-        tree = load_proof(args.prooffile)
-        result = check_proof(tree)
+        result = check_proof(load_proof(args.prooffile))
     else:
-        proof = hilbert.parse_hilbert_proof(text)
-        result = hilbert.check_hilbert_proof(proof)
+        result = hilbert.check_hilbert_proof(hilbert.parse_hilbert_proof(text))
     print(result)
     return EXIT_OK if result.ok else EXIT_REFUTED
 
 
 def _cmd_countermodel(args) -> int:
-    problem = _load_problem(args.problem)
-    goal = problem.sequent()
+    goal = _load_problem(args.problem).sequent()
     sig = signature_for(goal, args.max_worlds)
     model = find_countermodel(goal, sig, tbox_global=not args.tbox_local)
     if model is None:
@@ -156,12 +146,10 @@ def _cmd_eval(args) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.sequent is not None:
-        s = parse_sequent(args.sequent)
-        if sequent_valid(model, s, tbox_global=not args.tbox_local):
-            print("sequent valid on model")
-            return EXIT_OK
-        print("sequent invalid on model")
-        return EXIT_REFUTED
+        valid = sequent_valid(model, parse_sequent(args.sequent),
+                              tbox_global=not args.tbox_local)
+        print("sequent valid on model" if valid else "sequent invalid on model")
+        return EXIT_OK if valid else EXIT_REFUTED
     f = parse_formula(args.formula)
     if isinstance(f, ConceptF):
         ext = extension(model, f.concept)
@@ -172,11 +160,9 @@ def _cmd_eval(args) -> int:
         print(f"fails at {len(missing)} of {len(model.worlds)} worlds: "
               f"{sorted(missing, key=repr)}")
         return EXIT_REFUTED
-    if satisfies(model, f):
-        print("satisfied")
-        return EXIT_OK
-    print("not satisfied")
-    return EXIT_REFUTED
+    valid = satisfies(model, f)
+    print("satisfied" if valid else "not satisfied")
+    return EXIT_OK if valid else EXIT_REFUTED
 
 
 def _cmd_axioms(args) -> int:

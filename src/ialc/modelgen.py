@@ -6,6 +6,12 @@ atom bitmasks, nominal assignment), keeping only role relations that
 satisfy the frame conditions and only refinement-closed atom extensions.
 Random generation rejection-samples roles against the frame conditions,
 so both paths emit models that pass validation.
+
+A relation on n worlds is a bitmask over its n*n pairs, row by row, so
+the mask splits directly into the bit rows of the semantics kernel.
+Preorders, frame-compatible relations and up-closed sets are filtered
+by the kernel's own frame check and cached per world count and preorder;
+every emitted model carries its kernel, assembled from these tables.
 """
 
 from __future__ import annotations
@@ -16,7 +22,10 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
-from .semantics import Interpretation, reflexive_transitive_closure
+from .semantics import (
+    Interpretation, _assemble, _bits, _closed_rows, _image, _Kernel,
+    _preorder_ok, _role_ok, _Rows,
+)
 from .syntax import Sequent, atoms_of, nominals_of, roles_of
 
 __all__ = [
@@ -55,88 +64,75 @@ def signature_for(s: Sequent, max_worlds: int) -> Signature:
     )
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n)]
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i in range(n) for j in range(n))
 
 
-def _relation(mask: int, pairs: list[tuple[int, int]]) -> frozenset:
+def _relation(mask: int, pairs: tuple[tuple[int, int], ...]) -> frozenset:
     return frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
 
 
-def _is_preorder(rel: frozenset, n: int) -> bool:
-    if any((w, w) not in rel for w in range(n)):
-        return False
-    return all((a, d) in rel for (a, b) in rel for (c, d) in rel if b == c)
-
-
-def frame_ok(rel: frozenset, leq: frozenset, worlds: Iterable[int]) -> bool:
-    """Both frame conditions for one role relation against a preorder."""
-    worlds = list(worlds)
-    for (w, w2) in leq:
-        for (a, v) in rel:
-            if a != w:
-                continue
-            if not any((w2, v2) in rel and (v, v2) in leq for v2 in worlds):
-                return False
-    for (v, v2) in leq:
-        for (w, b) in rel:
-            if b != v:
-                continue
-            if not any((w2, v2) in rel and (w, w2) in leq for w2 in worlds):
-                return False
-    return True
+def _split(mask: int, n: int) -> tuple[int, ...]:
+    """Bit rows of the relation whose pair (i, j) is bit i*n + j of mask."""
+    low = (1 << n) - 1
+    return tuple(mask >> i * n & low for i in range(n))
 
 
 @lru_cache(maxsize=None)
-def _preorders(n: int) -> tuple[frozenset, ...]:
-    pairs = _pairs(n)
-    return tuple(rel for mask in range(1 << n * n)
-                 for rel in [_relation(mask, pairs)] if _is_preorder(rel, n))
+def _table_relation(n: int, mask: int) -> tuple[frozenset, _Rows]:
+    """A relation as pairs and rows, one per mask, shared by the preorders."""
+    return _relation(mask, _pairs(n)), _Rows(_split(mask, n))
 
 
 @lru_cache(maxsize=None)
-def _frame_relations(n: int, leq: frozenset) -> tuple[frozenset, ...]:
-    pairs = _pairs(n)
-    return tuple(rel for mask in range(1 << n * n)
-                 for rel in [_relation(mask, pairs)]
-                 if frame_ok(rel, leq, range(n)))
+def _preorders(n: int) -> tuple[tuple[frozenset, _Rows], ...]:
+    return tuple(_table_relation(n, mask) for mask in range(1 << n * n)
+                 if _preorder_ok(_split(mask, n)))
 
 
 @lru_cache(maxsize=None)
-def _upclosed_sets(n: int, leq: frozenset) -> tuple[frozenset, ...]:
-    out = []
-    for mask in range(1 << n):
-        s = frozenset(w for w in range(n) if mask >> w & 1)
-        if all(v in s for w in s for v in range(n) if (w, v) in leq):
-            out.append(s)
-    return tuple(out)
+def _frame_relations(n: int, up: tuple) -> tuple[tuple[frozenset, _Rows], ...]:
+    return tuple(_table_relation(n, mask) for mask in range(1 << n * n)
+                 if _role_ok(up, _split(mask, n)))
+
+
+@lru_cache(maxsize=None)
+def _upclosed_sets(n: int, up: tuple) -> tuple[tuple[frozenset, int], ...]:
+    return tuple((frozenset(_bits(m)), m) for m in range(1 << n)
+                 if not _image(up, m) & ~m)
 
 
 def enumerate_models(sig: Signature) -> Iterator[Interpretation]:
-    """Every interpretation over 1..max_worlds entities, in a fixed order."""
+    """Every interpretation over 1..max_worlds entities, in a fixed order.
+
+    Models that differ only in their nominals share one bit-row kernel
+    assembled from the per-preorder and per-relation tables.
+    """
     for n in range(1, sig.max_worlds + 1):
         worlds = tuple(range(n))
-        for leq in _preorders(n):
-            role_choices = _frame_relations(n, leq)
-            atom_choices = _upclosed_sets(n, leq)
+        for leq, up in _preorders(n):
+            role_choices = _frame_relations(n, up.rows)
+            atom_choices = _upclosed_sets(n, up.rows)
             for role_vec in product(role_choices, repeat=len(sig.roles)):
+                roles = dict(zip(sig.roles, (rel for rel, _ in role_vec)))
+                role_rows = dict(zip(sig.roles, (rows for _, rows in role_vec)))
                 for atom_vec in product(atom_choices, repeat=len(sig.atoms)):
+                    atoms = dict(zip(sig.atoms, (ext for ext, _ in atom_vec)))
+                    kernel = _Kernel(worlds, up, role_rows,
+                                     dict(zip(sig.atoms, (m for _, m in atom_vec))))
                     for nom_vec in product(worlds, repeat=len(sig.nominals)):
-                        yield Interpretation.make(
-                            worlds, leq,
-                            roles=dict(zip(sig.roles, role_vec)),
-                            atoms=dict(zip(sig.atoms, atom_vec)),
-                            nominals=dict(zip(sig.nominals, nom_vec)),
-                        )
+                        yield _assemble(worlds, leq, roles, atoms,
+                                        dict(zip(sig.nominals, nom_vec)), kernel)
 
 
 def heredity_closure(valuation: Mapping[str, Iterable], leq: frozenset) -> dict:
     """Smallest refinement-closed superset of each atom extension."""
-    closed = {}
-    for name, ext in valuation.items():
-        ext = set(ext)
-        closed[name] = frozenset(ext | {v for (w, v) in leq if w in ext})
-    return closed
+    index, up = _closed_rows((w for ext in valuation.values() for w in ext), leq)
+    elems = list(index)
+    return {name: frozenset(elems[i] for i in _bits(_image(
+                up, sum(1 << index[w] for w in set(ext)))))
+            for name, ext in valuation.items()}
 
 
 _EDGE_P = 0.3      # off-diagonal refinement edges
@@ -153,22 +149,22 @@ def random_model(sig: Signature, seed: int, max_retries: int = 200) -> Interpret
     rng = random.Random(seed)
     n = sig.max_worlds
     worlds = tuple(range(n))
-    base = [(i, j) for i in range(n) for j in range(n)
-            if i != j and rng.random() < _EDGE_P]
-    leq = reflexive_transitive_closure(base, worlds)
+    pairs = _pairs(n)
+    base = [(i, j) for (i, j) in pairs if i != j and rng.random() < _EDGE_P]
+    up = _closed_rows(worlds, base)[1]
     roles = {}
     for role in sig.roles:
         for _ in range(max_retries):
-            rel = frozenset(p for p in _pairs(n) if rng.random() < _ROLE_P)
-            if frame_ok(rel, leq, worlds):
-                roles[role] = rel
+            mask = sum(1 << k for k in range(n * n) if rng.random() < _ROLE_P)
+            if _role_ok(up, _split(mask, n)):
+                roles[role] = _relation(mask, pairs)
                 break
         else:
             raise GenerationBudgetError(
                 f"no frame-compatible relation for role {role} "
                 f"after {max_retries} draws (seed {seed})")
-    raw_atoms = {a: {w for w in worlds if rng.random() < _ATOM_P}
-                 for a in sig.atoms}
-    atoms = heredity_closure(raw_atoms, leq)
+    atoms = {a: _bits(_image(up, sum(1 << w for w in worlds if rng.random() < _ATOM_P)))
+             for a in sig.atoms}
     nominals = {x: rng.choice(worlds) for x in sig.nominals}
+    leq = [(i, j) for i in worlds for j in _bits(up[i])]
     return Interpretation.make(worlds, leq, roles, atoms, nominals)

@@ -17,13 +17,19 @@ Sequent validity quantifies a vector of worlds above the interpretation
 of each outer nominal (shared across occurrences of the same nominal)
 plus one world for pure-concept members; antecedent subsumption concepts
 may optionally be read globally (the theory reading).
+
+Everything is computed on bit rows: world i of ``worlds`` is bit i, and
+up-sets, role successor rows, atom and concept extensions are ints.  One
+frame check and one Warshall closure serve validation, model loading and
+model generation; concepts are hash-consed into a bottom-up program, so
+a sequent is compiled once and evaluated on each model by row operations.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
+from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Union
 
 from .syntax import (
@@ -50,20 +56,121 @@ class UnassignedNominalError(Exception):
         super().__init__(f"nominal {nominal!r} is not assigned to any entity")
 
 
+# ---------------------------------------------------------------------------
+# Bit rows: one closure, one frame check
+# ---------------------------------------------------------------------------
+
+def _bits(m: int):
+    """Positions of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _image(rows, m: int) -> int:
+    """Union of the rows at the positions in m (the up-closure of m)."""
+    out = 0
+    for i in _bits(m):
+        out |= rows[i]
+    return out
+
+
+def _none(rows, m: int) -> int:
+    """Positions whose row misses every bit of m."""
+    return sum(1 << i for i, r in enumerate(rows) if not r & m)
+
+
+def _transpose(rows) -> list[int]:
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            out[j] |= 1 << i
+    return out
+
+
+class _Rows:
+    """A relation as bit rows; ``none`` is a table lookup on small frames."""
+    __slots__ = ("rows", "none")
+
+    def __init__(self, rows: tuple):
+        self.rows = rows
+        self.none = (tuple(_none(rows, m) for m in range(1 << len(rows))).__getitem__
+                     if len(rows) <= 4 else partial(_none, rows))
+
+
+def _closed_rows(elems: Iterable, pairs) -> tuple[dict, list[int]]:
+    """Positions of elems (extended by the pairs' elements) and the
+    reflexive-transitive closure of pairs over them (Warshall)."""
+    pairs = list(pairs)
+    index = {w: i for i, w in enumerate(dict.fromkeys([*elems, *(x for p in pairs for x in p)]))}
+    rows = [1 << i for i in range(len(index))]
+    for a, b in pairs:
+        rows[index[a]] |= 1 << index[b]
+    for j, row in enumerate(rows):
+        for i, r in enumerate(rows):
+            if r >> j & 1:
+                rows[i] = r | row
+    return index, rows
+
+
 def reflexive_transitive_closure(pairs: Iterable[tuple[World, World]],
                                  worlds: Iterable[World]) -> frozenset:
-    worlds = list(worlds)
-    closure = set(pairs)
-    closure.update((w, w) for w in worlds)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(closure):
-            for (c, d) in list(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
-    return frozenset(closure)
+    index, rows = _closed_rows(worlds, pairs)
+    elems = list(index)
+    return frozenset((a, elems[j]) for a, r in zip(elems, rows) for j in _bits(r))
+
+
+def _preorder_ok(up) -> bool:
+    return all(r >> i & 1 and not _image(up, r) & ~r for i, r in enumerate(up))
+
+
+def _role_ok(up, succ) -> bool:
+    """F1 and F2: for every edge w R v, no refinement of w has no successor
+    in the cone of v, and no refinement of v has no predecessor in that of w."""
+    pred = _transpose(succ)
+    return not any(up[w] & _none(succ, up[v]) or up[v] & _none(pred, up[w])
+                   for w, row in enumerate(succ) for v in _bits(row))
+
+
+class _Kernel:
+    """Bit rows of one interpretation.  Models that differ only in their
+    nominals share one kernel, which memoises the last program's values."""
+    __slots__ = ("worlds", "index", "full", "up", "roles", "atoms", "memo")
+
+    def __init__(self, worlds: tuple, up: _Rows, roles: dict, atoms: dict):
+        self.worlds, self.up, self.roles, self.atoms = worlds, up, roles, atoms
+        self.index = {w: i for i, w in enumerate(worlds)}
+        self.full = (1 << len(worlds)) - 1
+        self.memo = None
+
+    def pos(self, w: World) -> int:
+        try:
+            return self.index[w]
+        except (KeyError, TypeError):
+            raise ValueError(f"entity {w!r} is not in the domain") from None
+
+    def rel(self, role: str) -> _Rows:
+        if role not in self.roles:
+            self.roles[role] = _Rows((0,) * len(self.worlds))
+        return self.roles[role]
+
+    def members(self, m: int) -> tuple:
+        return tuple(w for i, w in enumerate(self.worlds) if m >> i & 1)
+
+    def frame_ok(self) -> bool:
+        up = self.up.rows
+        return (_preorder_ok(up)
+                and not any(_image(up, m) & ~m for m in self.atoms.values())
+                and all(_role_ok(up, r.rows) for r in self.roles.values()))
+
+
+def _kernel(I: "Interpretation") -> _Kernel:
+    """The kernel of I, rebuilt only for an instance not made by ``make``."""
+    if "kernel" not in I._cache:
+        I._cache["kernel"] = Interpretation.make(
+            I.worlds, I.leq, I.roles, I.atoms, I.nominals)._cache["kernel"]
+    return I._cache["kernel"]
 
 
 @dataclass(frozen=True)
@@ -81,56 +188,54 @@ class Interpretation:
              roles: Mapping[str, Iterable[tuple[World, World]]] | None = None,
              atoms: Mapping[str, Iterable[World]] | None = None,
              nominals: Mapping[str, World] | None = None) -> "Interpretation":
-        """Normalize and sanity-check field shapes (not the frame laws)."""
+        """Normalize and sanity-check field shapes (not the frame laws),
+        and build the bit rows."""
         ws = tuple(dict.fromkeys(worlds))
         if not ws:
             raise ValueError("interpretation needs a nonempty entity set")
-        wset = set(ws)
+        index = {w: i for i, w in enumerate(ws)}
+
+        def rows(pairs, what: str) -> _Rows:
+            out = [0] * len(ws)
+            for (a, b) in pairs:
+                if a not in index or b not in index:
+                    raise ValueError(f"{what} {(a, b)!r} outside the entity set")
+                out[index[a]] |= 1 << index[b]
+            return _Rows(tuple(out))
+
         leq = frozenset((a, b) for (a, b) in leq)
-        for (a, b) in leq:
-            if a not in wset or b not in wset:
-                raise ValueError(f"refinement pair {(a, b)!r} outside the entity set")
+        up = rows(leq, "refinement pair")
         roles = {r: frozenset(map(tuple, rel)) for r, rel in (roles or {}).items()}
-        for r, rel in roles.items():
-            for (a, b) in rel:
-                if a not in wset or b not in wset:
-                    raise ValueError(f"role {r}: pair {(a, b)!r} outside the entity set")
+        role_rows = {r: rows(rel, f"role {r}: pair") for r, rel in roles.items()}
         atoms = {a: frozenset(ext) for a, ext in (atoms or {}).items()}
         for a, ext in atoms.items():
-            if not ext <= wset:
+            if not all(w in index for w in ext):
                 raise ValueError(f"atom {a}: extension outside the entity set")
-        return Interpretation(ws, leq, roles, atoms, dict(nominals or {}))
+        masks = {a: sum(1 << index[w] for w in ext) for a, ext in atoms.items()}
+        return _assemble(ws, leq, roles, atoms, dict(nominals or {}),
+                         _Kernel(ws, up, role_rows, masks))
 
     def up(self, w: World) -> tuple:
         """All refinements of w (including w when the order is reflexive)."""
-        ups = self._cache.get("up")
-        if ups is None:
-            ups = {v: tuple(u for u in self.worlds if (v, u) in self.leq)
-                   for v in self.worlds}
-            self._cache["up"] = ups
-        try:
-            return ups[w]
-        except (KeyError, TypeError):
-            raise ValueError(f"entity {w!r} is not in the domain") from None
+        k = _kernel(self)
+        return k.members(k.up.rows[k.pos(w)])
 
     def successors(self, role: str, w: World) -> tuple:
-        key = ("succ", role)
-        succ = self._cache.get(key)
-        if succ is None:
-            rel = self.roles.get(role, frozenset())
-            succ = {v: tuple(u for u in self.worlds if (v, u) in rel)
-                    for v in self.worlds}
-            self._cache[key] = succ
-        try:
-            return succ[w]
-        except (KeyError, TypeError):
-            raise ValueError(f"entity {w!r} is not in the domain") from None
+        k = _kernel(self)
+        return k.members(k.rel(role).rows[k.pos(w)])
 
     def entity_of(self, nominal: str) -> World:
         try:
             return self.nominals[nominal]
         except KeyError:
             raise UnassignedNominalError(nominal) from None
+
+
+def _assemble(worlds, leq, roles, atoms, nominals, kernel: _Kernel) -> Interpretation:
+    """An interpretation from normalized fields and their ready kernel."""
+    I = Interpretation(worlds, leq, roles, atoms, nominals)
+    I._cache["kernel"] = kernel
+    return I
 
 
 # ---------------------------------------------------------------------------
@@ -155,137 +260,192 @@ class ValidationReport:
         return not self.violations
 
     def __str__(self):
-        if self.ok:
-            return "ok"
-        return "; ".join(map(str, self.violations))
+        return "; ".join(map(str, self.violations)) if self.violations else "ok"
 
 
 def validate_interpretation(I: Interpretation) -> ValidationReport:
-    """Check the preorder laws, heredity, F1/F2, and nominal targets."""
-    out: list[Violation] = []
+    """Check the preorder laws, heredity, F1/F2, and nominal targets.
+
+    The row check decides; only a failing model has its violations
+    listed, with witnesses, pairs taken in repr order."""
+    # equality-based scan: stays total even for malformed targets
+    if _kernel(I).frame_ok() and all(any(t == w for w in I.worlds)
+                                     for t in I.nominals.values()):
+        return ValidationReport(())
+    return ValidationReport(tuple(_violations(I)))
+
+
+def _violations(I: Interpretation):
+    k = _kernel(I)
+    pos, up = k.pos, k.up.rows
+    leq = sorted(I.leq, key=repr)
     for w in I.worlds:
         if (w, w) not in I.leq:
-            out.append(Violation("reflexivity", (w,)))
-    for (a, b) in sorted(I.leq, key=repr):
-        for (c, d) in sorted(I.leq, key=repr):
+            yield Violation("reflexivity", (w,))
+    for (a, b) in leq:
+        for (c, d) in leq:
             if b == c and (a, d) not in I.leq:
-                out.append(Violation("transitivity", (a, b, d)))
+                yield Violation("transitivity", (a, b, d))
     for name in sorted(I.atoms):
         ext = I.atoms[name]
-        for (w, v) in sorted(I.leq, key=repr):
+        for (w, v) in leq:
             if w in ext and v not in ext:
-                out.append(Violation("heredity", (name, w, v)))
+                yield Violation("heredity", (name, w, v))
     for role in sorted(I.roles):
-        rel = I.roles[role]
-        for (w, w2) in sorted(I.leq, key=repr):
-            for (a, v) in sorted(rel, key=repr):
-                if a != w:
-                    continue
-                if not any((w2, v2) in rel and (v, v2) in I.leq for v2 in I.worlds):
-                    out.append(Violation("F1", (role, w, w2, v)))
-        for (v, v2) in sorted(I.leq, key=repr):
-            for (w, b) in sorted(rel, key=repr):
-                if b != v:
-                    continue
-                if not any((w2, v2) in rel and (w, w2) in I.leq for w2 in I.worlds):
-                    out.append(Violation("F2", (role, w, v, v2)))
+        rel = sorted(I.roles[role], key=repr)
+        succ = k.rel(role).rows
+        pred = _transpose(succ)
+        for (w, w2) in leq:
+            for (a, v) in rel:
+                if a == w and not succ[pos(w2)] & up[pos(v)]:
+                    yield Violation("F1", (role, w, w2, v))
+        for (v, v2) in leq:
+            for (w, b) in rel:
+                if b == v and not pred[pos(v2)] & up[pos(w)]:
+                    yield Violation("F2", (role, w, v, v2))
     for nom in sorted(I.nominals):
-        # equality-based scan: stays total even for malformed targets
         if not any(I.nominals[nom] == w for w in I.worlds):
-            out.append(Violation("dangling-nominal", (nom, I.nominals[nom])))
-    return ValidationReport(tuple(out))
+            yield Violation("dangling-nominal", (nom, I.nominals[nom]))
 
 
 # ---------------------------------------------------------------------------
-# Concept extension and satisfaction
+# Compiled concepts and formulas
 # ---------------------------------------------------------------------------
 
-def extension(I: Interpretation, c: Concept) -> frozenset:
-    """The set of entities satisfying c, per the constructive clauses."""
-    cache = I._cache.setdefault("ext", {})
-    hit = cache.get(c)
-    if hit is not None:
-        return hit
-    if isinstance(c, Atom):
-        result = I.atoms.get(c.name, frozenset())
-    elif isinstance(c, Top):
-        result = frozenset(I.worlds)
-    elif isinstance(c, Bot):
-        result = frozenset()
-    elif isinstance(c, Not):
-        body = extension(I, c.body)
-        result = frozenset(w for w in I.worlds
-                           if all(v not in body for v in I.up(w)))
-    elif isinstance(c, And):
-        result = extension(I, c.left) & extension(I, c.right)
-    elif isinstance(c, Or):
-        result = extension(I, c.left) | extension(I, c.right)
-    elif isinstance(c, Subs):
-        le, ri = extension(I, c.left), extension(I, c.right)
-        result = frozenset(w for w in I.worlds
-                           if all(v in ri for v in I.up(w) if v in le))
-    elif isinstance(c, Exists):
-        body = extension(I, c.body)
-        result = frozenset(w for w in I.worlds
-                           if any(v in body for v in I.successors(c.role, w)))
-    elif isinstance(c, Forall):
-        body = extension(I, c.body)
-        result = frozenset(w for w in I.worlds
-                           if all(z in body
-                                  for v in I.up(w)
-                                  for z in I.successors(c.role, v)))
-    else:
+# one clause per constructor, on the kernel k and the values v of the
+# program so far; a and b are child indices, or a name for Atom and roles
+_CLAUSES = {
+    And: lambda k, v, a, b: v[a] & v[b],
+    Or: lambda k, v, a, b: v[a] | v[b],
+    Subs: lambda k, v, a, b: k.up.none(v[a] & ~v[b]),
+    Not: lambda k, v, a, b: k.up.none(v[a]),
+    Atom: lambda k, v, a, b: k.atoms.get(a, 0),
+    Exists: lambda k, v, a, b: k.full & ~k.rel(a).none(v[b]),
+    # no refinement may reach a world with a successor outside the body
+    Forall: lambda k, v, a, b: k.up.none(k.full & ~k.rel(a).none(k.full & ~v[b])),
+    Top: lambda k, v, a, b: k.full,
+    Bot: lambda k, v, a, b: 0,
+}
+
+
+def _intern(c: Concept, ids: dict) -> int:
+    """Index of c in ids, adding its subconcepts first.  Hash-consing: a
+    node's key holds its children's indices, never the children."""
+    if type(c) not in _CLAUSES:
         raise TypeError(f"not a concept: {c!r}")
-    cache[c] = result
-    return result
+    args = [_intern(x, ids) if isinstance(x, Concept) else x for x in vars(c).values()]
+    args += [None] * (2 - len(args))
+    return ids.setdefault((_CLAUSES[type(c)], *args), len(ids))
 
 
-def _role_holds(I: Interpretation, f: RoleAssertion) -> bool:
-    # hybrid clause: all refinement pairs above the two anchors are related
-    rel = I.roles.get(f.role, frozenset())
-    zx = I.up(I.entity_of(f.subject))
-    zy = I.up(I.entity_of(f.object))
-    return all((a, b) in rel for a in zx for b in zy)
+def _values(k: _Kernel, ops: tuple) -> list[int]:
+    """Extension masks of a compiled program, bottom-up."""
+    if k.memo is not None and k.memo[0] is ops:
+        return k.memo[1]
+    v: list[int] = []
+    for clause, a, b in ops:
+        v.append(clause(k, v, a, b))
+    k.memo = (ops, v)
+    return v
 
 
-def _body_holds_at(I: Interpretation, body: Formula, e: World) -> bool:
-    """Truth of an assertion body at entity e.
+def _formula(f: Formula, ids: dict) -> tuple:
+    if isinstance(f, ConceptF):
+        return (ConceptF, _intern(f.concept, ids))
+    if isinstance(f, RoleAssertion):
+        return (RoleAssertion, f.subject, f.role, f.object)
+    if isinstance(f, NominalAssertion):
+        return (NominalAssertion, f.nominal, _formula(f.body, ids))
+    raise TypeError(f"not a formula: {f!r}")
 
-    A nested assertion re-anchors at its own nominal, so its truth does
-    not depend on e.
-    """
-    if isinstance(body, ConceptF):
-        return e in extension(I, body.concept)
-    return satisfies(I, body)
+
+def _holds(I: Interpretation, k: _Kernel, v: list, g: tuple) -> bool:
+    """Hybrid satisfaction of a compiled role or nominal assertion:
+    assertions hold hereditarily above their anchors."""
+    up = k.up.rows
+    if g[0] is RoleAssertion:
+        # all refinement pairs above the two anchors are related
+        zx, zy = (up[k.pos(I.entity_of(x))] for x in (g[1], g[3]))
+        succ = k.rel(g[2]).rows
+        return all(succ[a] & zy == zy for a in _bits(zx))
+    anchor, body = up[k.pos(I.entity_of(g[1]))], g[2]
+    if body[0] is ConceptF:
+        return not anchor & ~v[body[1]]
+    # a nested assertion re-anchors at its own nominal
+    return not anchor or _holds(I, k, v, body)
 
 
 def satisfies(I: Interpretation, f: Formula) -> bool:
     """Hybrid satisfaction: assertions hold hereditarily above their
-    anchors; a bare concept holds when its extension is the whole domain."""
-    if isinstance(f, ConceptF):
-        return extension(I, f.concept) == frozenset(I.worlds)
-    if isinstance(f, RoleAssertion):
-        return _role_holds(I, f)
-    if isinstance(f, NominalAssertion):
-        anchor = I.entity_of(f.nominal)
-        return all(_body_holds_at(I, f.body, z) for z in I.up(anchor))
-    raise TypeError(f"not a formula: {f!r}")
+    anchors; a bare concept holds when its extension is the whole domain.
+    This is the validity of the sequent with f alone as its succedent."""
+    return _Goal(Sequent(frozenset(), f), True).holds(I)
+
+
+def extension(I: Interpretation, c: Concept) -> frozenset:
+    """The set of entities satisfying c, per the constructive clauses."""
+    ids: dict = {}
+    top, k = _intern(c, ids), _kernel(I)
+    return frozenset(k.members(_values(k, tuple(ids))[top]))
 
 
 # ---------------------------------------------------------------------------
 # Sequent validity
 # ---------------------------------------------------------------------------
 
-def _member_holds(I: Interpretation, f: Formula, z: Mapping[str, World],
-                  w: World, global_subs: bool) -> bool:
-    if isinstance(f, RoleAssertion):
-        return _role_holds(I, f)
-    if isinstance(f, NominalAssertion):
-        return _body_holds_at(I, f.body, z[f.nominal])
-    c = f.concept
-    if global_subs and isinstance(c, Subs):
-        return extension(I, c) == frozenset(I.worlds)
-    return w in extension(I, c)
+def _member(f: Formula, ids: dict) -> tuple:
+    """(None, concept) for a concept read at the shared world, (x, concept)
+    for ``x : C``, and (formula,) for role and nested assertions, whose
+    truth depends on neither."""
+    if isinstance(f, ConceptF):
+        return None, _intern(f.concept, ids)
+    if isinstance(f, NominalAssertion) and isinstance(f.body, ConceptF):
+        return f.nominal, _intern(f.body.concept, ids)
+    return (_formula(f.body if isinstance(f, NominalAssertion) else f, ids),)
+
+
+class _Goal:
+    """A sequent compiled for evaluation on many interpretations.  The
+    quantified worlds (w and one per outer nominal) are independent, so
+    the sequent fails iff the antecedent leaves each some choice and the
+    succedent fails at one of them.  Assertions that depend on no world
+    come last and lazily: they may mention unassigned nominals."""
+
+    def __init__(self, s: Sequent, tbox_global: bool):
+        ids: dict = {}
+        self.outers = sorted({outer_nominal(f) for f in (*s.antecedent, s.succedent)} - {None})
+        self.at, self.tbox, self.fixed = [], [], []
+        for f in s.antecedent:
+            m = _member(f, ids)
+            if len(m) == 1:
+                self.fixed.append(m[0])
+            elif tbox_global and isinstance(f, ConceptF) and isinstance(f.concept, Subs):
+                self.tbox.append(m[1])
+            else:
+                self.at.append(m)
+        self.succ = _member(s.succedent, ids)
+        self.ops = tuple(ids)
+
+    def holds(self, I: Interpretation) -> bool:
+        k = _kernel(I)
+        v = _values(k, self.ops)
+        choices = {x: k.up.rows[k.pos(I.entity_of(x))] for x in self.outers}
+        choices[None] = k.full
+        for x, c in self.at:
+            choices[x] &= v[c]
+        if (not all(choices.values()) or any(v[c] != k.full for c in self.tbox)
+                or not all(_holds(I, k, v, g) for g in self.fixed)):
+            return True
+        if len(self.succ) == 1:
+            return _holds(I, k, v, self.succ[0])
+        x, c = self.succ
+        return not choices[x] & ~v[c]
+
+
+@lru_cache(maxsize=8)
+def _compiled(s: Sequent, tbox_global: bool) -> _Goal:
+    """Compiled sequents, kept for callers that check one sequent on many models."""
+    return _Goal(s, tbox_global)
 
 
 def sequent_valid(I: Interpretation, s: Sequent, tbox_global: bool = True) -> bool:
@@ -296,30 +456,14 @@ def sequent_valid(I: Interpretation, s: Sequent, tbox_global: bool = True) -> bo
     sides.  With tbox_global, antecedent members that are top-level
     subsumption concepts must hold at every world instead of just w.
     """
-    members = list(s.antecedent)
-    outers: list[str] = []
-    for f in members + [s.succedent]:
-        x = outer_nominal(f)
-        if x is not None and x not in outers:
-            outers.append(x)
-    outers.sort()
-    domains = [I.up(I.entity_of(x)) for x in outers]
-    for choice in product(*domains):
-        z = dict(zip(outers, choice))
-        for w in I.worlds:
-            if all(_member_holds(I, m, z, w, tbox_global) for m in members):
-                if not _member_holds(I, s.succedent, z, w, False):
-                    return False
-    return True
+    return _compiled(s, tbox_global).holds(I)
 
 
 def entails(models: Iterable[Interpretation], s: Sequent,
             tbox_global: bool = True) -> Optional[Interpretation]:
     """First model in the stream on which s fails; None if none fails."""
-    for I in models:
-        if not sequent_valid(I, s, tbox_global):
-            return I
-    return None
+    goal = _Goal(s, tbox_global)
+    return next((I for I in models if not goal.holds(I)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +501,17 @@ def model_from_dict(doc: dict, raw: bool = False) -> tuple[Interpretation, list[
         atoms = {a: list(ext) for a, ext in doc.get("atoms", {}).items()}
         nominals = dict(doc.get("nominals", {}))
         leq = reflexive_transitive_closure(leq_in, worlds)
-        closed_atoms = {}
-        for a, ext in atoms.items():
-            closed = set(ext)
-            for w in ext:
-                closed.update(v for v in worlds if (w, v) in leq)
-            if closed != set(ext):
-                warnings.append(f"atom {a}: extension closed under refinement "
-                                f"(added {sorted(closed - set(ext), key=repr)})")
-            closed_atoms[a] = frozenset(closed)
-        I = Interpretation.make(worlds, leq, roles, closed_atoms, nominals)
+        I = Interpretation.make(worlds, leq, roles, atoms, nominals)
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
         raise ModelFileError(f"malformed model document: {e}") from None
+    k = _kernel(I)
+    k.atoms = {a: _image(k.up.rows, m) for a, m in k.atoms.items()}
+    closed = {a: frozenset(k.members(m)) for a, m in k.atoms.items()}
+    for a, ext in I.atoms.items():
+        if closed[a] != ext:
+            warnings.append(f"atom {a}: extension closed under refinement "
+                            f"(added {sorted(closed[a] - ext, key=repr)})")
+    I = _assemble(I.worlds, I.leq, I.roles, closed, I.nominals, k)
     if not raw:
         report = validate_interpretation(I)
         if not report.ok:

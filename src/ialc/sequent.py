@@ -15,9 +15,8 @@ by the search.  Rule labels:
                                       assertions pass through untouched
     cut, weaken                       structural
 
-``exists-l`` requires its witness nominal not to occur in the
-conclusion.  ``forall-r`` carries no such side condition for the
-checker; the search engine nevertheless always instantiates it with an
+``exists-l`` and ``forall-r`` require their witness nominal not to
+occur in the conclusion; the search engine instantiates both with an
 engine-fresh nominal (reserved names ``_n0``, ``_n1``, ...).
 """
 
@@ -30,7 +29,7 @@ from itertools import count
 from typing import Iterator, Optional, Sequence
 
 from .modelgen import Signature, enumerate_models
-from .semantics import Interpretation, sequent_valid
+from .semantics import Interpretation, entails
 from .syntax import (
     And, Bot, ConceptF, Exists, Forall, Formula, NominalAssertion,
     Or, RoleAssertion, Sequent, Subs, nominals_of, parse_formula,
@@ -125,19 +124,78 @@ def _split_binary(f: Formula, op, nominal: bool):
     return None
 
 
-def _is_bot_member(f: Formula) -> bool:
-    if isinstance(f, ConceptF) and isinstance(f.concept, Bot):
-        return True
+def _shape(f: Formula) -> tuple:
+    """(f, whether f is an assertion x : C, and its top concept C or None)."""
     nc = _nom_concept(f)
-    return nc is not None and isinstance(nc[1], Bot)
+    return (f, True, nc[1]) if nc else (f, False, getattr(f, "concept", None))
 
 
 def _promote(members, make) -> frozenset:
     """Apply ``make`` to every concept member, pass assertions through."""
-    out = set()
-    for m in members:
-        out.add(make(m) if isinstance(m, ConceptF) else m)
-    return frozenset(out)
+    return frozenset(make(m) if isinstance(m, ConceptF) else m for m in members)
+
+
+# The propositional rules, each one backward decomposition shared by checker
+# and search: operator, principal on the left, and the premises' (antecedent,
+# succedent) pairs from (antecedent, antecedent minus principal, a, b, succedent).
+_BINARY_RULES = {
+    "and-l": (And, True, lambda ant, rest, a, b, g: [(rest | {a, b}, g)]),
+    "or-l": (Or, True, lambda ant, rest, a, b, g: [(rest | {a}, g), (rest | {b}, g)]),
+    "sub-l": (Subs, True, lambda ant, rest, a, b, g: [(ant, a), (rest | {b}, g)]),
+    "and-r": (And, False, lambda ant, rest, a, b, g: [(ant, a), (ant, b)]),
+    "sub-r": (Subs, False, lambda ant, rest, a, b, g: [(ant | {a}, b)]),
+    "or1-r": (Or, False, lambda ant, rest, a, b, g: [(ant, a)]),
+    "or2-r": (Or, False, lambda ant, rest, a, b, g: [(ant, b)]),
+}
+
+
+def _binary(rule: str, seq: Sequent, m: Formula, parts: tuple) -> tuple:
+    """Premises of a propositional rule applied backward to seq with
+    principal m, whose two (hatted) components are parts."""
+    _, left, premises = _BINARY_RULES[rule]
+    ant = seq.antecedent
+    rest = ant - {m} if left else ant
+    return tuple(Sequent(frozenset(a), g)
+                 for a, g in premises(ant, rest, *parts, seq.succedent))
+
+
+# The role rules, each one backward decomposition shared by checker and search.
+
+def _quantified(f: Formula, op):
+    """(x, q) when f is ``x : q`` with q an ``op`` (Exists/Forall) concept."""
+    _, nominal, q = _shape(f)
+    return (f.nominal, q) if nominal and isinstance(q, op) else None
+
+
+def _forall_r(seq: Sequent, y: str) -> Optional[Sequent]:
+    xq = _quantified(seq.succedent, Forall)
+    return xq and Sequent(seq.antecedent | {RoleAssertion(xq[0], xq[1].role, y)},
+                          NominalAssertion(y, ConceptF(xq[1].body)))
+
+
+def _forall_l(m: Formula, r: Formula) -> Optional[Formula]:
+    """What forall-l adds for x : all R.C and R(x,y): the assertion y : C."""
+    xq = _quantified(m, Forall)
+    if xq is None or not (isinstance(r, RoleAssertion) and r.subject == xq[0]
+                          and r.role == xq[1].role):
+        return None
+    return NominalAssertion(r.object, ConceptF(xq[1].body))
+
+
+def _exists_r(seq: Sequent, r: Formula) -> Optional[tuple]:
+    xq = _quantified(seq.succedent, Exists)
+    if xq is None or not (isinstance(r, RoleAssertion) and r.subject == xq[0]
+                          and r.role == xq[1].role):
+        return None
+    return (Sequent(seq.antecedent, r),
+            Sequent(seq.antecedent, NominalAssertion(r.object, ConceptF(xq[1].body))))
+
+
+def _exists_l(seq: Sequent, m: Formula, y: str) -> Optional[Sequent]:
+    xq = _quantified(m, Exists)
+    return xq and Sequent((seq.antecedent - {m}) | {RoleAssertion(xq[0], xq[1].role, y),
+                                                    NominalAssertion(y, ConceptF(xq[1].body))},
+                          seq.succedent)
 
 
 def check_step(rule: str, params: Optional[RuleParams],
@@ -160,7 +218,7 @@ def check_step(rule: str, params: Optional[RuleParams],
         return succ in ant
 
     if base == "bot-l":
-        return any(_is_bot_member(m) for m in ant)
+        return any(isinstance(_shape(m)[2], Bot) for m in ant)
 
     if base == "weaken":
         (prem,) = premises
@@ -176,193 +234,65 @@ def check_step(rule: str, params: Optional[RuleParams],
 
     if base == "forall-r":
         (prem,) = premises
-        nc = _nom_concept(succ)
-        if nc is None or not isinstance(nc[1], Forall):
+        xq, ps = _quantified(succ, Forall), _nom_concept(prem.succedent)
+        if xq is None or ps is None:
             return False
-        x, q = nc
-        ps = _nom_concept(prem.succedent)
-        if ps is None or ps[1] != q.body:
-            return False
+        # the witness must be fresh for the conclusion (eigenvariable)
         y = ps[0]
-        if p.role is not None and p.role != q.role:
-            return False
-        if p.nominal is not None and p.nominal != y:
-            return False
-        return prem.antecedent == ant | {RoleAssertion(x, q.role, y)}
+        return (p.role in (None, xq[1].role) and p.nominal in (None, y)
+                and y not in nominals_of(conclusion) and _forall_r(conclusion, y) == prem)
 
     if base == "forall-l":
         (prem,) = premises
-        if prem.succedent != succ:
-            return False
-        for m in ant:
-            nc = _nom_concept(m)
-            if nc is None or not isinstance(nc[1], Forall):
-                continue
-            if p.principal is not None and p.principal != m:
-                continue
-            x, q = nc
-            for m2 in ant:
-                if not (isinstance(m2, RoleAssertion)
-                        and m2.subject == x and m2.role == q.role):
-                    continue
-                if p.nominal is not None and p.nominal != m2.object:
-                    continue
-                added = NominalAssertion(m2.object, ConceptF(q.body))
-                if prem.antecedent == ant | {added}:
-                    return True
-        return False
+        return any(added and conclusion.with_extra(added) == prem
+                   for m in ant if p.principal in (None, m)
+                   for r in ant if isinstance(r, RoleAssertion) and p.nominal in (None, r.object)
+                   for added in [_forall_l(m, r)])
 
     if base == "exists-r":
-        p1, p2 = premises
-        nc = _nom_concept(succ)
-        if nc is None or not isinstance(nc[1], Exists):
-            return False
-        x, q = nc
-        if p1.antecedent != ant or p2.antecedent != ant:
-            return False
-        ra = p1.succedent
-        if not (isinstance(ra, RoleAssertion) and ra.subject == x
-                and ra.role == q.role):
-            return False
-        if p.nominal is not None and p.nominal != ra.object:
-            return False
-        return p2.succedent == NominalAssertion(ra.object, ConceptF(q.body))
+        ra = premises[0].succedent
+        return (_exists_r(conclusion, ra) == tuple(premises)
+                and p.nominal in (None, ra.object))
 
     if base == "exists-l":
         (prem,) = premises
-        if prem.succedent != succ:
-            return False
+        # the witness must be fresh for the conclusion
+        ys = [p.nominal] if p.nominal is not None else [
+            r.object for r in prem.antecedent if isinstance(r, RoleAssertion)]
         conol = nominals_of(conclusion)
-        for m in ant:
-            nc = _nom_concept(m)
-            if nc is None or not isinstance(nc[1], Exists):
-                continue
-            if p.principal is not None and p.principal != m:
-                continue
-            x, q = nc
-            rest = ant - {m}
-            if p.nominal is not None:
-                ys = [p.nominal]
-            else:
-                ys = sorted({f.object for f in prem.antecedent
-                             if isinstance(f, RoleAssertion)
-                             and f.subject == x and f.role == q.role})
-            for y in ys:
-                if y in conol:
-                    continue
-                fresh = {RoleAssertion(x, q.role, y),
-                         NominalAssertion(y, ConceptF(q.body))}
-                if prem.antecedent == rest | fresh:
-                    return True
-        return False
-
-    if base == "sub-r":
-        (prem,) = premises
-        split2 = _split_binary(succ, Subs, nominal)
-        if split2 is None:
-            return False
-        ahat, bhat = split2
-        return (prem.succedent == bhat
-                and prem.antecedent == ant | {ahat})
+        return any(y not in conol and _exists_l(conclusion, m, y) == prem
+                   for m in ant if p.principal in (None, m) for y in ys)
 
     if base == "sub-l":
+        # the two premises may split the context
         p1, p2 = premises
-        if p2.succedent != succ:
-            return False
-        for m in ant:
-            split2 = _split_binary(m, Subs, nominal)
-            if split2 is None:
-                continue
-            if p.principal is not None and p.principal != m:
-                continue
-            ahat, bhat = split2
-            if p1.succedent != ahat or bhat not in p2.antecedent:
-                continue
-            if p1.antecedent | (p2.antecedent - {bhat}) | {m} == ant:
-                return True
-        return False
+        return p2.succedent == succ and any(
+            parts and p1.succedent == parts[0] and parts[1] in p2.antecedent
+            and p1.antecedent | (p2.antecedent - {parts[1]}) | {m} == ant
+            for m in ant if p.principal in (None, m)
+            for parts in [_split_binary(m, Subs, nominal)])
 
-    if base == "and-r":
-        p1, p2 = premises
-        split2 = _split_binary(succ, And, nominal)
-        if split2 is None:
-            return False
-        ahat, bhat = split2
-        return (p1.antecedent == ant and p2.antecedent == ant
-                and p1.succedent == ahat and p2.succedent == bhat)
+    if base in _BINARY_RULES:
+        op, left, _ = _BINARY_RULES[base]
+        return any(parts and _binary(base, conclusion, m, parts) == tuple(premises)
+                   for m in (ant if left else [succ]) if not left or p.principal in (None, m)
+                   for parts in [_split_binary(m, op, nominal)])
 
-    if base == "and-l":
+    if base in ("p-exists", "p-forall"):
         (prem,) = premises
-        if prem.succedent != succ:
+        q = succ.concept if isinstance(succ, ConceptF) else None
+        if (not isinstance(q, Exists if base == "p-exists" else Forall)
+                or p.role not in (None, q.role) or prem.succedent != ConceptF(q.body)):
             return False
-        for m in ant:
-            split2 = _split_binary(m, And, nominal)
-            if split2 is None:
-                continue
-            if p.principal is not None and p.principal != m:
-                continue
-            ahat, bhat = split2
-            if prem.antecedent == (ant - {m}) | {ahat, bhat}:
-                return True
-        return False
 
-    if base in ("or1-r", "or2-r"):
-        (prem,) = premises
-        split2 = _split_binary(succ, Or, nominal)
-        if split2 is None:
-            return False
-        want = split2[0] if base == "or1-r" else split2[1]
-        return prem.succedent == want and prem.antecedent == ant
-
-    if base == "or-l":
-        p1, p2 = premises
-        if p1.succedent != succ or p2.succedent != succ:
-            return False
-        for m in ant:
-            split2 = _split_binary(m, Or, nominal)
-            if split2 is None:
-                continue
-            if p.principal is not None and p.principal != m:
-                continue
-            ahat, bhat = split2
-            rest = ant - {m}
-            if (p1.antecedent == rest | {ahat}
-                    and p2.antecedent == rest | {bhat}):
-                return True
-        return False
-
-    if base == "p-exists":
-        (prem,) = premises
-        if not (isinstance(succ, ConceptF) and isinstance(succ.concept, Exists)):
-            return False
-        role = succ.concept.role
-        if p.role is not None and p.role != role:
-            return False
-        if prem.succedent != ConceptF(succ.concept.body):
-            return False
-        for alpha in prem.antecedent:
-            if not isinstance(alpha, ConceptF):
-                continue
-            if p.principal is not None and p.principal != alpha:
-                continue
-            delta = prem.antecedent - {alpha}
-            lifted = _promote(delta, lambda m: ConceptF(Forall(role, m.concept)))
-            if lifted | {ConceptF(Exists(role, alpha.concept))} == ant:
-                return True
-        return False
-
-    if base == "p-forall":
-        (prem,) = premises
-        if not (isinstance(succ, ConceptF) and isinstance(succ.concept, Forall)):
-            return False
-        role = succ.concept.role
-        if p.role is not None and p.role != role:
-            return False
-        if prem.succedent != ConceptF(succ.concept.body):
-            return False
-        lifted = _promote(prem.antecedent,
-                          lambda m: ConceptF(Forall(role, m.concept)))
-        return lifted == ant
+        def box(m):
+            return ConceptF(Forall(q.role, m.concept))
+        if base == "p-forall":
+            return _promote(prem.antecedent, box) == ant
+        return any(_promote(prem.antecedent - {alpha}, box)
+                   | {ConceptF(Exists(q.role, alpha.concept))} == ant
+                   for alpha in prem.antecedent
+                   if isinstance(alpha, ConceptF) and p.principal in (None, alpha))
 
     if base == "p-nom":
         (prem,) = premises
@@ -398,10 +328,11 @@ def check_proof(t: ProofTree) -> CheckResult:
     stack: list[tuple[ProofTree, tuple[int, ...]]] = [(t, ())]
     while stack:
         node, path = stack.pop()
-        if _split_rule(node.rule) is None:
+        split = _split_rule(node.rule)
+        if split is None:
             return CheckResult(False, path, f"unknown rule {node.rule!r}")
         got = len(node.premises)
-        base = _split_rule(node.rule)[0]
+        base = split[0]
         if got != RULE_ARITY[base]:
             return CheckResult(False, path,
                                f"{node.rule} needs {RULE_ARITY[base]} premises, got {got}")
@@ -440,17 +371,8 @@ class ProofFileError(Exception):
 
 def tree_to_dict(t: ProofTree) -> dict:
     d: dict = {"rule": t.rule, "conclusion": render(t.conclusion)}
-    params = {}
-    if t.params.principal is not None:
-        params["principal"] = render(t.params.principal)
-    if t.params.role is not None:
-        params["role"] = t.params.role
-    if t.params.nominal is not None:
-        params["nominal"] = t.params.nominal
-    if t.params.prefix is not None:
-        params["prefix"] = t.params.prefix
-    if t.params.cut_formula is not None:
-        params["cut"] = render(t.params.cut_formula)
+    params = {("cut" if k == "cut_formula" else k): render(v) if isinstance(v, Formula) else v
+              for k, v in vars(t.params).items() if v is not None}
     if params:
         d["params"] = params
     d["premises"] = [tree_to_dict(c) for c in t.premises]
@@ -525,6 +447,16 @@ def _rename_formula(f: Formula, mapping: dict) -> Formula:
         return NominalAssertion(mapping.get(f.nominal, f.nominal),
                                 _rename_formula(f.body, mapping))
     return f
+
+
+def _binary_candidates(rules: tuple, seq: Sequent, shapes) -> Iterator:
+    for rule in rules:
+        op, left, _ = _BINARY_RULES[rule]
+        for m, nominal, c in shapes:
+            if isinstance(c, op):
+                yield (("n-" if nominal else "") + rule,
+                       RuleParams(principal=m) if left else _NO_PARAMS,
+                       _binary(rule, seq, m, _split_binary(m, op, nominal)))
 
 
 class _Search:
@@ -602,105 +534,50 @@ class _Search:
 
     def _candidates(self, seq: Sequent) -> Iterator[tuple[str, RuleParams, tuple]]:
         ant, succ = seq.antecedent, seq.succedent
-        members = sorted(ant, key=render)
-
         if succ in ant:
             yield "axiom", _NO_PARAMS, ()
             return
-        if any(_is_bot_member(m) for m in members):
+        members = sorted(ant, key=render)
+        shapes, goal = [_shape(m) for m in members], [_shape(succ)]
+        if any(isinstance(c, Bot) for _, _, c in shapes):
             yield "bot-l", _NO_PARAMS, ()
             return
 
         # invertible decompositions first
-        for m in members:
-            for nominal in (False, True):
-                split = _split_binary(m, And, nominal)
-                if split:
-                    prem = Sequent((ant - {m}) | set(split), succ)
-                    yield ("n-and-l" if nominal else "and-l",
-                           RuleParams(principal=m), (prem,))
+        yield from _binary_candidates(("and-l",), seq, shapes)
 
-        for m in members:
-            nc = _nom_concept(m)
-            if nc and isinstance(nc[1], Exists):
-                x, q = nc
+        for m, nominal, c in shapes:
+            if nominal and isinstance(c, Exists):
                 y = self.fresh_nominal()
-                prem = Sequent((ant - {m}) | {RoleAssertion(x, q.role, y),
-                                              NominalAssertion(y, ConceptF(q.body))},
-                               succ)
-                yield ("exists-l",
-                       RuleParams(principal=m, role=q.role, nominal=y), (prem,))
+                yield ("exists-l", RuleParams(principal=m, role=m.body.concept.role,
+                                              nominal=y), (_exists_l(seq, m, y),))
 
-        for nominal in (False, True):
-            split = _split_binary(succ, And, nominal)
-            if split:
-                yield ("n-and-r" if nominal else "and-r", _NO_PARAMS,
-                       (Sequent(ant, split[0]), Sequent(ant, split[1])))
-            split = _split_binary(succ, Subs, nominal)
-            if split:
-                yield ("n-sub-r" if nominal else "sub-r", _NO_PARAMS,
-                       (Sequent(ant | {split[0]}, split[1]),))
+        yield from _binary_candidates(("and-r", "sub-r"), seq, goal)
+        yield from _binary_candidates(("or-l",), seq, shapes)
 
-        for m in members:
-            for nominal in (False, True):
-                split = _split_binary(m, Or, nominal)
-                if split:
-                    rest = ant - {m}
-                    yield ("n-or-l" if nominal else "or-l",
-                           RuleParams(principal=m),
-                           (Sequent(rest | {split[0]}, succ),
-                            Sequent(rest | {split[1]}, succ)))
-
-        nc = _nom_concept(succ)
-        if nc and isinstance(nc[1], Forall):
-            x, q = nc
+        if _quantified(succ, Forall):
             y = self.fresh_nominal()
-            prem = Sequent(ant | {RoleAssertion(x, q.role, y)},
-                           NominalAssertion(y, ConceptF(q.body)))
-            yield "forall-r", RuleParams(role=q.role, nominal=y), (prem,)
+            yield ("forall-r", RuleParams(role=succ.body.concept.role, nominal=y),
+                   (_forall_r(seq, y),))
 
         # branching / non-invertible choices
-        for nominal in (False, True):
-            split = _split_binary(succ, Or, nominal)
-            if split:
-                yield ("n-or1-r" if nominal else "or1-r", _NO_PARAMS,
-                       (Sequent(ant, split[0]),))
-                yield ("n-or2-r" if nominal else "or2-r", _NO_PARAMS,
-                       (Sequent(ant, split[1]),))
+        yield from _binary_candidates(("or1-r", "or2-r"), seq, goal)
 
-        if nc and isinstance(nc[1], Exists):
-            x, q = nc
-            for m in members:
-                if (isinstance(m, RoleAssertion) and m.subject == x
-                        and m.role == q.role):
-                    yield ("exists-r", RuleParams(role=q.role, nominal=m.object),
-                           (Sequent(ant, m),
-                            Sequent(ant, NominalAssertion(m.object, ConceptF(q.body)))))
+        if _quantified(succ, Exists):
+            for m in [r for r in members if isinstance(r, RoleAssertion)]:
+                premises = _exists_r(seq, m)
+                if premises:
+                    yield "exists-r", RuleParams(role=m.role, nominal=m.object), premises
 
-        for m in members:
-            for nominal in (False, True):
-                split = _split_binary(m, Subs, nominal)
-                if split:
-                    ahat, bhat = split
-                    yield ("n-sub-l" if nominal else "sub-l",
-                           RuleParams(principal=m),
-                           (Sequent(ant, ahat),
-                            Sequent((ant - {m}) | {bhat}, succ)))
+        yield from _binary_candidates(("sub-l",), seq, shapes)
 
-        for m in members:
-            nc2 = _nom_concept(m)
-            if nc2 and isinstance(nc2[1], Forall):
-                x, q = nc2
-                for m2 in members:
-                    if (isinstance(m2, RoleAssertion) and m2.subject == x
-                            and m2.role == q.role):
-                        added = NominalAssertion(m2.object, ConceptF(q.body))
-                        if added in ant:
-                            continue
-                        yield ("forall-l",
-                               RuleParams(principal=m, role=q.role,
-                                          nominal=m2.object),
-                               (Sequent(ant | {added}, succ),))
+        edges = [r for r in members if isinstance(r, RoleAssertion)]
+        for m in [m for m, nominal, c in shapes if nominal and isinstance(c, Forall)]:
+            for r in edges:
+                added = _forall_l(m, r)
+                if added and added not in ant:
+                    yield ("forall-l", RuleParams(principal=m, role=r.role,
+                                                  nominal=r.object), (seq.with_extra(added),))
 
         yield from self._promotions(seq, members)
 
@@ -764,7 +641,4 @@ def prove(s: Sequent, max_depth: int = 24, max_visited: int = 100_000) -> ProveR
 def find_countermodel(s: Sequent, sig: Signature,
                       tbox_global: bool = True) -> Optional[Interpretation]:
     """First enumerated model on which s fails, None if all satisfy it."""
-    for I in enumerate_models(sig):
-        if not sequent_valid(I, s, tbox_global):
-            return I
-    return None
+    return entails(enumerate_models(sig), s, tbox_global)

@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Union
 __all__ = [
     "Atom", "Top", "Bot", "Not", "And", "Or", "Subs", "Exists", "Forall",
     "Concept", "ConceptF", "NominalAssertion", "RoleAssertion", "Formula",
-    "Sequent", "Problem", "ParseError",
+    "Sequent", "Problem", "ParseError", "MAX_NESTING",
     "parse_concept", "parse_formula", "parse_sequent", "parse_problem",
     "render", "outer_nominal", "atoms_of", "roles_of", "nominals_of",
     "TOP", "BOT",
@@ -163,65 +163,37 @@ def outer_nominal(f: Formula) -> Optional[str]:
     return None
 
 
-def _walk_concepts(obj) -> Iterable[Concept]:
-    if isinstance(obj, Concept):
-        yield obj
-        if isinstance(obj, Not):
-            yield from _walk_concepts(obj.body)
-        elif isinstance(obj, (And, Or, Subs)):
-            yield from _walk_concepts(obj.left)
-            yield from _walk_concepts(obj.right)
-        elif isinstance(obj, (Exists, Forall)):
-            yield from _walk_concepts(obj.body)
-    elif isinstance(obj, ConceptF):
-        yield from _walk_concepts(obj.concept)
-    elif isinstance(obj, NominalAssertion):
-        yield from _walk_concepts(obj.body)
-    elif isinstance(obj, RoleAssertion):
+def _walk(obj, inner=(Concept, Formula)) -> Iterable[Union[Concept, Formula]]:
+    """The nodes of obj, parents first, descending only into ``inner`` ones."""
+    if isinstance(obj, Sequent):
+        for m in (*obj.antecedent, obj.succedent):
+            yield from _walk(m, inner)
         return
-    elif isinstance(obj, Sequent):
-        for m in obj.antecedent:
-            yield from _walk_concepts(m)
-        yield from _walk_concepts(obj.succedent)
-    else:
+    if not isinstance(obj, (Concept, Formula)):
         raise TypeError(f"cannot walk {obj!r}")
+    yield obj
+    for child in vars(obj).values():
+        if isinstance(child, inner):
+            yield from _walk(child, inner)
 
 
 def atoms_of(obj) -> frozenset[str]:
-    return frozenset(c.name for c in _walk_concepts(obj) if isinstance(c, Atom))
+    return frozenset(c.name for c in _walk(obj) if isinstance(c, Atom))
 
 
 def roles_of(obj) -> frozenset[str]:
-    roles = set(c.role for c in _walk_concepts(obj) if isinstance(c, (Exists, Forall)))
-    roles.update(f.role for f in _formulas_of(obj) if isinstance(f, RoleAssertion))
-    return frozenset(roles)
+    return frozenset(c.role for c in _walk(obj)
+                     if isinstance(c, (Exists, Forall, RoleAssertion)))
 
 
 def nominals_of(obj) -> frozenset[str]:
     noms: set[str] = set()
-    for f in _formulas_of(obj):
+    for f in _walk(obj, Formula):
         if isinstance(f, NominalAssertion):
             noms.add(f.nominal)
         elif isinstance(f, RoleAssertion):
-            noms.add(f.subject)
-            noms.add(f.object)
+            noms.update((f.subject, f.object))
     return frozenset(noms)
-
-
-def _formulas_of(obj) -> Iterable[Formula]:
-    if isinstance(obj, Sequent):
-        for m in obj.antecedent:
-            yield from _formulas_of(m)
-        yield from _formulas_of(obj.succedent)
-    elif isinstance(obj, NominalAssertion):
-        yield obj
-        yield from _formulas_of(obj.body)
-    elif isinstance(obj, Formula):
-        yield obj
-    elif isinstance(obj, Concept):
-        return
-    else:
-        raise TypeError(f"cannot walk {obj!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +282,23 @@ def _is_lower(tok: _Token) -> bool:
 # Parser
 # ---------------------------------------------------------------------------
 
+MAX_NESTING = 100     # parentheses, prefixes, nested assertions, operator chains
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def deeper(self) -> None:
+        """Count one more nesting level, failing at the current token beyond
+        MAX_NESTING (this bounds every later recursion); chains restore it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(f"input nested deeper than {MAX_NESTING} levels",
+                             tok.line, tok.col)
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -343,34 +328,44 @@ class _Parser:
         left = self.disj()
         if self.peek().kind == "arrow":
             self.next()
-            return Subs(left, self.subs())
+            self.deeper()
+            right = self.subs()
+            self.depth -= 1
+            return Subs(left, right)
         return left
 
     def disj(self) -> Concept:
+        saved = self.depth
         c = self.conj()
         while self.peek().kind == "bar":
             self.next()
+            self.deeper()       # each operator nests the tree one deeper
             c = Or(c, self.conj())
+        self.depth = saved
         return c
 
     def conj(self) -> Concept:
+        saved = self.depth
         c = self.unary()
         while self.peek().kind == "amp":
             self.next()
+            self.deeper()
             c = And(c, self.unary())
+        self.depth = saved
         return c
 
     def unary(self) -> Concept:
         tok = self.peek()
         if tok.kind == "not":
             self.next()
+            self.deeper()
             return Not(self.unary())
         if tok.kind in ("some", "all"):
             self.next()
+            self.deeper()
             role = self.expect_role()
             self.expect("dot", "'.'")
-            body = self.unary()
-            return (Exists if tok.kind == "some" else Forall)(role, body)
+            return (Exists if tok.kind == "some" else Forall)(role, self.unary())
         if tok.kind == "top":
             self.next()
             return TOP
@@ -382,6 +377,7 @@ class _Parser:
             return Atom(tok.value)
         if tok.kind == "lpar":
             self.next()
+            self.deeper()
             c = self.concept()
             self.expect("rpar", "')'")
             return c
@@ -425,7 +421,9 @@ class _Parser:
         if (self.peek().kind == "lpar" and _is_lower(self.peek(1))
                 and self.peek(1).kind == "ident" and self.peek(2).kind == "colon"):
             self.next()
+            self.deeper()
             inner = self.nominal_assertion()
+            self.depth -= 1
             self.expect("rpar", "')'")
             return NominalAssertion(name, inner)
         return NominalAssertion(name, ConceptF(self.concept()))

@@ -161,6 +161,8 @@ def test_input_errors_exit_3(capsys, tmp_path):
     assert rc == 3 and "error:" in err
     rc, _, err = invoke(capsys, "prove", "x", "--bogus")
     assert rc == 3
+    rc, _, err = invoke(capsys, "prove", "x", "--tbox-local")
+    assert rc == 3 and "--tbox-local" in err
     bad = tmp_path / "bad.ialc"
     bad.write_text("goal:\n  A &&& B\n")
     rc, _, err = invoke(capsys, "prove", str(bad))
@@ -197,6 +199,11 @@ def test_adversarial_inputs_never_crash(capsys, tmp_path, golden_dir):
     not_tree.write_text('{"conclusion": 7}')
     rc, _, err = invoke(capsys, "check", str(not_tree))
     assert rc == 3
+    # a goal nested 3,000 deep is a positioned input error, not a crash
+    deep = tmp_path / "deep.ialc"
+    deep.write_text("goal:\n  " + "not " * 3000 + "A\n")
+    rc, _, err = invoke(capsys, "prove", str(deep))
+    assert rc == 3 and "2:" in err and "nested deeper" in err
 
 
 def test_reports_are_byte_stable(capsys, golden_dir):

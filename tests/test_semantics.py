@@ -1,17 +1,23 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ialc.corpus import random_concept
-from ialc.modelgen import Signature, random_model
+from ialc.modelgen import (
+    GenerationBudgetError, Signature, enumerate_models, random_model,
+)
 from ialc.semantics import (
-    Interpretation, ModelFileError, UnassignedNominalError, entails,
-    extension, load_model, model_from_dict, satisfies, save_model,
+    Interpretation, ModelFileError, UnassignedNominalError, Violation,
+    entails, extension, load_model, model_from_dict, satisfies, save_model,
     sequent_valid, validate_interpretation,
 )
 from ialc.syntax import (
-    And, Atom, BOT, Bot, Exists, Forall, Not, Or, Subs, TOP, Top,
-    parse_formula, parse_sequent,
+    And, Atom, BOT, Bot, ConceptF, Exists, Forall, NominalAssertion, Not, Or,
+    RoleAssertion, Sequent, Subs, TOP, Top, outer_nominal, parse_formula,
+    parse_sequent,
 )
 
 A, B = Atom("A"), Atom("B")
@@ -383,3 +389,284 @@ def test_loaders_survive_adversarial_documents():
             tree_from_dict(doc)
         except (ProofFileError, ParseError):
             pass
+
+
+# ---------------------------------------------------------------------------
+# Differential check: bitset kernel against the set-based reference
+# ---------------------------------------------------------------------------
+#
+# The reference below is the set-based evaluator the kernel replaced:
+# the constructive clauses, the hybrid satisfaction and sequent clauses
+# and the frame checks, one set operation per clause.  Up-sets and
+# successor sets are read straight off the pairs, so nothing here goes
+# through the kernel.
+
+def ref_up(I, w):
+    return tuple(u for u in I.worlds if (w, u) in I.leq)
+
+
+def ref_successors(I, role, w):
+    rel = I.roles.get(role, frozenset())
+    return tuple(u for u in I.worlds if (w, u) in rel)
+
+
+def ref_extension(I, c, cache):
+    hit = cache.get(c)
+    if hit is not None:
+        return hit
+    if isinstance(c, Atom):
+        result = I.atoms.get(c.name, frozenset())
+    elif isinstance(c, Top):
+        result = frozenset(I.worlds)
+    elif isinstance(c, Bot):
+        result = frozenset()
+    elif isinstance(c, Not):
+        body = ref_extension(I, c.body, cache)
+        result = frozenset(w for w in I.worlds
+                           if all(v not in body for v in ref_up(I, w)))
+    elif isinstance(c, And):
+        result = ref_extension(I, c.left, cache) & ref_extension(I, c.right, cache)
+    elif isinstance(c, Or):
+        result = ref_extension(I, c.left, cache) | ref_extension(I, c.right, cache)
+    elif isinstance(c, Subs):
+        le, ri = ref_extension(I, c.left, cache), ref_extension(I, c.right, cache)
+        result = frozenset(w for w in I.worlds
+                           if all(v in ri for v in ref_up(I, w) if v in le))
+    elif isinstance(c, Exists):
+        body = ref_extension(I, c.body, cache)
+        result = frozenset(w for w in I.worlds
+                           if any(v in body for v in ref_successors(I, c.role, w)))
+    elif isinstance(c, Forall):
+        body = ref_extension(I, c.body, cache)
+        result = frozenset(w for w in I.worlds
+                           if all(z in body
+                                  for v in ref_up(I, w)
+                                  for z in ref_successors(I, c.role, v)))
+    else:
+        raise TypeError(f"not a concept: {c!r}")
+    cache[c] = result
+    return result
+
+
+def ref_role_holds(I, f):
+    rel = I.roles.get(f.role, frozenset())
+    zx = ref_up(I, I.entity_of(f.subject))
+    zy = ref_up(I, I.entity_of(f.object))
+    return all((a, b) in rel for a in zx for b in zy)
+
+
+def ref_body_holds_at(I, body, e, cache):
+    if isinstance(body, ConceptF):
+        return e in ref_extension(I, body.concept, cache)
+    return ref_satisfies(I, body, cache)
+
+
+def ref_satisfies(I, f, cache):
+    if isinstance(f, ConceptF):
+        return ref_extension(I, f.concept, cache) == frozenset(I.worlds)
+    if isinstance(f, RoleAssertion):
+        return ref_role_holds(I, f)
+    anchor = I.entity_of(f.nominal)
+    return all(ref_body_holds_at(I, f.body, z, cache) for z in ref_up(I, anchor))
+
+
+def ref_member_holds(I, f, z, w, global_subs, cache):
+    if isinstance(f, RoleAssertion):
+        return ref_role_holds(I, f)
+    if isinstance(f, NominalAssertion):
+        return ref_body_holds_at(I, f.body, z[f.nominal], cache)
+    c = f.concept
+    if global_subs and isinstance(c, Subs):
+        return ref_extension(I, c, cache) == frozenset(I.worlds)
+    return w in ref_extension(I, c, cache)
+
+
+def ref_sequent_valid(I, s, tbox_global, cache):
+    members = list(s.antecedent)
+    outers = []
+    for f in members + [s.succedent]:
+        x = outer_nominal(f)
+        if x is not None and x not in outers:
+            outers.append(x)
+    outers.sort()
+    domains = [ref_up(I, I.entity_of(x)) for x in outers]
+    for choice in product(*domains):
+        z = dict(zip(outers, choice))
+        for w in I.worlds:
+            if all(ref_member_holds(I, m, z, w, tbox_global, cache) for m in members):
+                if not ref_member_holds(I, s.succedent, z, w, False, cache):
+                    return False
+    return True
+
+
+def ref_violations(I):
+    out = []
+    for w in I.worlds:
+        if (w, w) not in I.leq:
+            out.append(Violation("reflexivity", (w,)))
+    for (a, b) in sorted(I.leq, key=repr):
+        for (c, d) in sorted(I.leq, key=repr):
+            if b == c and (a, d) not in I.leq:
+                out.append(Violation("transitivity", (a, b, d)))
+    for name in sorted(I.atoms):
+        ext = I.atoms[name]
+        for (w, v) in sorted(I.leq, key=repr):
+            if w in ext and v not in ext:
+                out.append(Violation("heredity", (name, w, v)))
+    for role in sorted(I.roles):
+        rel = I.roles[role]
+        for (w, w2) in sorted(I.leq, key=repr):
+            for (a, v) in sorted(rel, key=repr):
+                if a != w:
+                    continue
+                if not any((w2, v2) in rel and (v, v2) in I.leq for v2 in I.worlds):
+                    out.append(Violation("F1", (role, w, w2, v)))
+        for (v, v2) in sorted(I.leq, key=repr):
+            for (w, b) in sorted(rel, key=repr):
+                if b != v:
+                    continue
+                if not any((w2, v2) in rel and (w, w2) in I.leq for w2 in I.worlds):
+                    out.append(Violation("F2", (role, w, v, v2)))
+    for nom in sorted(I.nominals):
+        if not any(I.nominals[nom] == w for w in I.worlds):
+            out.append(Violation("dangling-nominal", (nom, I.nominals[nom])))
+    return tuple(out)
+
+
+def assert_kernel_agrees(I, c, f, s):
+    cache = {}
+    assert extension(I, c) == ref_extension(I, c, cache), c
+    assert satisfies(I, f) == ref_satisfies(I, f, cache), f
+    for tbox_global in (True, False):
+        assert (sequent_valid(I, s, tbox_global)
+                == ref_sequent_valid(I, s, tbox_global, cache)), (s, tbox_global)
+
+
+_roles = st.sampled_from(["R", "S"])
+_noms = st.sampled_from(["x", "y"])
+_concepts = st.recursive(
+    st.sampled_from([A, B, TOP, BOT]),
+    lambda inner: st.one_of(
+        st.builds(Not, inner), st.builds(And, inner, inner),
+        st.builds(Or, inner, inner), st.builds(Subs, inner, inner),
+        st.builds(Exists, _roles, inner), st.builds(Forall, _roles, inner)),
+    max_leaves=6,
+)
+_formulas = st.one_of(
+    st.builds(ConceptF, _concepts),
+    st.builds(NominalAssertion, _noms, st.builds(ConceptF, _concepts)),
+    st.builds(RoleAssertion, _noms, _roles, _noms),
+    st.builds(NominalAssertion, _noms,
+              st.builds(NominalAssertion, _noms, st.builds(ConceptF, _concepts))),
+)
+_sequents = st.builds(Sequent.make, st.lists(_formulas, max_size=3), _formulas)
+
+FULL_SIG = Signature(atoms=("A", "B"), roles=("R", "S"), nominals=("x", "y"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32), _concepts, _formulas, _sequents)
+def test_kernel_agrees_with_reference_on_random_models(n, seed, c, f, s):
+    try:
+        I = random_model(Signature(FULL_SIG.atoms, FULL_SIG.roles,
+                                   FULL_SIG.nominals, n), seed)
+    except GenerationBudgetError:
+        return
+    assert validate_interpretation(I).ok and not ref_violations(I)
+    assert_kernel_agrees(I, c, f, s)
+
+
+@pytest.fixture(scope="module")
+def three_world_models():
+    """Every interpretation over <= 3 worlds, atom A, role R, nominal x."""
+    return list(enumerate_models(Signature(atoms=("A",), roles=("R",),
+                                           nominals=("x",), max_worlds=3)))
+
+
+def _probe(a):
+    """A concept using every constructor, over the base concept a."""
+    return And(Or(Not(a), Exists("R", Subs(a, BOT))),
+               Subs(Forall("R", Not(Not(a))), Exists("R", TOP)))
+
+
+_PROBE_FORMULA = parse_formula("x : all R.(A | not A)")
+_PROBE_SEQUENTS = [parse_sequent(t) for t in (
+    "x : some R.A ; R(x,x) ; A -> all R.A |- x : (A -> some R.A)",
+    "all R.A -> A ; x : not not A |- x : A",
+    "A -> all R.A |- all R.A",
+)]
+
+
+def test_kernel_agrees_with_reference_on_every_small_frame():
+    # every frame of <= 3 worlds with one role; atoms are drawn below
+    probe = _probe(Exists("R", TOP))
+    for I in enumerate_models(Signature(roles=("R",), max_worlds=3)):
+        assert validate_interpretation(I).ok and not ref_violations(I)
+        assert extension(I, probe) == ref_extension(I, probe, {})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _concepts, _formulas, _sequents)
+def test_kernel_agrees_with_reference_on_enumerated_models(three_world_models, data,
+                                                            c, f, s):
+    I = three_world_models[data.draw(st.integers(0, len(three_world_models) - 1))]
+    for probe in _PROBE_SEQUENTS:
+        assert_kernel_agrees(I, _probe(A), _PROBE_FORMULA, probe)
+    # the family assigns x only; read y as x so no nominal dangles
+    rename = {"x": "x", "y": "x"}
+    s = Sequent(frozenset(_rename(m, rename) for m in s.antecedent),
+                _rename(s.succedent, rename))
+    assert_kernel_agrees(I, c, _rename(f, rename), s)
+
+
+def _rename(f, mapping):
+    if isinstance(f, RoleAssertion):
+        return RoleAssertion(mapping[f.subject], f.role, mapping[f.object])
+    if isinstance(f, NominalAssertion):
+        return NominalAssertion(mapping[f.nominal], _rename(f.body, mapping))
+    return f
+
+
+_WORLDS = ["u", "v", "w", 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_violation_lists_match_reference_on_raw_models(data):
+    worlds = data.draw(st.lists(st.sampled_from(_WORLDS), min_size=1, max_size=4,
+                                unique=True))
+    pairs = st.lists(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds)),
+                     max_size=8)
+    I = Interpretation.make(
+        worlds, data.draw(pairs),
+        roles={"R": data.draw(pairs), "S": data.draw(pairs)},
+        atoms={"A": data.draw(st.sets(st.sampled_from(worlds)))},
+        nominals={"x": data.draw(st.sampled_from(worlds + ["dangling"]))})
+    report = validate_interpretation(I)
+    assert report.violations == ref_violations(I)
+    assert report.ok == (not ref_violations(I))
+
+
+def test_violation_lists_of_bad_models_unchanged():
+    bad_models = [
+        Interpretation.make(["w", "w2"], [("w", "w"), ("w2", "w2"), ("w", "w2")],
+                            atoms={"A": ["w"]}),
+        Interpretation.make(["w", "w2", "v"],
+                            [("w", "w"), ("w2", "w2"), ("v", "v"), ("w", "w2")],
+                            roles={"R": [("w", "v")]}),
+        Interpretation.make(["w", "v", "v2"],
+                            [("w", "w"), ("v", "v"), ("v2", "v2"), ("v", "v2")],
+                            roles={"R": [("w", "v")]}),
+        Interpretation.make(["a", "b", "c"], [("a", "b"), ("b", "c")],
+                            nominals={"x": "zzz"}),
+    ]
+    for I in bad_models:
+        assert validate_interpretation(I).violations == ref_violations(I)
+    # pinned, in order, with witnesses
+    assert [str(v) for v in validate_interpretation(bad_models[1]).violations] == [
+        "F1('R', 'w', 'w2', 'v')"]
+    assert [str(v) for v in validate_interpretation(bad_models[2]).violations] == [
+        "F2('R', 'w', 'v', 'v2')"]
+    assert [str(v) for v in validate_interpretation(bad_models[3]).violations] == [
+        "reflexivity('a',)", "reflexivity('b',)", "reflexivity('c',)",
+        "transitivity('a', 'b', 'c')", "dangling-nominal('x', 'zzz')"]

@@ -53,8 +53,8 @@ def test_forall_r():
     # context must match exactly up to the added edge
     assert not step("forall-r", ["R(x,y) ; C |- y : A"], "|- x : all R.A")
     assert not step("forall-r", ["S(x,y) |- y : A"], "|- x : all R.A")
-    # no freshness demanded of the checker
-    assert step("forall-r", ["y : B ; R(x,y) |- y : A"], "y : B |- x : all R.A")
+    # the witness must be fresh for the conclusion (eigenvariable condition)
+    assert not step("forall-r", ["y : B ; R(x,y) |- y : A"], "y : B |- x : all R.A")
 
 
 def test_forall_l():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from ialc.syntax import (
     And, Atom, BOT, ConceptF, Exists, Forall, NominalAssertion, Not, Or,
-    ParseError, RoleAssertion, Sequent, Subs, TOP, outer_nominal,
+    MAX_NESTING, ParseError, RoleAssertion, Sequent, Subs, TOP, outer_nominal,
     parse_concept, parse_formula, parse_problem, parse_sequent, render,
     atoms_of, nominals_of, roles_of,
 )
@@ -125,6 +125,25 @@ def test_malformed_inputs_raise_positioned_errors(text):
             entry(text)
         assert exc.value.line >= 1
         assert exc.value.col >= 1
+
+
+@pytest.mark.parametrize("text", [
+    "not " * 3000 + "A",
+    "(" * 3000 + "A" + ")" * 3000,
+    "A -> " * 3000 + "A",
+    "A & " * 3000 + "A",
+    "all R." * 3000 + "A",
+    "x : (" * 3000 + "A" + ")" * 3000,
+])
+def test_nesting_is_bounded(text):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text)
+    assert "nested deeper" in str(exc.value) and exc.value.col > 1
+
+
+def test_nesting_just_below_the_bound_parses():
+    c = parse_concept("not " * (MAX_NESTING - 1) + "A")
+    assert parse_concept(render(c)) == c
 
 
 def test_error_reports_expected_set():
