@@ -1,7 +1,7 @@
 """Command line: prove, check, countermodel, eval, axioms, models.
 
 Exit codes are stable: 0 proved/accepted/valid, 1 refuted/rejected/
-counterexample found, 2 unknown (budget exhausted), 3 input error.
+counterexample found, 2 unknown (no proof within the budgets), 3 input error.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def _cmd_prove(args) -> int:
     goal = _load_problem(args.problem).sequent()
     result = prove(goal, max_depth=args.depth, max_visited=args.visited)
     if not result.proved:
-        print(f"unknown within budget (depth {args.depth}, "
-              f"visited {result.visited}): {render(goal)}")
+        stop = f"{result.budget} budget ran out" if result.budget else "search space exhausted"
+        print(f"unknown, {stop} (depth {args.depth}, visited {result.visited}): {render(goal)}")
         return EXIT_UNKNOWN
     print(f"proved (visited {result.visited}): {render(goal)}")
     if args.emit_proof:

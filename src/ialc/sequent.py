@@ -422,6 +422,9 @@ def save_proof(t: ProofTree, path: str) -> None:
 class ProveResult:
     tree: Optional[ProofTree]
     visited: int
+    cache_hits: int = 0
+    loop_prunes: int = 0
+    budget: Optional[str] = None   # what stopped an unknown search: "visited", "depth" or None
 
     @property
     def proved(self) -> bool:
@@ -462,17 +465,21 @@ def _binary_candidates(rules: tuple, seq: Sequent, shapes) -> Iterator:
 class _Search:
     """Depth-first backward search with loop pruning and a failure cache.
 
-    Failures are cached against the depth budget they had available and
-    only when no ancestor-loop pruning occurred underneath, so a cache
-    hit is always a sound reason to fail again.
+    A failed call returns its culprits: the keys of the ancestors whose
+    loop prune the failure relied on (running out of depth relies on
+    none).  Each failure is cached under its key with its depth and
+    culprits, and a later visit with no more depth, whose ancestors
+    include those culprits, fails at once: the failure relied on no
+    other ancestor, further ancestors can only prune more, and less
+    depth can only remove proofs.  Only a search stopped by the visited
+    cap leaves its failures uncached.
     """
 
-    def __init__(self, root: Sequent, max_depth: int, max_visited: int):
-        self.max_depth = max_depth
+    def __init__(self, root: Sequent, max_visited: int):
         self.max_visited = max_visited
-        self.visited = 0
-        self.exhausted = False
-        self.failed: dict[Sequent, int] = {}
+        self.visited = self.cache_hits = self.loop_prunes = 0
+        self.exhausted = self.depth_cut = False
+        self.failed: dict[Sequent, list[tuple[int, frozenset]]] = {}
         self.used_nominals = set(nominals_of(root))
         self.counter = count()
 
@@ -483,10 +490,9 @@ class _Search:
                 self.used_nominals.add(name)
                 return name
 
-    def normalize(self, seq: Sequent) -> Sequent:
+    def normalize(self, seq: Sequent, members: list) -> Sequent:
         order: list[str] = []
-        scan = sorted(seq.antecedent, key=render) + [seq.succedent]
-        for f in scan:
+        for f in members + [seq.succedent]:
             for nom in _nominals_in_order(f):
                 if _ENGINE_NOMINAL.match(nom) and nom not in order:
                     order.append(nom)
@@ -497,47 +503,52 @@ class _Search:
                        _rename_formula(seq.succedent, mapping))
 
     def prove(self, seq: Sequent, depth: int,
-              ancestors: frozenset) -> tuple[Optional[ProofTree], bool]:
-        """Returns (tree or None, clean) where clean means the failure is
-        depth-cacheable (no loop pruning was involved)."""
+              ancestors: frozenset) -> tuple[Optional[ProofTree], Optional[frozenset]]:
+        """(tree, None) on success, (None, culprits) on failure, and
+        (None, None) once the visited cap is spent."""
         if self.exhausted:
-            return None, False
-        key = self.normalize(seq)
+            return None, None
+        members = sorted(seq.antecedent, key=render)
+        key = self.normalize(seq, members)
         if key in ancestors:
-            return None, False
-        if self.failed.get(key, -1) >= depth:
-            return None, True
+            self.loop_prunes += 1
+            return None, frozenset((key,))
+        entries = self.failed.setdefault(key, [])
+        for d, c in entries:
+            if d >= depth and c <= ancestors:
+                self.cache_hits += 1
+                return None, c
         self.visited += 1
         if self.visited > self.max_visited:
             self.exhausted = True
-            return None, False
-        clean = True
+            return None, None
+        culprits = frozenset()
+        self.depth_cut |= depth == 0
         if depth > 0:
             inner = ancestors | {key}
-            for rule, params, subgoals in self._candidates(seq):
+            for rule, params, subgoals in self._candidates(seq, members):
                 trees = []
                 for sub in subgoals:
-                    t, sub_clean = self.prove(sub, depth - 1, inner)
-                    clean = clean and sub_clean
+                    t, c = self.prove(sub, depth - 1, inner)
                     if t is None:
+                        if c is None:
+                            return None, None
+                        culprits |= c
                         break
                     trees.append(t)
                 else:
-                    return ProofTree(seq, rule, params, tuple(trees)), True
-        else:
-            clean = False
-        if clean:
-            prev = self.failed.get(key, -1)
-            if depth > prev:
-                self.failed[key] = depth
-        return None, clean
+                    return ProofTree(seq, rule, params, tuple(trees)), None
+            culprits -= {key}
+        if not any(d >= depth and c <= culprits for d, c in entries):
+            entries[:] = [(d, c) for d, c in entries if not (d <= depth and culprits <= c)]
+            entries.append((depth, culprits))
+        return None, culprits
 
-    def _candidates(self, seq: Sequent) -> Iterator[tuple[str, RuleParams, tuple]]:
+    def _candidates(self, seq: Sequent, members: list) -> Iterator[tuple[str, RuleParams, tuple]]:
         ant, succ = seq.antecedent, seq.succedent
         if succ in ant:
             yield "axiom", _NO_PARAMS, ()
             return
-        members = sorted(ant, key=render)
         shapes, goal = [_shape(m) for m in members], [_shape(succ)]
         if any(isinstance(c, Bot) for _, _, c in shapes):
             yield "bot-l", _NO_PARAMS, ()
@@ -563,15 +574,14 @@ class _Search:
         # branching / non-invertible choices
         yield from _binary_candidates(("or1-r", "or2-r"), seq, goal)
 
-        if _quantified(succ, Exists):
-            for m in [r for r in members if isinstance(r, RoleAssertion)]:
-                premises = _exists_r(seq, m)
-                if premises:
-                    yield "exists-r", RuleParams(role=m.role, nominal=m.object), premises
+        edges = [r for r in members if isinstance(r, RoleAssertion)]
+        for r in edges:
+            premises = _exists_r(seq, r)
+            if premises:
+                yield "exists-r", RuleParams(role=r.role, nominal=r.object), premises
 
         yield from _binary_candidates(("sub-l",), seq, shapes)
 
-        edges = [r for r in members if isinstance(r, RoleAssertion)]
         for m in [m for m, nominal, c in shapes if nominal and isinstance(c, Forall)]:
             for r in edges:
                 added = _forall_l(m, r)
@@ -582,48 +592,32 @@ class _Search:
         yield from self._promotions(seq, members)
 
     def _promotions(self, seq: Sequent, members) -> Iterator:
-        ant, succ = seq.antecedent, seq.succedent
+        succ = seq.succedent
         concepts = [m for m in members if isinstance(m, ConceptF)]
         assertions = [m for m in members if not isinstance(m, ConceptF)]
 
-        if isinstance(succ, ConceptF) and isinstance(succ.concept, Exists):
-            role, body = succ.concept.role, succ.concept.body
-            for alpha in concepts:
-                if not (isinstance(alpha.concept, Exists)
-                        and alpha.concept.role == role):
-                    continue
-                others = [c for c in concepts if c != alpha]
-                if not all(isinstance(c.concept, Forall) and c.concept.role == role
-                           for c in others):
-                    continue
-                prem_ant = ({ConceptF(c.concept.body) for c in others}
-                            | set(assertions) | {ConceptF(alpha.concept.body)})
-                yield ("p-exists",
-                       RuleParams(principal=ConceptF(alpha.concept.body), role=role),
-                       (Sequent(frozenset(prem_ant), ConceptF(body)),))
+        q = succ.concept if isinstance(succ, ConceptF) else None
+        if isinstance(q, (Exists, Forall)):
+            def boxed(cs) -> bool:
+                return all(isinstance(c.concept, Forall) and c.concept.role == q.role for c in cs)
 
-        if isinstance(succ, ConceptF) and isinstance(succ.concept, Forall):
-            role, body = succ.concept.role, succ.concept.body
-            if all(isinstance(c.concept, Forall) and c.concept.role == role
-                   for c in concepts):
-                prem_ant = ({ConceptF(c.concept.body) for c in concepts}
-                            | set(assertions))
-                yield ("p-forall", RuleParams(role=role),
-                       (Sequent(frozenset(prem_ant), ConceptF(body)),))
+            def premise() -> tuple:
+                return (Sequent(frozenset({ConceptF(c.concept.body) for c in concepts})
+                                | frozenset(assertions), ConceptF(q.body)),)
+            if isinstance(q, Forall) and boxed(concepts):
+                yield "p-forall", RuleParams(role=q.role), premise()
+            for alpha in concepts if isinstance(q, Exists) else ():
+                if (isinstance(alpha.concept, Exists) and alpha.concept.role == q.role
+                        and boxed(c for c in concepts if c != alpha)):
+                    yield ("p-exists", RuleParams(principal=ConceptF(alpha.concept.body),
+                                                  role=q.role), premise())
 
-        if isinstance(succ, NominalAssertion) and isinstance(succ.body, ConceptF):
-            if not concepts:
-                x = succ.nominal
-                prem_ant = set()
-                for m in assertions:
-                    nc = _nom_concept(m)
-                    if nc is not None and nc[0] == x:
-                        prem_ant.add(ConceptF(nc[1]))
-                    else:
-                        prem_ant.add(m)
-                prem = Sequent(frozenset(prem_ant), succ.body)
-                if prem.antecedent != ant or prem.succedent != succ:
-                    yield ("p-nom", RuleParams(prefix=x), (prem,))
+        if isinstance(succ, NominalAssertion) and isinstance(succ.body, ConceptF) and not concepts:
+            # un-prefix the x : C members
+            x = succ.nominal
+            prem_ant = frozenset(m.body if _nom_concept(m) and m.nominal == x else m
+                                 for m in assertions)
+            yield ("p-nom", RuleParams(prefix=x), (Sequent(prem_ant, succ.body),))
 
 
 def prove(s: Sequent, max_depth: int = 24, max_visited: int = 100_000) -> ProveResult:
@@ -633,9 +627,10 @@ def prove(s: Sequent, max_depth: int = 24, max_visited: int = 100_000) -> ProveR
     tree at all; exhausting either budget is an honest unknown, never a
     refutation.
     """
-    search = _Search(s, max_depth, max_visited)
+    search = _Search(s, max_visited)
     tree, _ = search.prove(s, max_depth, frozenset())
-    return ProveResult(tree, search.visited)
+    budget = "visited" if search.exhausted else "depth" if tree is None and search.depth_cut else None
+    return ProveResult(tree, search.visited, search.cache_hits, search.loop_prunes, budget)
 
 
 def find_countermodel(s: Sequent, sig: Signature,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -49,6 +50,17 @@ def test_prove_with_theory_section(tmp_path, capsys):
 def test_prove_unknown_exit_code(capsys, golden_dir):
     rc, out, _ = invoke(capsys, "prove", str(golden_dir / "lem.ialc"))
     assert rc == 2 and out.startswith("unknown")
+
+
+@pytest.mark.parametrize("problem,flags,stop", [
+    ("lem", [], "search space exhausted"),
+    ("lem", ["--depth", "1"], "depth budget ran out"),
+    ("axiom5", ["--visited", "3"], "visited budget ran out"),
+])
+def test_prove_unknown_names_the_budget(capsys, golden_dir, problem, flags, stop):
+    rc, out, _ = invoke(capsys, "prove", str(golden_dir / f"{problem}.ialc"), *flags)
+    assert rc == 2 and out.startswith(f"unknown, {stop} (depth ")
+    assert re.search(r"visited \d+\)", out)
 
 
 def test_check_rejects_bad_tree(tmp_path, capsys, golden_dir):

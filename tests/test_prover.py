@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from itertools import count
 
 import pytest
 
@@ -6,9 +8,14 @@ from ialc.corpus import random_concept, schema_instance_corpus
 from ialc.golden import AXIOM_ROOTS
 from ialc.modelgen import Signature, enumerate_models, signature_for
 from ialc.semantics import sequent_valid
-from ialc.sequent import check_proof, find_countermodel, prove
+from ialc.sequent import (
+    _ENGINE_NOMINAL, _NO_PARAMS, ProofTree, RuleParams, _binary_candidates,
+    _exists_l, _exists_r, _forall_l, _forall_r, _nom_concept, _nominals_in_order,
+    _quantified, _rename_formula, _shape, check_proof, find_countermodel, prove,
+)
 from ialc.syntax import (
-    ConceptF, NominalAssertion, RoleAssertion, Sequent, parse_sequent, render,
+    Bot, ConceptF, Exists, Forall, NominalAssertion, RoleAssertion, Sequent,
+    nominals_of, parse_sequent, render,
 )
 
 S = parse_sequent
@@ -45,6 +52,9 @@ PROVABLE = [
     # assertions ride through promotions even when they mention other roles
     "all R.(A -> B) ; S(x,y) |- all R.A -> all R.B",
     "x : A ; some R.B |- some R.(A -> B)",
+    # the second A is tried after the first failed below its ancestor A | B
+    # by a loop prune; that failure must not be reused without the ancestor
+    "(A | B) -> A ; B |- (A | B) & (A & A)",
 ]
 
 
@@ -153,26 +163,30 @@ def test_prove_and_refute_are_exclusive(two_world_models_nominals):
         assert not (result.proved and counter is not None), render(s)
 
 
+def _random_formula(rng, depth):
+    roll = rng.random()
+    if roll < 0.55:
+        return ConceptF(random_concept(rng, ("A", "B"), ("R",), depth))
+    if roll < 0.7:
+        return RoleAssertion(rng.choice(("x", "y")), "R",
+                             rng.choice(("x", "y")))
+    return NominalAssertion(rng.choice(("x", "y")),
+                            ConceptF(random_concept(rng, ("A", "B"),
+                                                    ("R",), depth)))
+
+
+def _random_sequent(rng):
+    ant = [_random_formula(rng, 2) for _ in range(rng.randint(0, 3))]
+    return Sequent.make(ant, _random_formula(rng, 2))
+
+
 def test_random_sequent_sweep_stays_sound():
     """Seeded adversarial sweep: everything the search proves must be
     valid in every small model of its own signature."""
     rng = random.Random(31337)
-
-    def rand_formula(depth):
-        roll = rng.random()
-        if roll < 0.55:
-            return ConceptF(random_concept(rng, ("A", "B"), ("R",), depth))
-        if roll < 0.7:
-            return RoleAssertion(rng.choice(("x", "y")), "R",
-                                 rng.choice(("x", "y")))
-        return NominalAssertion(rng.choice(("x", "y")),
-                                ConceptF(random_concept(rng, ("A", "B"),
-                                                        ("R",), depth)))
-
     proved = 0
     for _ in range(600):
-        ant = [rand_formula(2) for _ in range(rng.randint(0, 3))]
-        s = Sequent.make(ant, rand_formula(2))
+        s = _random_sequent(rng)
         result = prove(s, max_depth=10, max_visited=5000)
         if not result.proved:
             continue
@@ -181,3 +195,243 @@ def test_random_sequent_sweep_stays_sound():
         for I in enumerate_models(signature_for(s, 2)):
             assert sequent_valid(I, s), render(s)
     assert proved >= 30   # the sweep must actually exercise the prover
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the reference search
+# ---------------------------------------------------------------------------
+
+class _RefSearch:
+    """The search before the loop-aware failure cache, kept verbatim as the
+    reference: failures are cached only when no depth cut and no
+    ancestor-loop pruning occurred underneath."""
+
+    def __init__(self, root: Sequent, max_visited: int):
+        self.max_visited = max_visited
+        self.visited = 0
+        self.exhausted = False
+        self.failed: dict = {}
+        self.used_nominals = set(nominals_of(root))
+        self.counter = count()
+
+    def fresh_nominal(self) -> str:
+        while True:
+            name = f"_n{next(self.counter)}"
+            if name not in self.used_nominals:
+                self.used_nominals.add(name)
+                return name
+
+    def normalize(self, seq: Sequent) -> Sequent:
+        order: list = []
+        scan = sorted(seq.antecedent, key=render) + [seq.succedent]
+        for f in scan:
+            for nom in _nominals_in_order(f):
+                if _ENGINE_NOMINAL.match(nom) and nom not in order:
+                    order.append(nom)
+        if not order:
+            return seq
+        mapping = {n: f"_c{i}" for i, n in enumerate(order)}
+        return Sequent(frozenset(_rename_formula(f, mapping) for f in seq.antecedent),
+                       _rename_formula(seq.succedent, mapping))
+
+    def prove(self, seq: Sequent, depth: int, ancestors: frozenset):
+        if self.exhausted:
+            return None, False
+        key = self.normalize(seq)
+        if key in ancestors:
+            return None, False
+        if self.failed.get(key, -1) >= depth:
+            return None, True
+        self.visited += 1
+        if self.visited > self.max_visited:
+            self.exhausted = True
+            return None, False
+        clean = True
+        if depth > 0:
+            inner = ancestors | {key}
+            for rule, params, subgoals in self._candidates(seq):
+                trees = []
+                for sub in subgoals:
+                    t, sub_clean = self.prove(sub, depth - 1, inner)
+                    clean = clean and sub_clean
+                    if t is None:
+                        break
+                    trees.append(t)
+                else:
+                    return ProofTree(seq, rule, params, tuple(trees)), True
+        else:
+            clean = False
+        if clean:
+            prev = self.failed.get(key, -1)
+            if depth > prev:
+                self.failed[key] = depth
+        return None, clean
+
+    def _candidates(self, seq: Sequent):
+        ant, succ = seq.antecedent, seq.succedent
+        if succ in ant:
+            yield "axiom", _NO_PARAMS, ()
+            return
+        members = sorted(ant, key=render)
+        shapes, goal = [_shape(m) for m in members], [_shape(succ)]
+        if any(isinstance(c, Bot) for _, _, c in shapes):
+            yield "bot-l", _NO_PARAMS, ()
+            return
+
+        yield from _binary_candidates(("and-l",), seq, shapes)
+
+        for m, nominal, c in shapes:
+            if nominal and isinstance(c, Exists):
+                y = self.fresh_nominal()
+                yield ("exists-l", RuleParams(principal=m, role=m.body.concept.role,
+                                              nominal=y), (_exists_l(seq, m, y),))
+
+        yield from _binary_candidates(("and-r", "sub-r"), seq, goal)
+        yield from _binary_candidates(("or-l",), seq, shapes)
+
+        if _quantified(succ, Forall):
+            y = self.fresh_nominal()
+            yield ("forall-r", RuleParams(role=succ.body.concept.role, nominal=y),
+                   (_forall_r(seq, y),))
+
+        yield from _binary_candidates(("or1-r", "or2-r"), seq, goal)
+
+        if _quantified(succ, Exists):
+            for m in [r for r in members if isinstance(r, RoleAssertion)]:
+                premises = _exists_r(seq, m)
+                if premises:
+                    yield "exists-r", RuleParams(role=m.role, nominal=m.object), premises
+
+        yield from _binary_candidates(("sub-l",), seq, shapes)
+
+        edges = [r for r in members if isinstance(r, RoleAssertion)]
+        for m in [m for m, nominal, c in shapes if nominal and isinstance(c, Forall)]:
+            for r in edges:
+                added = _forall_l(m, r)
+                if added and added not in ant:
+                    yield ("forall-l", RuleParams(principal=m, role=r.role,
+                                                  nominal=r.object), (seq.with_extra(added),))
+
+        yield from self._promotions(seq, members)
+
+    def _promotions(self, seq: Sequent, members):
+        ant, succ = seq.antecedent, seq.succedent
+        concepts = [m for m in members if isinstance(m, ConceptF)]
+        assertions = [m for m in members if not isinstance(m, ConceptF)]
+
+        if isinstance(succ, ConceptF) and isinstance(succ.concept, Exists):
+            role, body = succ.concept.role, succ.concept.body
+            for alpha in concepts:
+                if not (isinstance(alpha.concept, Exists)
+                        and alpha.concept.role == role):
+                    continue
+                others = [c for c in concepts if c != alpha]
+                if not all(isinstance(c.concept, Forall) and c.concept.role == role
+                           for c in others):
+                    continue
+                prem_ant = ({ConceptF(c.concept.body) for c in others}
+                            | set(assertions) | {ConceptF(alpha.concept.body)})
+                yield ("p-exists",
+                       RuleParams(principal=ConceptF(alpha.concept.body), role=role),
+                       (Sequent(frozenset(prem_ant), ConceptF(body)),))
+
+        if isinstance(succ, ConceptF) and isinstance(succ.concept, Forall):
+            role, body = succ.concept.role, succ.concept.body
+            if all(isinstance(c.concept, Forall) and c.concept.role == role
+                   for c in concepts):
+                prem_ant = ({ConceptF(c.concept.body) for c in concepts}
+                            | set(assertions))
+                yield ("p-forall", RuleParams(role=role),
+                       (Sequent(frozenset(prem_ant), ConceptF(body)),))
+
+        if isinstance(succ, NominalAssertion) and isinstance(succ.body, ConceptF):
+            if not concepts:
+                x = succ.nominal
+                prem_ant = set()
+                for m in assertions:
+                    nc = _nom_concept(m)
+                    if nc is not None and nc[0] == x:
+                        prem_ant.add(ConceptF(nc[1]))
+                    else:
+                        prem_ant.add(m)
+                prem = Sequent(frozenset(prem_ant), succ.body)
+                if prem.antecedent != ant or prem.succedent != succ:
+                    yield ("p-nom", RuleParams(prefix=x), (prem,))
+
+
+def ref_prove(s: Sequent, max_depth: int = 24, max_visited: int = 100_000):
+    """(tree or None, visited) from the reference search."""
+    search = _RefSearch(s, max_visited)
+    tree, _ = search.prove(s, max_depth, frozenset())
+    return tree, search.visited
+
+
+def _canonical(tree: ProofTree, root: Sequent) -> ProofTree:
+    """tree with its engine nominals renamed in first-occurrence order.
+    A fresh witness first occurs as the nominal of the node that
+    introduces it, and preorder reaches that node before any use."""
+    user, mapping = nominals_of(root), {}
+
+    def collect(t):
+        y = t.params.nominal
+        if y and _ENGINE_NOMINAL.match(y) and y not in user:
+            mapping.setdefault(y, f"_k{len(mapping)}")
+        for c in t.premises:
+            collect(c)
+
+    def rename(t):
+        p, seq = t.params, t.conclusion
+        params = dataclasses.replace(
+            p, principal=p.principal and _rename_formula(p.principal, mapping),
+            nominal=mapping.get(p.nominal, p.nominal), prefix=mapping.get(p.prefix, p.prefix))
+        conclusion = Sequent(frozenset(_rename_formula(f, mapping) for f in seq.antecedent),
+                             _rename_formula(seq.succedent, mapping))
+        return ProofTree(conclusion, t.rule, params, tuple(rename(c) for c in t.premises))
+
+    collect(tree)
+    return rename(tree)
+
+
+def _assert_matches_reference(s: Sequent, max_depth: int, max_visited: int = 100_000):
+    result = prove(s, max_depth=max_depth, max_visited=max_visited)
+    ref_tree, ref_visited = ref_prove(s, max_depth, max_visited)
+    assert result.proved == (ref_tree is not None), render(s)
+    if ref_tree is not None:
+        assert _canonical(result.tree, s) == _canonical(ref_tree, s), render(s)
+    assert result.visited <= ref_visited, render(s)
+    return result
+
+
+@pytest.mark.parametrize("texts,depth", [(PROVABLE, 16), (UNPROVABLE, 24)],
+                         ids=["provable", "unprovable"])
+def test_search_matches_reference_on_fixed_sequents(texts, depth):
+    for text in texts:
+        _assert_matches_reference(S(text), depth)
+
+
+def test_search_matches_reference_on_schema_instances():
+    for s in schema_instance_corpus(per_axiom=4, seed=11):
+        _assert_matches_reference(s, 16)
+
+
+def test_search_matches_reference_on_random_sequents():
+    rng = random.Random(2718)
+    for _ in range(300):
+        _assert_matches_reference(_random_sequent(rng), 10, 5000)
+
+
+@pytest.mark.parametrize("idx", sorted(AXIOM_ROOTS))
+def test_axiom_roots_visit_no_more_than_reference(idx):
+    goal = S(AXIOM_ROOTS[idx])
+    result = _assert_matches_reference(goal, 16)
+    assert result.proved and check_proof(result.tree).ok
+
+
+def test_unknown_names_the_budget_that_stopped_it():
+    goal = S(AXIOM_ROOTS[5])
+    assert prove(goal, max_visited=2).budget == "visited"
+    shallow = prove(goal, max_depth=3)
+    assert shallow.budget == "depth" and shallow.cache_hits and shallow.loop_prunes
+    assert prove(goal, max_depth=16).budget is None
+    # a search that runs out of sequents to try is stopped by neither budget
+    assert prove(S("|- A | not A"), max_depth=24).budget is None
