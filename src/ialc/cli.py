@@ -7,6 +7,7 @@ counterexample found, 2 unknown (no proof within the budgets), 3 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,7 +47,11 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser does not depend on the input, so it is built once
+    per process and shared by every ``run`` call; each call gets a fresh
+    namespace."""
     parser = _Parser(prog="ialc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -23,7 +23,7 @@ from typing import Mapping, Union
 
 from .syntax import (
     Atom, BOT, Concept, Exists, Forall, Not, And, Or, Subs,
-    ParseError, parse_concept, render,
+    ParseError, _parse_line, parse_concept, render,
 )
 
 __all__ = [
@@ -199,38 +199,38 @@ _NEC_RE = re.compile(r"^nec\s+(\d+)\s+([A-Z][A-Za-z0-9_']*)$")
 _AX_RE = re.compile(r"^(ipl\s+[a-z0-9]+|ik\s+\d+)\s*(\[.*\])?$")
 
 
-def _parse_subst(text: str, lineno: int) -> tuple[tuple[str, Union[Concept, str]], ...]:
-    body = text.strip()[1:-1].strip()
-    if not body:
+def _parse_subst(text: str, lineno: int, start: int) -> tuple[tuple[str, Union[Concept, str]], ...]:
+    """The bindings of a bracketed list that begins at column start + 1."""
+    if not text[1:-1].strip():
         return ()
     out = []
-    for part in body.split(","):
+    start += 1
+    for part in text[1:-1].split(","):
         if ":=" not in part:
             raise ParseError(f"bad binding {part.strip()!r}", lineno, 1)
         name, value = part.split(":=", 1)
         name = name.strip()
-        value = value.strip()
         if name == "R":
-            out.append((name, value))
+            out.append((name, value.strip()))
         else:
-            out.append((name, parse_concept(value)))
+            at = start + part.index(":=") + 2
+            out.append((name, _parse_line(parse_concept, value, lineno, at)))
+        start += len(part) + 1
     return tuple(out)
 
 
 def parse_hilbert_proof(text: str) -> HilbertProof:
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        code = raw.split("#", 1)[0]
+        if not code.strip():
             continue
-        if ";" not in line:
+        if ";" not in code:
             raise ParseError("expected '<concept> ; <justification>'", lineno, 1)
-        concept_text, just_text = line.split(";", 1)
-        try:
-            concept = parse_concept(concept_text.strip())
-        except ParseError as e:
-            raise ParseError(e.args[0], lineno, e.col, e.expected) from None
-        just_text = just_text.strip()
+        concept_text, just_code = code.split(";", 1)
+        concept = _parse_line(parse_concept, concept_text, lineno)
+        just_text = just_code.strip()
+        just_at = len(concept_text) + 1 + len(just_code) - len(just_code.lstrip())
         m = _MP_RE.match(just_text)
         if m:
             lines.append(ProofLine(concept, ModusPonens(int(m.group(1)), int(m.group(2)))))
@@ -242,7 +242,7 @@ def parse_hilbert_proof(text: str) -> HilbertProof:
         m = _AX_RE.match(just_text)
         if m:
             head = m.group(1).split()
-            subst = _parse_subst(m.group(2), lineno) if m.group(2) else ()
+            subst = _parse_subst(m.group(2), lineno, just_at + m.start(2)) if m.group(2) else ()
             if head[0] == "ipl":
                 lines.append(ProofLine(concept, IplAx(head[1], subst)))
             else:

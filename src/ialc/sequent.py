@@ -289,10 +289,11 @@ def check_step(rule: str, params: Optional[RuleParams],
             return ConceptF(Forall(q.role, m.concept))
         if base == "p-forall":
             return _promote(prem.antecedent, box) == ant
-        return any(_promote(prem.antecedent - {alpha}, box)
-                   | {ConceptF(Exists(q.role, alpha.concept))} == ant
+        # the antecedent is a set: the diamond body may also be a box body
+        return any(_promote(rest, box) | {ConceptF(Exists(q.role, alpha.concept))} == ant
                    for alpha in prem.antecedent
-                   if isinstance(alpha, ConceptF) and p.principal in (None, alpha))
+                   if isinstance(alpha, ConceptF) and p.principal in (None, alpha)
+                   for rest in (prem.antecedent - {alpha}, prem.antecedent))
 
     if base == "p-nom":
         (prem,) = premises

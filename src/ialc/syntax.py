@@ -20,6 +20,14 @@ lowercase letter or underscore (``top``, ``bot``, ``not``, ``some``,
 ``&``, ``|``, ``->``.  ``->`` is right-associative, ``&`` and ``|``
 left-associative, and a quantifier body is a single unary item, so
 ``all R.A & B`` reads ``(all R.A) & B``.
+
+One ``re`` pass lexes the text into a flat list of token strings, ending
+in the empty end-of-input sentinel: a punctuation or keyword token's text
+is its kind, and an identifier's first character says whether it is an
+atom/role or a nominal.  The parser indexes that list and keeps no
+positions; a ``ParseError``'s line and column are computed from the
+failing token's offset only when the error is raised, and a character
+that starts no token is reported before any other error.
 """
 
 from __future__ import annotations
@@ -216,66 +224,22 @@ class ParseError(Exception):
         return base
 
 
-_KEYWORDS = {"top", "bot", "not", "some", "all"}
+_KEYWORDS = frozenset({"top", "bot", "not", "some", "all"})
+_PUNCT = frozenset({"|-", "->", "&", "|", ":", ";", ",", ".", "(", ")"})
+_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz_")
 
+# Whitespace and comments are skipped before each token.  The empty match
+# at the end of the text is the end-of-input sentinel, and "." takes a
+# character that starts no token, which fails the whole input.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<nl>\n)
-    | (?P<turnstile>\|-)
-    | (?P<arrow>->)
-    | (?P<amp>&)
-    | (?P<bar>\|)
-    | (?P<colon>:)
-    | (?P<semi>;)
-    | (?P<comma>,)
-    | (?P<dot>\.)
-    | (?P<lpar>\()
-    | (?P<rpar>\))
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    """,
-    re.VERBOSE,
-)
+    r"(?:[ \t\r\n]|\#[^\n]*)*(\|-|->|[&|:;,.()]|[A-Za-z_][A-Za-z0-9_']*|\Z|.)", re.S)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str            # one of the regex groups, a keyword, or "eof"
-    value: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind not in ("ws", "comment"):
-            if kind == "ident" and value in _KEYWORDS:
-                kind = value
-            tokens.append(_Token(kind, value, line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
-
-
-def _is_upper(tok: _Token) -> bool:
-    return tok.kind == "ident" and tok.value[0].isupper()
-
-
-def _is_lower(tok: _Token) -> bool:
-    return tok.kind == "ident" and not tok.value[0].isupper()
+def _error_at(text: str, offset: int, message: str, expected: Iterable[str] = ()) -> ParseError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - line_start + 1, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -286,50 +250,50 @@ MAX_NESTING = 100     # parentheses, prefixes, nested assertions, operator chain
 
 
 class _Parser:
+    """Recursive descent over the flat token list ``toks``.  A token's text
+    is its kind; an identifier is an atom or role when it starts uppercase,
+    a nominal otherwise.  Positions are recovered only for an error."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.toks = _TOKEN_RE.findall(text)
+        self.i = 0
         self.depth = 0
+
+    def error(self, expected: Iterable[str] = (), message: Optional[str] = None) -> ParseError:
+        """The error at the current token, unless a character that starts no
+        token occurs anywhere in the input: the first such one is reported."""
+        offsets = []
+        for m in _TOKEN_RE.finditer(self.text):
+            t = m[1]
+            if t and t not in _PUNCT and t[0] not in _UPPER and t[0] not in _LOWER:
+                return _error_at(self.text, m.start(1), f"unexpected character {t!r}")
+            offsets.append(m.start(1))
+        if message is None:
+            t = self.toks[self.i]
+            message = f"unexpected {repr(t) if t else 'end of input'}"
+        return _error_at(self.text, offsets[self.i], message, expected)
 
     def deeper(self) -> None:
         """Count one more nesting level, failing at the current token beyond
         MAX_NESTING (this bounds every later recursion); chains restore it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            tok = self.peek()
-            raise ParseError(f"input nested deeper than {MAX_NESTING} levels",
-                             tok.line, tok.col)
+            raise self.error(message=f"input nested deeper than {MAX_NESTING} levels")
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, expected: Iterable[str]) -> ParseError:
-        tok = self.peek()
-        found = repr(tok.value) if tok.kind != "eof" else "end of input"
-        return ParseError(f"unexpected {found}", tok.line, tok.col, expected)
-
-    def expect(self, kind: str, what: str) -> _Token:
-        if self.peek().kind != kind:
+    def expect(self, kind: str, what: str) -> None:
+        if self.toks[self.i] != kind:
             raise self.error({what})
-        return self.next()
+        self.i += 1
 
     # -- concepts ----------------------------------------------------------
 
     def concept(self) -> Concept:
-        return self.subs()
-
-    def subs(self) -> Concept:
         left = self.disj()
-        if self.peek().kind == "arrow":
-            self.next()
+        if self.toks[self.i] == "->":
+            self.i += 1
             self.deeper()
-            right = self.subs()
+            right = self.concept()
             self.depth -= 1
             return Subs(left, right)
         return left
@@ -337,8 +301,8 @@ class _Parser:
     def disj(self) -> Concept:
         saved = self.depth
         c = self.conj()
-        while self.peek().kind == "bar":
-            self.next()
+        while self.toks[self.i] == "|":
+            self.i += 1
             self.deeper()       # each operator nests the tree one deeper
             c = Or(c, self.conj())
         self.depth = saved
@@ -347,84 +311,87 @@ class _Parser:
     def conj(self) -> Concept:
         saved = self.depth
         c = self.unary()
-        while self.peek().kind == "amp":
-            self.next()
+        while self.toks[self.i] == "&":
+            self.i += 1
             self.deeper()
             c = And(c, self.unary())
         self.depth = saved
         return c
 
     def unary(self) -> Concept:
-        tok = self.peek()
-        if tok.kind == "not":
-            self.next()
-            self.deeper()
-            return Not(self.unary())
-        if tok.kind in ("some", "all"):
-            self.next()
-            self.deeper()
-            role = self.expect_role()
-            self.expect("dot", "'.'")
-            return (Exists if tok.kind == "some" else Forall)(role, self.unary())
-        if tok.kind == "top":
-            self.next()
-            return TOP
-        if tok.kind == "bot":
-            self.next()
-            return BOT
-        if _is_upper(tok):
-            self.next()
-            return Atom(tok.value)
-        if tok.kind == "lpar":
-            self.next()
+        t = self.toks[self.i]
+        if t[:1] in _UPPER:
+            self.i += 1
+            return Atom(t)
+        if t == "(":
+            self.i += 1
             self.deeper()
             c = self.concept()
-            self.expect("rpar", "')'")
+            self.expect(")", "')'")
             return c
+        if t == "not":
+            self.i += 1
+            self.deeper()
+            return Not(self.unary())
+        if t == "some" or t == "all":
+            self.i += 1
+            self.deeper()
+            role = self.expect_role()
+            self.expect(".", "'.'")
+            return (Exists if t == "some" else Forall)(role, self.unary())
+        if t == "top":
+            self.i += 1
+            return TOP
+        if t == "bot":
+            self.i += 1
+            return BOT
         raise self.error({"concept"})
 
     def expect_role(self) -> str:
-        tok = self.peek()
-        if not _is_upper(tok):
+        t = self.toks[self.i]
+        if t[:1] not in _UPPER:
             raise self.error({"role name (uppercase)"})
-        return self.next().value
+        self.i += 1
+        return t
 
     def expect_nominal(self) -> str:
-        tok = self.peek()
-        if tok.kind in _KEYWORDS or not _is_lower(tok):
+        t = self.toks[self.i]
+        if t[:1] not in _LOWER or t in _KEYWORDS:
             raise self.error({"nominal (lowercase)"})
-        return self.next().value
+        self.i += 1
+        return t
 
     # -- formulas ----------------------------------------------------------
 
     def formula(self) -> Formula:
-        tok = self.peek()
-        if _is_upper(tok) and self.peek(1).kind == "lpar":
+        t = self.toks[self.i]
+        if t[:1] in _UPPER and self.toks[self.i + 1] == "(":
             return self.role_assertion()
-        if _is_lower(tok) and tok.kind == "ident" and self.peek(1).kind == "colon":
+        if t[:1] in _LOWER and t not in _KEYWORDS and self.toks[self.i + 1] == ":":
             return self.nominal_assertion()
         return ConceptF(self.concept())
 
     def role_assertion(self) -> RoleAssertion:
         role = self.expect_role()
-        self.expect("lpar", "'('")
+        self.expect("(", "'('")
         x = self.expect_nominal()
-        self.expect("comma", "','")
+        self.expect(",", "','")
         y = self.expect_nominal()
-        self.expect("rpar", "')'")
+        self.expect(")", "')'")
         return RoleAssertion(x, role, y)
 
     def nominal_assertion(self) -> NominalAssertion:
         name = self.expect_nominal()
-        self.expect("colon", "':'")
+        self.expect(":", "':'")
         # a parenthesized nested assertion, e.g. x : (y : C)
-        if (self.peek().kind == "lpar" and _is_lower(self.peek(1))
-                and self.peek(1).kind == "ident" and self.peek(2).kind == "colon"):
-            self.next()
+        toks, i = self.toks, self.i
+        if (toks[i] == "(" and toks[i + 1][:1] in _LOWER
+                and toks[i + 1] not in _KEYWORDS and toks[i + 2] == ":"):
+            self.i += 1
             self.deeper()
             inner = self.nominal_assertion()
             self.depth -= 1
-            self.expect("rpar", "')'")
+            self.expect(")", "')'")
             return NominalAssertion(name, inner)
         return NominalAssertion(name, ConceptF(self.concept()))
 
@@ -432,41 +399,36 @@ class _Parser:
 
     def sequent(self) -> Sequent:
         antecedent: list[Formula] = []
-        if self.peek().kind != "turnstile":
+        if self.toks[self.i] != "|-":
             antecedent.append(self.formula())
-            while self.peek().kind == "semi":
-                self.next()
+            while self.toks[self.i] == ";":
+                self.i += 1
                 antecedent.append(self.formula())
-        self.expect("turnstile", "'|-'")
-        if self.peek().kind == "eof":
+        self.expect("|-", "'|-'")
+        if not self.toks[self.i]:
             raise self.error({"succedent formula"})
         succedent = self.formula()
         return Sequent.make(antecedent, succedent)
 
-    def eof(self):
-        if self.peek().kind != "eof":
-            raise self.error({"end of input"})
+
+def _parse(text: str, rule):
+    p = _Parser(text)
+    result = rule(p)
+    if p.toks[p.i]:
+        raise p.error({"end of input"})
+    return result
 
 
 def parse_concept(text: str) -> Concept:
-    p = _Parser(text)
-    c = p.concept()
-    p.eof()
-    return c
+    return _parse(text, _Parser.concept)
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.formula()
-    p.eof()
-    return f
+    return _parse(text, _Parser.formula)
 
 
 def parse_sequent(text: str) -> Sequent:
-    p = _Parser(text)
-    s = p.sequent()
-    p.eof()
-    return s
+    return _parse(text, _Parser.sequent)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +503,8 @@ def parse_problem(text: str) -> Problem:
     sections: dict[str, list[Formula]] = {name: [] for name in _SECTIONS}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         header = line[:-1].strip() if line.endswith(":") else None
@@ -551,10 +514,7 @@ def parse_problem(text: str) -> Problem:
         if current is None:
             raise ParseError("formula before any section header",
                              lineno, 1, {"theory:", "assume:", "goal:"})
-        try:
-            f = parse_formula(line)
-        except ParseError as e:
-            raise ParseError(e.args[0], lineno, e.col, e.expected) from None
+        f = _parse_line(parse_formula, code, lineno)
         if current == "theory" and not _is_theory_formula(f):
             raise ParseError(
                 "theory members must be subsumptions or assertions", lineno, 1)
@@ -564,6 +524,18 @@ def parse_problem(text: str) -> Problem:
         raise ParseError(f"expected exactly one goal formula, found {len(goals)}",
                          len(text.splitlines()) or 1, 1)
     return Problem(tuple(sections["theory"]), tuple(sections["assume"]), goals[0])
+
+
+def _parse_line(parse, code: str, lineno: int, start: int = 0):
+    """parse(code.strip()) for a piece of line lineno that begins at column
+    start + 1; an error is placed on that line, the end of input at the end
+    of the piece."""
+    text = code.strip()
+    try:
+        return parse(text)
+    except ParseError as e:
+        col = e.col + len(code) - len(code.lstrip()) if e.col <= len(text) else len(code) + 1
+        raise ParseError(e.args[0], lineno, start + col, e.expected) from None
 
 
 def _is_theory_formula(f: Formula) -> bool:

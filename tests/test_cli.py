@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from ialc import cli
 from ialc.cli import run
 from ialc.sequent import check_proof, load_proof
 from ialc.semantics import load_model, sequent_valid
@@ -61,6 +62,18 @@ def test_prove_unknown_names_the_budget(capsys, golden_dir, problem, flags, stop
     rc, out, _ = invoke(capsys, "prove", str(golden_dir / f"{problem}.ialc"), *flags)
     assert rc == 2 and out.startswith(f"unknown, {stop} (depth ")
     assert re.search(r"visited \d+\)", out)
+
+
+def test_prove_then_check_accepts_merged_p_exists(tmp_path, capsys):
+    # the search's p-exists premise merges the box body A with the diamond body A
+    prob = tmp_path / "merge.ialc"
+    prob.write_text("assume:\n  some R.A\n  all R.A\ngoal:\n  some R.(A | B)\n")
+    proof = tmp_path / "merge.prf"
+    rc, _, _ = invoke(capsys, "prove", str(prob), "--emit-proof", str(proof))
+    assert rc == 0
+    assert "p-exists" in proof.read_text()
+    rc, out, _ = invoke(capsys, "check", str(proof))
+    assert rc == 0 and out.strip() == "accepted"
 
 
 def test_check_rejects_bad_tree(tmp_path, capsys, golden_dir):
@@ -216,6 +229,11 @@ def test_adversarial_inputs_never_crash(capsys, tmp_path, golden_dir):
     deep.write_text("goal:\n  " + "not " * 3000 + "A\n")
     rc, _, err = invoke(capsys, "prove", str(deep))
     assert rc == 3 and "2:" in err and "nested deeper" in err
+    # an error on an indented line is placed at its column on the raw line
+    indented = tmp_path / "indented.ialc"
+    indented.write_text("goal:\n    A & \n")
+    rc, _, err = invoke(capsys, "prove", str(indented))
+    assert rc == 3 and "error: 2:9: unexpected end of input" in err
 
 
 def test_reports_are_byte_stable(capsys, golden_dir):
@@ -227,3 +245,33 @@ def test_reports_are_byte_stable(capsys, golden_dir):
     a = invoke(capsys, "prove", str(golden_dir / "axiom5.ialc"))
     b = invoke(capsys, "prove", str(golden_dir / "axiom5.ialc"))
     assert a == b
+
+
+def test_shared_parser_carries_no_option_over(tmp_path, capsys, monkeypatch, golden_dir):
+    """One parser serves every run call; each call must behave as with a
+    freshly built parser, whatever flags the previous call gave."""
+    tbox = tmp_path / "tbox.ialc"
+    tbox.write_text("theory:\n  A -> B\nassume:\n  x : A\ngoal:\n  x : B\n")
+    proof = tmp_path / "a1.prf"
+    chain = str(golden_dir / "chain.model")
+    calls = [
+        ["countermodel", str(tbox), "--max-worlds", "2", "--tbox-local"],
+        ["countermodel", str(tbox), "--max-worlds", "2"],
+        ["prove", str(golden_dir / "axiom1.ialc"), "--emit-proof", str(proof)],
+        ["prove", str(golden_dir / "axiom1.ialc")],
+        ["prove", str(golden_dir / "lem.ialc"), "--depth", "1"],
+        ["prove", str(golden_dir / "lem.ialc")],
+        ["eval", "--model", chain, "--sequent", "A |- B", "--tbox-local", "--raw"],
+        ["eval", "--model", chain, "--formula", "A"],
+        ["models", "--worlds", "1", "--atoms", "1", "--count-only"],
+        ["models", "--worlds", "1"],
+        ["prove", "x", "--bogus"],
+        ["check", str(golden_dir / "identity.hpf")],
+    ]
+    shared = [invoke(capsys, *argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [invoke(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [1, 0, 0, 0, 2, 2, 1, 1, 0, 0, 3, 0]
+    assert "proof written" in shared[2][1] and "proof written" not in shared[3][1]

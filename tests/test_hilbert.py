@@ -9,7 +9,7 @@ from ialc.hilbert import (
     identity_proof, ipl_instance, parse_hilbert_proof, render_hilbert_proof,
 )
 from ialc.semantics import extension
-from ialc.syntax import Atom, BOT, Exists, Forall, Not, Subs, parse_concept
+from ialc.syntax import Atom, BOT, Exists, Forall, Not, ParseError, Subs, parse_concept
 
 A, B = Atom("A"), Atom("B")
 
@@ -113,6 +113,20 @@ def test_file_parse_examples():
     assert len(p.lines) == 2
     assert p.lines[0].justification == IkAx(4, (("R", "R"),))
     assert check_hilbert_proof(p).ok
+
+
+@pytest.mark.parametrize("text,line,col", [
+    ("A -> A ; mp 1 2\n    A & ; mp 1 2\n", 2, 9),
+    ("    (A -> B ; ik 4 [R := R]\n", 1, 13),
+    ("\tA @ B ; mp 1 2\n", 1, 4),
+    # substitution values are placed on their own line and column
+    ("A -> A ; mp 1 2\nA -> A ; ipl a1 [C := A &, D := B]\n", 2, 26),
+    ("A -> A ; ipl a1 [C := A,  D :=  B @]\n", 1, 35),
+])
+def test_file_errors_report_raw_line_columns(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_hilbert_proof(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,13 @@ def test_p_exists():
                     "A -> B ; some R.A |- some R.B")
     assert not step("p-exists", ["A -> B ; A |- B"],
                     "all S.(A -> B) ; some R.A |- some R.B")
+    # the premise antecedent is a set, so the diamond body may also be a box body
+    assert step("p-exists", ["A |- A | B"], "some R.A ; all R.A |- some R.(A | B)")
+    assert step("p-exists", ["A ; B |- A"], "some R.A ; all R.A ; all R.B |- some R.A")
+    # every other premise member must still come from a box
+    assert not step("p-exists", ["A ; C |- A | B"], "some R.A ; all R.A |- some R.(A | B)")
+    assert not step("p-exists", ["A ; B |- B"], "all R.A ; some R.A |- some R.B")
+    assert not step("p-exists", ["A |- A | B"], "all R.A |- some R.(A | B)")
 
 
 def test_p_forall():

@@ -1,9 +1,14 @@
+import random
+import re
+from dataclasses import dataclass
+from typing import Iterable
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ialc.syntax import (
-    And, Atom, BOT, ConceptF, Exists, Forall, NominalAssertion, Not, Or,
+    And, Atom, BOT, Concept, ConceptF, Exists, Forall, Formula, NominalAssertion, Not, Or,
     MAX_NESTING, ParseError, RoleAssertion, Sequent, Subs, TOP, outer_nominal,
     parse_concept, parse_formula, parse_problem, parse_sequent, render,
     atoms_of, nominals_of, roles_of,
@@ -127,14 +132,17 @@ def test_malformed_inputs_raise_positioned_errors(text):
         assert exc.value.col >= 1
 
 
-@pytest.mark.parametrize("text", [
+DEEP = [
     "not " * 3000 + "A",
     "(" * 3000 + "A" + ")" * 3000,
     "A -> " * 3000 + "A",
     "A & " * 3000 + "A",
     "all R." * 3000 + "A",
     "x : (" * 3000 + "A" + ")" * 3000,
-])
+]
+
+
+@pytest.mark.parametrize("text", DEEP)
 def test_nesting_is_bounded(text):
     with pytest.raises(ParseError) as exc:
         parse_formula(text)
@@ -258,3 +266,376 @@ def test_problem_reports_formula_line():
     with pytest.raises(ParseError) as exc:
         parse_problem("goal:\n  A &&& B\n")
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("text,line,col", [
+    ("goal:\n  A &&& B\n", 2, 6),
+    ("goal:\n    A & \n", 2, 9),
+    ("goal:\n    A &   # the rest is a comment\n", 2, 11),
+    ("goal:\n\t  A @ B\n", 2, 6),
+    ("theory:\n  A -> B\ngoal:\n  x : (A -> \n", 4, 13),
+    ("goal:\n  " + "not " * 101 + "A\n", 2, 407),
+])
+def test_problem_errors_report_raw_line_columns(text, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_problem(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the previous parser
+# ---------------------------------------------------------------------------
+# The tokenizer and parser below are the previous implementation, kept
+# verbatim (only the entry points are renamed ref_*) as the reference
+# that the flat-token parser must reproduce: the same AST, or the same
+# ParseError with the same message, line, column and expected set.
+
+_KEYWORDS = {"top", "bot", "not", "some", "all"}
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[ \t\r]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<nl>\n)
+    | (?P<turnstile>\|-)
+    | (?P<arrow>->)
+    | (?P<amp>&)
+    | (?P<bar>\|)
+    | (?P<colon>:)
+    | (?P<semi>;)
+    | (?P<comma>,)
+    | (?P<dot>\.)
+    | (?P<lpar>\()
+    | (?P<rpar>\))
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str            # one of the regex groups, a keyword, or "eof"
+    value: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}",
+                             line, pos - line_start + 1)
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "nl":
+            line += 1
+            line_start = m.end()
+        elif kind not in ("ws", "comment"):
+            if kind == "ident" and value in _KEYWORDS:
+                kind = value
+            tokens.append(_Token(kind, value, line, pos - line_start + 1))
+        pos = m.end()
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+def _is_upper(tok: _Token) -> bool:
+    return tok.kind == "ident" and tok.value[0].isupper()
+
+
+def _is_lower(tok: _Token) -> bool:
+    return tok.kind == "ident" and not tok.value[0].isupper()
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.depth = 0
+
+    def deeper(self) -> None:
+        """Count one more nesting level, failing at the current token beyond
+        MAX_NESTING (this bounds every later recursion); chains restore it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(f"input nested deeper than {MAX_NESTING} levels",
+                             tok.line, tok.col)
+
+    def peek(self, ahead: int = 0) -> _Token:
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def error(self, expected: Iterable[str]) -> ParseError:
+        tok = self.peek()
+        found = repr(tok.value) if tok.kind != "eof" else "end of input"
+        return ParseError(f"unexpected {found}", tok.line, tok.col, expected)
+
+    def expect(self, kind: str, what: str) -> _Token:
+        if self.peek().kind != kind:
+            raise self.error({what})
+        return self.next()
+
+    # -- concepts ----------------------------------------------------------
+
+    def concept(self) -> Concept:
+        return self.subs()
+
+    def subs(self) -> Concept:
+        left = self.disj()
+        if self.peek().kind == "arrow":
+            self.next()
+            self.deeper()
+            right = self.subs()
+            self.depth -= 1
+            return Subs(left, right)
+        return left
+
+    def disj(self) -> Concept:
+        saved = self.depth
+        c = self.conj()
+        while self.peek().kind == "bar":
+            self.next()
+            self.deeper()       # each operator nests the tree one deeper
+            c = Or(c, self.conj())
+        self.depth = saved
+        return c
+
+    def conj(self) -> Concept:
+        saved = self.depth
+        c = self.unary()
+        while self.peek().kind == "amp":
+            self.next()
+            self.deeper()
+            c = And(c, self.unary())
+        self.depth = saved
+        return c
+
+    def unary(self) -> Concept:
+        tok = self.peek()
+        if tok.kind == "not":
+            self.next()
+            self.deeper()
+            return Not(self.unary())
+        if tok.kind in ("some", "all"):
+            self.next()
+            self.deeper()
+            role = self.expect_role()
+            self.expect("dot", "'.'")
+            return (Exists if tok.kind == "some" else Forall)(role, self.unary())
+        if tok.kind == "top":
+            self.next()
+            return TOP
+        if tok.kind == "bot":
+            self.next()
+            return BOT
+        if _is_upper(tok):
+            self.next()
+            return Atom(tok.value)
+        if tok.kind == "lpar":
+            self.next()
+            self.deeper()
+            c = self.concept()
+            self.expect("rpar", "')'")
+            return c
+        raise self.error({"concept"})
+
+    def expect_role(self) -> str:
+        tok = self.peek()
+        if not _is_upper(tok):
+            raise self.error({"role name (uppercase)"})
+        return self.next().value
+
+    def expect_nominal(self) -> str:
+        tok = self.peek()
+        if tok.kind in _KEYWORDS or not _is_lower(tok):
+            raise self.error({"nominal (lowercase)"})
+        return self.next().value
+
+    # -- formulas ----------------------------------------------------------
+
+    def formula(self) -> Formula:
+        tok = self.peek()
+        if _is_upper(tok) and self.peek(1).kind == "lpar":
+            return self.role_assertion()
+        if _is_lower(tok) and tok.kind == "ident" and self.peek(1).kind == "colon":
+            return self.nominal_assertion()
+        return ConceptF(self.concept())
+
+    def role_assertion(self) -> RoleAssertion:
+        role = self.expect_role()
+        self.expect("lpar", "'('")
+        x = self.expect_nominal()
+        self.expect("comma", "','")
+        y = self.expect_nominal()
+        self.expect("rpar", "')'")
+        return RoleAssertion(x, role, y)
+
+    def nominal_assertion(self) -> NominalAssertion:
+        name = self.expect_nominal()
+        self.expect("colon", "':'")
+        # a parenthesized nested assertion, e.g. x : (y : C)
+        if (self.peek().kind == "lpar" and _is_lower(self.peek(1))
+                and self.peek(1).kind == "ident" and self.peek(2).kind == "colon"):
+            self.next()
+            self.deeper()
+            inner = self.nominal_assertion()
+            self.depth -= 1
+            self.expect("rpar", "')'")
+            return NominalAssertion(name, inner)
+        return NominalAssertion(name, ConceptF(self.concept()))
+
+    # -- sequents ----------------------------------------------------------
+
+    def sequent(self) -> Sequent:
+        antecedent: list[Formula] = []
+        if self.peek().kind != "turnstile":
+            antecedent.append(self.formula())
+            while self.peek().kind == "semi":
+                self.next()
+                antecedent.append(self.formula())
+        self.expect("turnstile", "'|-'")
+        if self.peek().kind == "eof":
+            raise self.error({"succedent formula"})
+        succedent = self.formula()
+        return Sequent.make(antecedent, succedent)
+
+    def eof(self):
+        if self.peek().kind != "eof":
+            raise self.error({"end of input"})
+
+
+def ref_parse_concept(text: str) -> Concept:
+    p = _Parser(text)
+    c = p.concept()
+    p.eof()
+    return c
+
+
+def ref_parse_formula(text: str) -> Formula:
+    p = _Parser(text)
+    f = p.formula()
+    p.eof()
+    return f
+
+
+def ref_parse_sequent(text: str) -> Sequent:
+    p = _Parser(text)
+    s = p.sequent()
+    p.eof()
+    return s
+
+
+ENTRIES = [(parse_concept, ref_parse_concept), (parse_formula, ref_parse_formula),
+           (parse_sequent, ref_parse_sequent)]
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ParseError as e:
+        return "error", (e.args[0], e.line, e.col, e.expected)
+
+
+def assert_same_as_reference(text):
+    for parse, ref_parse in ENTRIES:
+        assert _outcome(parse, text) == _outcome(ref_parse, text), (parse.__name__, text)
+
+
+# pieces of well-formed input, so that many strings parse or fail late
+_PIECES = ["A", "B", "C'", "top", "bot", "not", "some R.", "all S1.", "(", ")", "&", "|",
+           "->", "x :", "y :", "R(x,y)", "x : (", ";", "|-"]
+# every token kind, identifiers of both classes, and tokens that glue
+# together when no space separates them ("|" "-", "A" "B")
+_TOKENS = ["|-", "->", "&", "|", ":", ";", ",", ".", "(", ")", "-", ">", "top", "bot",
+           "not", "some", "all", "A", "R", "S1", "Long_Name", "x", "_n0", "z'", "topx", "Not"]
+# layout, comments and characters that start no token
+_ODD = ["@", "1", "'", "é", "\f", "#c", "# x : A\n", "\n", "\r\n", "\t"]
+_SEPARATORS = [" "] * 6 + ["", "", "  ", "\n"]
+
+
+def _random_token_string(rng):
+    out = []
+    for _ in range(rng.randint(0, 16)):
+        r = rng.random()
+        out.append(rng.choice(_PIECES if r < 0.75 else _TOKENS if r < 0.97 else _ODD))
+        out.append(rng.choice(_SEPARATORS))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_parser_matches_reference_on_random_token_strings(seed):
+    rng = random.Random(seed)
+    for _ in range(5_000):
+        assert_same_as_reference(_random_token_string(rng))
+
+
+def _random_concept(rng, size):
+    if size <= 1:
+        return rng.choice([A, B, Atom("C'"), TOP, BOT])
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Not(_random_concept(rng, size - 1))
+    if kind < 3:
+        return rng.choice([Exists, Forall])(rng.choice(["R", "S1"]), _random_concept(rng, size - 1))
+    k = rng.randint(1, size - 1)
+    return rng.choice([And, Or, Subs])(_random_concept(rng, k), _random_concept(rng, size - k))
+
+
+def _random_formula(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return RoleAssertion(rng.choice("xy"), "R", rng.choice("xy"))
+    body = ConceptF(_random_concept(rng, rng.randint(1, 8)))
+    if kind == 1:
+        return body
+    if kind == 3:
+        body = NominalAssertion(rng.choice("xy"), body)
+    return NominalAssertion(rng.choice("xy"), body)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parser_matches_reference_on_rendered_asts(seed):
+    """Renders of random sequents, as they are and with one token dropped,
+    repeated or swapped for another, so that errors occur deep inside."""
+    rng = random.Random(100 + seed)
+    for _ in range(300):
+        s = Sequent.make([_random_formula(rng) for _ in range(rng.randint(0, 3))],
+                         _random_formula(rng))
+        texts = [render(s), render(s.succedent)]
+        if isinstance(s.succedent, ConceptF):
+            texts.append(render(s.succedent.concept))
+        for text in list(texts):
+            toks = text.split(" ")
+            j = rng.randrange(len(toks))
+            texts.append(" ".join(toks[:j] + toks[j + 1:]))
+            texts.append(" ".join(toks[:j] + [toks[j]] + toks[j:]))
+            texts.append(" ".join(toks[:j] + [rng.choice(_TOKENS)] + toks[j + 1:]))
+        for text in texts:
+            assert_same_as_reference(text)
+
+
+@pytest.mark.parametrize("text", DEEP + [
+    "not " * 99 + "A",
+    "(" * 99 + "A" + ")" * 99,
+    "(A) & " * 60 + "A",
+    "not A | " * 60 + "A",
+    "x : (" * 99 + "A" + ")" * 99,
+    "A ; " * 3000 + "|- A",
+])
+def test_parser_matches_reference_on_deep_inputs(text):
+    assert_same_as_reference(text)
