@@ -1,4 +1,4 @@
-"""Sequent calculus: rule checking, proof trees, bounded backward search.
+"""Sequent calculus: one rule table, proof trees, bounded backward search.
 
 Antecedents are sets, so exchange and contraction are invisible;
 weakening is an explicit rule node and cut is checkable but never used
@@ -15,9 +15,18 @@ by the search.  Rule labels:
                                       assertions pass through untouched
     cut, weaken                       structural
 
-``exists-l`` and ``forall-r`` require their witness nominal not to
-occur in the conclusion; the search engine instantiates both with an
-engine-fresh nominal (reserved names ``_n0``, ``_n1``, ...).
+Every rule but cut and weaken is written once, in ``_RULES``, as a
+backward decomposition yielding each (label, params, premises) instance
+on a conclusion; what the conclusion leaves open is asked of a chooser.
+The search picks it: an engine-fresh witness (``_n0``, ``_n1``, ...),
+each edge of the antecedent, the whole context for both sub-l premises,
+every ``x : C`` unprefixed for p-nom.  ``check_step`` reads it off the
+stated premises: the witness is a premise nominal absent from the
+conclusion (so exists-l and forall-r witnesses are fresh), the exists-r
+edge is the first premise's succedent, the sub-l premises may split the
+context, and the p-nom premise may have any antecedent that lifts to the
+conclusion's.  A stated param is compared only with the fields the
+instance sets, so a ``role`` contradicting the quantifier is rejected.
 """
 
 from __future__ import annotations
@@ -57,11 +66,11 @@ _NOMINAL_VARIANTS = {"sub-r", "sub-l", "and-r", "and-l", "or1-r", "or2-r", "or-l
 RULE_LABELS = tuple(sorted(RULE_ARITY) + sorted("n-" + r for r in _NOMINAL_VARIANTS))
 
 
-def _split_rule(label: str) -> Optional[tuple[str, bool]]:
+def _base_rule(label: str) -> Optional[str]:
     if label in RULE_ARITY:
-        return label, False
+        return label
     if label.startswith("n-") and label[2:] in _NOMINAL_VARIANTS:
-        return label[2:], True
+        return label[2:]
     return None
 
 
@@ -99,49 +108,39 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# Rule schema checking
+# The rule table
 # ---------------------------------------------------------------------------
-
-def _nom_concept(f: Formula):
-    """(nominal, concept) when f is ``x : C`` with a concept body."""
-    if isinstance(f, NominalAssertion) and isinstance(f.body, ConceptF):
-        return f.nominal, f.body.concept
-    return None
-
-
-def _split_binary(f: Formula, op, nominal: bool):
-    """Left/right components of a binary principal, hatted with the
-    shared outer nominal for the nominal variants."""
-    if nominal:
-        nc = _nom_concept(f)
-        if nc is None or not isinstance(nc[1], op):
-            return None
-        x, c = nc
-        return (NominalAssertion(x, ConceptF(c.left)),
-                NominalAssertion(x, ConceptF(c.right)))
-    if isinstance(f, ConceptF) and isinstance(f.concept, op):
-        return ConceptF(f.concept.left), ConceptF(f.concept.right)
-    return None
-
 
 def _shape(f: Formula) -> tuple:
     """(f, whether f is an assertion x : C, and its top concept C or None)."""
-    nc = _nom_concept(f)
-    return (f, True, nc[1]) if nc else (f, False, getattr(f, "concept", None))
+    if isinstance(f, NominalAssertion):
+        return (f, True, f.body.concept) if isinstance(f.body, ConceptF) else (f, False, None)
+    return f, False, getattr(f, "concept", None)
 
 
-def _promote(members, make) -> frozenset:
-    """Apply ``make`` to every concept member, pass assertions through."""
-    return frozenset(make(m) if isinstance(m, ConceptF) else m for m in members)
+def _nominals_in_order(f: Formula) -> list[str]:
+    if isinstance(f, RoleAssertion):
+        return [f.subject, f.object]
+    if isinstance(f, NominalAssertion):
+        return [f.nominal] + _nominals_in_order(f.body)
+    return []
 
 
-# The propositional rules, each one backward decomposition shared by checker
-# and search: operator, principal on the left, and the premises' (antecedent,
-# succedent) pairs from (antecedent, antecedent minus principal, a, b, succedent).
+def _parts(m: Formula, nominal: bool, c) -> tuple:
+    """The two components of the binary principal m with top concept c,
+    hatted with the shared outer nominal for the nominal variants."""
+    if nominal:
+        return (NominalAssertion(m.nominal, ConceptF(c.left)),
+                NominalAssertion(m.nominal, ConceptF(c.right)))
+    return ConceptF(c.left), ConceptF(c.right)
+
+
+# The propositional rules that keep their context: operator, principal on the
+# left, and the premises' (antecedent, succedent) pairs from (antecedent,
+# antecedent minus principal, a, b, succedent).
 _BINARY_RULES = {
     "and-l": (And, True, lambda ant, rest, a, b, g: [(rest | {a, b}, g)]),
     "or-l": (Or, True, lambda ant, rest, a, b, g: [(rest | {a}, g), (rest | {b}, g)]),
-    "sub-l": (Subs, True, lambda ant, rest, a, b, g: [(ant, a), (rest | {b}, g)]),
     "and-r": (And, False, lambda ant, rest, a, b, g: [(ant, a), (ant, b)]),
     "sub-r": (Subs, False, lambda ant, rest, a, b, g: [(ant | {a}, b)]),
     "or1-r": (Or, False, lambda ant, rest, a, b, g: [(ant, a)]),
@@ -149,76 +148,185 @@ _BINARY_RULES = {
 }
 
 
-def _binary(rule: str, seq: Sequent, m: Formula, parts: tuple) -> tuple:
-    """Premises of a propositional rule applied backward to seq with
-    principal m, whose two (hatted) components are parts."""
-    _, left, premises = _BINARY_RULES[rule]
-    ant = seq.antecedent
-    rest = ant - {m} if left else ant
-    return tuple(Sequent(frozenset(a), g)
-                 for a, g in premises(ant, rest, *parts, seq.succedent))
+def _binary(rule: str) -> tuple:
+    op, left, premises = _BINARY_RULES[rule]
+
+    def instances(seq: Sequent, shapes: list, chooser) -> Iterator:
+        ant, g = seq.antecedent, seq.succedent
+        for m, nominal, c in shapes if left else [_shape(g)]:
+            if isinstance(c, op):
+                yield (("n-" if nominal else "") + rule,
+                       RuleParams(principal=m) if left else _NO_PARAMS,
+                       tuple(Sequent(frozenset(a), s) for a, s in
+                             premises(ant, ant - {m} if left else ant, *_parts(m, nominal, c), g)))
+    return (left, op), instances
 
 
-# The role rules, each one backward decomposition shared by checker and search.
-
-def _quantified(f: Formula, op):
-    """(x, q) when f is ``x : q`` with q an ``op`` (Exists/Forall) concept."""
-    _, nominal, q = _shape(f)
-    return (f.nominal, q) if nominal and isinstance(q, op) else None
+def _axiom(seq: Sequent, shapes: list, chooser) -> Iterator:
+    if seq.succedent in seq.antecedent:
+        yield "axiom", _NO_PARAMS, ()
 
 
-def _forall_r(seq: Sequent, y: str) -> Optional[Sequent]:
-    xq = _quantified(seq.succedent, Forall)
-    return xq and Sequent(seq.antecedent | {RoleAssertion(xq[0], xq[1].role, y)},
-                          NominalAssertion(y, ConceptF(xq[1].body)))
+def _bot_l(seq: Sequent, shapes: list, chooser) -> Iterator:
+    if any(isinstance(c, Bot) for _, _, c in shapes):
+        yield "bot-l", _NO_PARAMS, ()
 
 
-def _forall_l(m: Formula, r: Formula) -> Optional[Formula]:
-    """What forall-l adds for x : all R.C and R(x,y): the assertion y : C."""
-    xq = _quantified(m, Forall)
-    if xq is None or not (isinstance(r, RoleAssertion) and r.subject == xq[0]
-                          and r.role == xq[1].role):
-        return None
-    return NominalAssertion(r.object, ConceptF(xq[1].body))
+def _sub_l(seq: Sequent, shapes: list, chooser) -> Iterator:
+    # the two premises may split the context
+    for m, nominal, c in shapes:
+        if isinstance(c, Subs):
+            a, b = _parts(m, nominal, c)
+            for left, right in chooser.contexts(seq, m, b):
+                if left | right | {m} == seq.antecedent:
+                    yield (("n-" if nominal else "") + "sub-l", RuleParams(principal=m),
+                           (Sequent(left, a), Sequent(right | {b}, seq.succedent)))
 
 
-def _exists_r(seq: Sequent, r: Formula) -> Optional[tuple]:
-    xq = _quantified(seq.succedent, Exists)
-    if xq is None or not (isinstance(r, RoleAssertion) and r.subject == xq[0]
-                          and r.role == xq[1].role):
-        return None
-    return (Sequent(seq.antecedent, r),
-            Sequent(seq.antecedent, NominalAssertion(r.object, ConceptF(xq[1].body))))
+def _exists_l(seq: Sequent, shapes: list, chooser) -> Iterator:
+    for m, nominal, c in shapes:
+        if nominal and isinstance(c, Exists):
+            for y in chooser.witnesses(seq):
+                yield ("exists-l", RuleParams(principal=m, role=c.role, nominal=y),
+                       (Sequent((seq.antecedent - {m}) | {RoleAssertion(m.nominal, c.role, y),
+                                                          NominalAssertion(y, ConceptF(c.body))},
+                                seq.succedent),))
 
 
-def _exists_l(seq: Sequent, m: Formula, y: str) -> Optional[Sequent]:
-    xq = _quantified(m, Exists)
-    return xq and Sequent((seq.antecedent - {m}) | {RoleAssertion(xq[0], xq[1].role, y),
-                                                    NominalAssertion(y, ConceptF(xq[1].body))},
-                          seq.succedent)
+def _forall_r(seq: Sequent, shapes: list, chooser) -> Iterator:
+    g, nominal, c = _shape(seq.succedent)
+    if nominal and isinstance(c, Forall):
+        for y in chooser.witnesses(seq):
+            yield ("forall-r", RuleParams(role=c.role, nominal=y),
+                   (Sequent(seq.antecedent | {RoleAssertion(g.nominal, c.role, y)},
+                            NominalAssertion(y, ConceptF(c.body))),))
+
+
+def _exists_r(seq: Sequent, shapes: list, chooser) -> Iterator:
+    g, nominal, c = _shape(seq.succedent)
+    if nominal and isinstance(c, Exists):
+        for r in chooser.edges(shapes):
+            if isinstance(r, RoleAssertion) and r.subject == g.nominal and r.role == c.role:
+                yield ("exists-r", RuleParams(role=r.role, nominal=r.object),
+                       (Sequent(seq.antecedent, r),
+                        Sequent(seq.antecedent, NominalAssertion(r.object, ConceptF(c.body)))))
+
+
+def _forall_l(seq: Sequent, shapes: list, chooser) -> Iterator:
+    # x : all R.C and an edge R(x,y) of the antecedent add y : C
+    for m, nominal, c in shapes:
+        if nominal and isinstance(c, Forall):
+            for r, _, _ in shapes:
+                if isinstance(r, RoleAssertion) and r.subject == m.nominal and r.role == c.role:
+                    yield ("forall-l", RuleParams(principal=m, role=r.role, nominal=r.object),
+                           (seq.with_extra(NominalAssertion(r.object, ConceptF(c.body))),))
+
+
+def _promoted(shapes: list, q) -> tuple:
+    """The premise of a promotion to q: every concept member and q lose
+    their outer modality, assertions pass through."""
+    return (Sequent(frozenset(ConceptF(c.body) if isinstance(m, ConceptF) else m
+                              for m, _, c in shapes), ConceptF(q.body)),)
+
+
+def _boxes(shapes: list, role: str, but=None) -> bool:
+    return all(isinstance(c, Forall) and c.role == role
+               for m, _, c in shapes if isinstance(m, ConceptF) and m is not but)
+
+
+def _p_forall(seq: Sequent, shapes: list, chooser) -> Iterator:
+    _, nominal, q = _shape(seq.succedent)
+    if not nominal and isinstance(q, Forall) and _boxes(shapes, q.role):
+        yield "p-forall", RuleParams(role=q.role), _promoted(shapes, q)
+
+
+def _p_exists(seq: Sequent, shapes: list, chooser) -> Iterator:
+    _, nominal, q = _shape(seq.succedent)
+    if not nominal and isinstance(q, Exists):
+        for m, _, c in shapes:
+            if (isinstance(m, ConceptF) and isinstance(c, Exists) and c.role == q.role
+                    and _boxes(shapes, q.role, m)):
+                yield ("p-exists", RuleParams(principal=ConceptF(c.body), role=q.role),
+                       _promoted(shapes, q))
+
+
+def _lift(f: Formula, x: str) -> Formula:
+    return NominalAssertion(x, f) if isinstance(f, ConceptF) else f
+
+
+def _p_nom(seq: Sequent, shapes: list, chooser) -> Iterator:
+    # premise gamma |- delta, conclusion: every concept of both prefixed with x
+    if any(isinstance(m, ConceptF) for m, _, _ in shapes):
+        return      # a lifted antecedent has no concept member
+    for x, gamma, delta in chooser.unprefixed(seq):
+        if (_lift(delta, x) == seq.succedent
+                and frozenset(_lift(m, x) for m in gamma) == seq.antecedent):
+            lifted = isinstance(delta, ConceptF) or any(isinstance(m, ConceptF) for m in gamma)
+            yield "p-nom", RuleParams(prefix=x) if lifted else _NO_PARAMS, (Sequent(gamma, delta),)
+
+
+# Every rule but cut and weaken, in the order the search tries them, as
+# (principal, instances): principal is (on the left?, operator) of the
+# formula the rule decomposes, None when there is none, and
+# instances(conclusion, antecedent shapes, chooser) yields (label, params,
+# premises) for each way the rule derives the conclusion.
+_RULES = {
+    "axiom": (None, _axiom), "bot-l": ((True, Bot), _bot_l),
+    # invertible decompositions first
+    "and-l": _binary("and-l"), "exists-l": ((True, Exists), _exists_l),
+    "and-r": _binary("and-r"), "sub-r": _binary("sub-r"), "or-l": _binary("or-l"),
+    "forall-r": ((False, Forall), _forall_r),
+    # branching / non-invertible choices
+    "or1-r": _binary("or1-r"), "or2-r": _binary("or2-r"), "exists-r": ((False, Exists), _exists_r),
+    "sub-l": ((True, Subs), _sub_l), "forall-l": ((True, Forall), _forall_l),
+    "p-forall": ((False, Forall), _p_forall), "p-exists": ((False, Exists), _p_exists),
+    "p-nom": (None, _p_nom),
+}
+
+
+def _nominals(*seqs: Sequent) -> set:
+    return {n for s in seqs for f in (*s.antecedent, s.succedent) for n in _nominals_in_order(f)}
+
+
+class _Premises(tuple):
+    """The stated premises of a step, as the chooser of check_step: what
+    the conclusion leaves open is read off them."""
+
+    def witnesses(self, seq: Sequent):
+        # the eigenvariable is a premise nominal that is absent from the conclusion
+        return _nominals(*self) - _nominals(seq)
+
+    def edges(self, shapes: list):
+        return (self[0].succedent,)
+
+    def contexts(self, seq: Sequent, m: Formula, b: Formula):
+        p1, p2 = self
+        return ((p1.antecedent, p2.antecedent - {b}),)
+
+    def unprefixed(self, seq: Sequent):
+        (p,) = self
+        return [(x, p.antecedent, p.succedent) for x in _nominals(seq)]
+
+
+def _agrees(stated: RuleParams, made: RuleParams) -> bool:
+    """A stated param must match each field the instance sets."""
+    for field in ("principal", "role", "nominal", "prefix"):
+        m = getattr(made, field)
+        if m is not None and getattr(stated, field) not in (None, m):
+            return False
+    return True
 
 
 def check_step(rule: str, params: Optional[RuleParams],
                premises: Sequence[Sequent], conclusion: Sequent) -> bool:
-    """True iff premises/conclusion instantiate the rule schema exactly.
-
-    Params narrow the principal/witness choice when given; otherwise all
-    decompositions are tried.
-    """
-    split = _split_rule(rule)
-    if split is None:
-        return False
-    base, nominal = split
-    if len(premises) != RULE_ARITY[base]:
+    """True iff the stated label, params and premises are one of the
+    rule's instances on the conclusion (cut and weaken are checked
+    directly).  Params narrow the instances when given."""
+    base = _base_rule(rule)
+    if base is None or len(premises) != RULE_ARITY[base]:
         return False
     p = params or _NO_PARAMS
     ant, succ = conclusion.antecedent, conclusion.succedent
-
-    if base == "axiom":
-        return succ in ant
-
-    if base == "bot-l":
-        return any(isinstance(_shape(m)[2], Bot) for m in ant)
 
     if base == "weaken":
         (prem,) = premises
@@ -232,95 +340,11 @@ def check_step(rule: str, params: Optional[RuleParams],
         return (gamma in p2.antecedent and p2.succedent == succ
                 and p1.antecedent | (p2.antecedent - {gamma}) == ant)
 
-    if base == "forall-r":
-        (prem,) = premises
-        xq, ps = _quantified(succ, Forall), _nom_concept(prem.succedent)
-        if xq is None or ps is None:
-            return False
-        # the witness must be fresh for the conclusion (eigenvariable)
-        y = ps[0]
-        return (p.role in (None, xq[1].role) and p.nominal in (None, y)
-                and y not in nominals_of(conclusion) and _forall_r(conclusion, y) == prem)
-
-    if base == "forall-l":
-        (prem,) = premises
-        return any(added and conclusion.with_extra(added) == prem
-                   for m in ant if p.principal in (None, m)
-                   for r in ant if isinstance(r, RoleAssertion) and p.nominal in (None, r.object)
-                   for added in [_forall_l(m, r)])
-
-    if base == "exists-r":
-        ra = premises[0].succedent
-        return (_exists_r(conclusion, ra) == tuple(premises)
-                and p.nominal in (None, ra.object))
-
-    if base == "exists-l":
-        (prem,) = premises
-        # the witness must be fresh for the conclusion
-        ys = [p.nominal] if p.nominal is not None else [
-            r.object for r in prem.antecedent if isinstance(r, RoleAssertion)]
-        conol = nominals_of(conclusion)
-        return any(y not in conol and _exists_l(conclusion, m, y) == prem
-                   for m in ant if p.principal in (None, m) for y in ys)
-
-    if base == "sub-l":
-        # the two premises may split the context
-        p1, p2 = premises
-        return p2.succedent == succ and any(
-            parts and p1.succedent == parts[0] and parts[1] in p2.antecedent
-            and p1.antecedent | (p2.antecedent - {parts[1]}) | {m} == ant
-            for m in ant if p.principal in (None, m)
-            for parts in [_split_binary(m, Subs, nominal)])
-
-    if base in _BINARY_RULES:
-        op, left, _ = _BINARY_RULES[base]
-        return any(parts and _binary(base, conclusion, m, parts) == tuple(premises)
-                   for m in (ant if left else [succ]) if not left or p.principal in (None, m)
-                   for parts in [_split_binary(m, op, nominal)])
-
-    if base in ("p-exists", "p-forall"):
-        (prem,) = premises
-        q = succ.concept if isinstance(succ, ConceptF) else None
-        if (not isinstance(q, Exists if base == "p-exists" else Forall)
-                or p.role not in (None, q.role) or prem.succedent != ConceptF(q.body)):
-            return False
-
-        def box(m):
-            return ConceptF(Forall(q.role, m.concept))
-        if base == "p-forall":
-            return _promote(prem.antecedent, box) == ant
-        # the antecedent is a set: the diamond body may also be a box body
-        return any(_promote(rest, box) | {ConceptF(Exists(q.role, alpha.concept))} == ant
-                   for alpha in prem.antecedent
-                   if isinstance(alpha, ConceptF) and p.principal in (None, alpha)
-                   for rest in (prem.antecedent - {alpha}, prem.antecedent))
-
-    if base == "p-nom":
-        (prem,) = premises
-        if isinstance(prem.succedent, ConceptF):
-            if not (isinstance(succ, NominalAssertion) and succ.body == prem.succedent):
-                return False
-            candidates = [succ.nominal]
-        else:
-            if succ != prem.succedent:
-                return False
-            if p.prefix is not None:
-                candidates = [p.prefix]
-            else:
-                candidates = sorted({m.nominal for m in ant
-                                     if isinstance(m, NominalAssertion)})
-                if not candidates and prem.antecedent == ant:
-                    return True
-        for x in candidates:
-            if p.prefix is not None and p.prefix != x:
-                continue
-            lifted = _promote(prem.antecedent,
-                              lambda m: NominalAssertion(x, m))
-            if lifted == ant:
-                return True
-        return False
-
-    raise AssertionError(f"unhandled rule {base}")
+    premises = _Premises(premises)
+    for label, made, prem in _RULES[base][1](conclusion, [_shape(m) for m in ant], premises):
+        if label == rule and prem == premises and _agrees(p, made):
+            return True
+    return False
 
 
 def check_proof(t: ProofTree) -> CheckResult:
@@ -329,11 +353,10 @@ def check_proof(t: ProofTree) -> CheckResult:
     stack: list[tuple[ProofTree, tuple[int, ...]]] = [(t, ())]
     while stack:
         node, path = stack.pop()
-        split = _split_rule(node.rule)
-        if split is None:
+        base = _base_rule(node.rule)
+        if base is None:
             return CheckResult(False, path, f"unknown rule {node.rule!r}")
         got = len(node.premises)
-        base = split[0]
         if got != RULE_ARITY[base]:
             return CheckResult(False, path,
                                f"{node.rule} needs {RULE_ARITY[base]} premises, got {got}")
@@ -355,7 +378,7 @@ def weaken_tree(t: ProofTree, extra: Formula) -> ProofTree:
     through them unchanged).
     """
     target = Sequent(t.conclusion.antecedent | {extra}, t.conclusion.succedent)
-    base = _split_rule(t.rule)[0]
+    base = _base_rule(t.rule)
     if RULE_ARITY[base] == 0 or base in ("p-exists", "p-forall", "p-nom", "cut"):
         return ProofTree(target, "weaken", _NO_PARAMS, (t,))
     return ProofTree(target, t.rule, t.params,
@@ -435,14 +458,6 @@ class ProveResult:
 _ENGINE_NOMINAL = re.compile(r"^_n\d+$")
 
 
-def _nominals_in_order(f: Formula) -> list[str]:
-    if isinstance(f, RoleAssertion):
-        return [f.subject, f.object]
-    if isinstance(f, NominalAssertion):
-        return [f.nominal] + _nominals_in_order(f.body)
-    return []
-
-
 def _rename_formula(f: Formula, mapping: dict) -> Formula:
     if isinstance(f, RoleAssertion):
         return RoleAssertion(mapping.get(f.subject, f.subject), f.role,
@@ -451,16 +466,6 @@ def _rename_formula(f: Formula, mapping: dict) -> Formula:
         return NominalAssertion(mapping.get(f.nominal, f.nominal),
                                 _rename_formula(f.body, mapping))
     return f
-
-
-def _binary_candidates(rules: tuple, seq: Sequent, shapes) -> Iterator:
-    for rule in rules:
-        op, left, _ = _BINARY_RULES[rule]
-        for m, nominal, c in shapes:
-            if isinstance(c, op):
-                yield (("n-" if nominal else "") + rule,
-                       RuleParams(principal=m) if left else _NO_PARAMS,
-                       _binary(rule, seq, m, _split_binary(m, op, nominal)))
 
 
 class _Search:
@@ -528,6 +533,8 @@ class _Search:
         if depth > 0:
             inner = ancestors | {key}
             for rule, params, subgoals in self._candidates(seq, members):
+                if subgoals == (seq,):
+                    continue        # a premise that is its conclusion: forall-l adding nothing
                 trees = []
                 for sub in subgoals:
                     t, c = self.prove(sub, depth - 1, inner)
@@ -546,79 +553,31 @@ class _Search:
         return None, culprits
 
     def _candidates(self, seq: Sequent, members: list) -> Iterator[tuple[str, RuleParams, tuple]]:
-        ant, succ = seq.antecedent, seq.succedent
-        if succ in ant:
-            yield "axiom", _NO_PARAMS, ()
-            return
-        shapes, goal = [_shape(m) for m in members], [_shape(succ)]
-        if any(isinstance(c, Bot) for _, _, c in shapes):
-            yield "bot-l", _NO_PARAMS, ()
-            return
+        shapes = [_shape(m) for m in members]
+        # only rules whose principal operator occurs on its side can apply
+        present = {(True, type(c)) for _, _, c in shapes} | {(False, type(_shape(seq.succedent)[2]))}
+        for principal, instances in _RULES.values():
+            if principal is None or principal in present:
+                yield from instances(seq, shapes, self)
 
-        # invertible decompositions first
-        yield from _binary_candidates(("and-l",), seq, shapes)
+    # The chooser of the search: an engine-fresh witness, every edge of
+    # the antecedent, the whole context, and every x : C unprefixed.
 
-        for m, nominal, c in shapes:
-            if nominal and isinstance(c, Exists):
-                y = self.fresh_nominal()
-                yield ("exists-l", RuleParams(principal=m, role=m.body.concept.role,
-                                              nominal=y), (_exists_l(seq, m, y),))
+    def witnesses(self, seq: Sequent):
+        return (self.fresh_nominal(),)
 
-        yield from _binary_candidates(("and-r", "sub-r"), seq, goal)
-        yield from _binary_candidates(("or-l",), seq, shapes)
+    def edges(self, shapes: list):
+        return [r for r, _, _ in shapes if isinstance(r, RoleAssertion)]
 
-        if _quantified(succ, Forall):
-            y = self.fresh_nominal()
-            yield ("forall-r", RuleParams(role=succ.body.concept.role, nominal=y),
-                   (_forall_r(seq, y),))
+    def contexts(self, seq: Sequent, m: Formula, b: Formula):
+        return ((seq.antecedent, seq.antecedent - {m}),)
 
-        # branching / non-invertible choices
-        yield from _binary_candidates(("or1-r", "or2-r"), seq, goal)
-
-        edges = [r for r in members if isinstance(r, RoleAssertion)]
-        for r in edges:
-            premises = _exists_r(seq, r)
-            if premises:
-                yield "exists-r", RuleParams(role=r.role, nominal=r.object), premises
-
-        yield from _binary_candidates(("sub-l",), seq, shapes)
-
-        for m in [m for m, nominal, c in shapes if nominal and isinstance(c, Forall)]:
-            for r in edges:
-                added = _forall_l(m, r)
-                if added and added not in ant:
-                    yield ("forall-l", RuleParams(principal=m, role=r.role,
-                                                  nominal=r.object), (seq.with_extra(added),))
-
-        yield from self._promotions(seq, members)
-
-    def _promotions(self, seq: Sequent, members) -> Iterator:
-        succ = seq.succedent
-        concepts = [m for m in members if isinstance(m, ConceptF)]
-        assertions = [m for m in members if not isinstance(m, ConceptF)]
-
-        q = succ.concept if isinstance(succ, ConceptF) else None
-        if isinstance(q, (Exists, Forall)):
-            def boxed(cs) -> bool:
-                return all(isinstance(c.concept, Forall) and c.concept.role == q.role for c in cs)
-
-            def premise() -> tuple:
-                return (Sequent(frozenset({ConceptF(c.concept.body) for c in concepts})
-                                | frozenset(assertions), ConceptF(q.body)),)
-            if isinstance(q, Forall) and boxed(concepts):
-                yield "p-forall", RuleParams(role=q.role), premise()
-            for alpha in concepts if isinstance(q, Exists) else ():
-                if (isinstance(alpha.concept, Exists) and alpha.concept.role == q.role
-                        and boxed(c for c in concepts if c != alpha)):
-                    yield ("p-exists", RuleParams(principal=ConceptF(alpha.concept.body),
-                                                  role=q.role), premise())
-
-        if isinstance(succ, NominalAssertion) and isinstance(succ.body, ConceptF) and not concepts:
-            # un-prefix the x : C members
-            x = succ.nominal
-            prem_ant = frozenset(m.body if _nom_concept(m) and m.nominal == x else m
-                                 for m in assertions)
-            yield ("p-nom", RuleParams(prefix=x), (Sequent(prem_ant, succ.body),))
+    def unprefixed(self, seq: Sequent):
+        g, nominal, _ = _shape(seq.succedent)
+        if not nominal:
+            return ()
+        return ((g.nominal, frozenset(m.body if _shape(m)[1] and m.nominal == g.nominal else m
+                                      for m in seq.antecedent), g.body),)
 
 
 def prove(s: Sequent, max_depth: int = 24, max_visited: int = 100_000) -> ProveResult:

@@ -276,7 +276,8 @@ class _Parser:
 
     def deeper(self) -> None:
         """Count one more nesting level, failing at the current token beyond
-        MAX_NESTING (this bounds every later recursion); chains restore it."""
+        MAX_NESTING (this bounds every later recursion); each construct
+        restores it when it closes."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.error(message=f"input nested deeper than {MAX_NESTING} levels")
@@ -323,29 +324,27 @@ class _Parser:
         if t[:1] in _UPPER:
             self.i += 1
             return Atom(t)
-        if t == "(":
-            self.i += 1
-            self.deeper()
-            c = self.concept()
-            self.expect(")", "')'")
-            return c
-        if t == "not":
-            self.i += 1
-            self.deeper()
-            return Not(self.unary())
-        if t == "some" or t == "all":
-            self.i += 1
-            self.deeper()
-            role = self.expect_role()
-            self.expect(".", "'.'")
-            return (Exists if t == "some" else Forall)(role, self.unary())
         if t == "top":
             self.i += 1
             return TOP
         if t == "bot":
             self.i += 1
             return BOT
-        raise self.error({"concept"})
+        if t not in ("(", "not", "some", "all"):
+            raise self.error({"concept"})
+        self.i += 1
+        self.deeper()
+        if t == "(":
+            c = self.concept()
+            self.expect(")", "')'")
+        elif t == "not":
+            c = Not(self.unary())
+        else:
+            role = self.expect_role()
+            self.expect(".", "'.'")
+            c = (Exists if t == "some" else Forall)(role, self.unary())
+        self.depth -= 1     # the item is closed: a chain around it counts no deeper
+        return c
 
     def expect_role(self) -> str:
         t = self.toks[self.i]

@@ -8,14 +8,15 @@ from ialc.corpus import random_concept, schema_instance_corpus
 from ialc.golden import AXIOM_ROOTS
 from ialc.modelgen import Signature, enumerate_models, signature_for
 from ialc.semantics import sequent_valid
-from ialc.sequent import (
-    _ENGINE_NOMINAL, _NO_PARAMS, ProofTree, RuleParams, _binary_candidates,
-    _exists_l, _exists_r, _forall_l, _forall_r, _nom_concept, _nominals_in_order,
-    _quantified, _rename_formula, _shape, check_proof, find_countermodel, prove,
-)
+from ialc.sequent import ProofTree, RuleParams, check_proof, find_countermodel, prove
 from ialc.syntax import (
     Bot, ConceptF, Exists, Forall, NominalAssertion, RoleAssertion, Sequent,
     nominals_of, parse_sequent, render,
+)
+from ref_sequent import (
+    _ENGINE_NOMINAL, _NO_PARAMS, _binary_candidates, _exists_l, _exists_r,
+    _forall_l, _forall_r, _nom_concept, _nominals_in_order, _quantified,
+    _rename_formula, _shape,
 )
 
 S = parse_sequent
@@ -115,6 +116,13 @@ def test_visited_budget_returns_unknown():
     goal = S(AXIOM_ROOTS[5])
     assert not prove(goal, max_visited=2).proved
     assert prove(goal, max_depth=3).proved is False
+
+
+def test_a_step_that_adds_nothing_is_not_tried():
+    # forall-l would add y : A, which is there already: its premise is its
+    # conclusion and would only be loop-pruned
+    result = prove(S("x : all R.A ; R(x,y) ; y : A |- x : B"), max_depth=16)
+    assert not result.proved and result.loop_prunes == 0
 
 
 def test_fresh_nominals_avoid_user_names():

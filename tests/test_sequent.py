@@ -4,6 +4,7 @@ from ialc.sequent import (
 )
 from ialc.golden import axiom_trees
 from ialc.syntax import parse_formula, parse_sequent
+from ref_sequent import ref_check_step
 
 S = parse_sequent
 F = parse_formula
@@ -83,6 +84,9 @@ def test_exists_r():
     assert not step("exists-r",
                     ["R(z,y) ; y : A |- R(z,y)", "R(z,y) ; y : A |- y : A"],
                     "R(z,y) ; y : A |- x : some R.A")
+    # the edge is read off the first premise; the antecedent need not hold it
+    assert step("exists-r", ["x : bot |- R(x,y)", "x : bot |- y : A"],
+                "x : bot |- x : some R.A")
 
 
 def test_exists_l_and_freshness():
@@ -101,6 +105,21 @@ def test_exists_l_and_freshness():
                 nominal="z", principal="x : some R.A")
     assert not step("exists-l", ["R(x,z) ; z : A |- C"], "x : some R.A |- C",
                     nominal="w")
+
+
+def test_a_stated_role_must_match_the_quantifier():
+    # each stated param is compared with the field the rule instance sets;
+    # the previous checker ignored a stated role on these three rules
+    cases = {
+        "exists-r": (["R(x,y) ; y : A |- R(x,y)", "R(x,y) ; y : A |- y : A"],
+                     "R(x,y) ; y : A |- x : some R.A"),
+        "exists-l": (["R(x,y) ; y : A |- C"], "x : some R.A |- C"),
+        "forall-l": (["R(x,y) ; x : all R.A ; y : A |- C"], "R(x,y) ; x : all R.A |- C"),
+    }
+    for rule, (premises, conclusion) in cases.items():
+        assert step(rule, premises, conclusion, role="R")
+        assert not step(rule, premises, conclusion, role="S")
+        assert ref_check_step(rule, RuleParams(role="S"), [S(p) for p in premises], S(conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +205,12 @@ def test_p_nom():
     assert step("p-nom", ["A |- R(y,z)"], "x : A |- R(y,z)", prefix="x")
     assert not step("p-nom", ["A |- B"], "x : A |- y : B")
     assert not step("p-nom", ["A |- B"], "A |- x : B")
+    # a lifted antecedent has no bare concept, so a step proving itself with
+    # one is no p-nom step; the previous checker accepted it when nothing
+    # in the antecedent was prefixed and no prefix was stated
+    assert not step("p-nom", ["A |- R(x,y)"], "A |- R(x,y)")
+    assert ref_check_step("p-nom", None, [S("A |- R(x,y)")], S("A |- R(x,y)"))
+    assert step("p-nom", ["R(x,y) |- R(x,y)"], "R(x,y) |- R(x,y)", prefix="z")
 
 
 # ---------------------------------------------------------------------------

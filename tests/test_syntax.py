@@ -154,6 +154,15 @@ def test_nesting_just_below_the_bound_parses():
     assert parse_concept(render(c)) == c
 
 
+@pytest.mark.parametrize("text", [
+    "(A) & " * 60 + "A", "not A & " * 60 + "A", "some R.A & " * 60 + "A",
+], ids=["parenthesized", "not", "some"])
+def test_closed_items_in_a_chain_do_not_stack_nesting(text):
+    # AST depth 61: each item's own level ends with the item
+    c = parse_concept(text)
+    assert parse_concept(render(c)) == c
+
+
 def test_error_reports_expected_set():
     with pytest.raises(ParseError) as exc:
         parse_concept("some R,A")
@@ -632,7 +641,6 @@ def test_parser_matches_reference_on_rendered_asts(seed):
 @pytest.mark.parametrize("text", DEEP + [
     "not " * 99 + "A",
     "(" * 99 + "A" + ")" * 99,
-    "(A) & " * 60 + "A",
     "not A | " * 60 + "A",
     "x : (" * 99 + "A" + ")" * 99,
     "A ; " * 3000 + "|- A",
