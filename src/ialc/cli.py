@@ -184,6 +184,8 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_models(args) -> int:
+    if min(args.atoms, args.roles, args.nominals) < 0:
+        raise ValueError("--atoms, --roles and --nominals must be nonnegative")
     sig = Signature(
         atoms=tuple(f"A{i}" for i in range(1, args.atoms + 1)),
         roles=tuple(f"R{i}" for i in range(1, args.roles + 1)),

@@ -8,10 +8,10 @@ Random generation rejection-samples roles against the frame conditions,
 so both paths emit models that pass validation.
 
 A relation on n worlds is a bitmask over its n*n pairs, row by row, so
-the mask splits directly into the bit rows of the semantics kernel.
-Preorders, frame-compatible relations and up-closed sets are filtered
-by the kernel's own frame check and cached per world count and preorder;
-every emitted model carries its kernel, assembled from these tables.
+the mask splits directly into the bit rows of the semantics kernel, the
+only stored form of a model.  Preorders, frame-compatible relations and
+up-closed sets are filtered by the kernel's own frame check and cached,
+as rows and masks, per world count and preorder.
 """
 
 from __future__ import annotations
@@ -20,17 +20,17 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator
 
 from .semantics import (
-    Interpretation, _assemble, _bits, _closed_rows, _image, _Kernel,
-    _preorder_ok, _role_ok, _Rows,
+    Interpretation, _closed_rows, _image, _Kernel, _preorder_ok, _role_ok,
+    _Rows,
 )
 from .syntax import Sequent, atoms_of, nominals_of, roles_of
 
 __all__ = [
-    "Signature", "GenerationBudgetError", "enumerate_models",
-    "heredity_closure", "random_model", "signature_for",
+    "Signature", "GenerationBudgetError", "enumerate_models", "random_model",
+    "signature_for",
 ]
 
 
@@ -64,15 +64,6 @@ def signature_for(s: Sequent, max_worlds: int) -> Signature:
     )
 
 
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(n) for j in range(n))
-
-
-def _relation(mask: int, pairs: tuple[tuple[int, int], ...]) -> frozenset:
-    return frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
-
-
 def _split(mask: int, n: int) -> tuple[int, ...]:
     """Bit rows of the relation whose pair (i, j) is bit i*n + j of mask."""
     low = (1 << n) - 1
@@ -80,59 +71,45 @@ def _split(mask: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _table_relation(n: int, mask: int) -> tuple[frozenset, _Rows]:
-    """A relation as pairs and rows, one per mask, shared by the preorders."""
-    return _relation(mask, _pairs(n)), _Rows(_split(mask, n))
+def _table_relation(n: int, mask: int) -> _Rows:
+    """A relation's rows, one per mask, shared by the preorders."""
+    return _Rows(_split(mask, n))
 
 
 @lru_cache(maxsize=None)
-def _preorders(n: int) -> tuple[tuple[frozenset, _Rows], ...]:
+def _preorders(n: int) -> tuple[_Rows, ...]:
     return tuple(_table_relation(n, mask) for mask in range(1 << n * n)
                  if _preorder_ok(_split(mask, n)))
 
 
 @lru_cache(maxsize=None)
-def _frame_relations(n: int, up: tuple) -> tuple[tuple[frozenset, _Rows], ...]:
+def _frame_relations(n: int, up: tuple) -> tuple[_Rows, ...]:
     return tuple(_table_relation(n, mask) for mask in range(1 << n * n)
                  if _role_ok(up, _split(mask, n)))
 
 
 @lru_cache(maxsize=None)
-def _upclosed_sets(n: int, up: tuple) -> tuple[tuple[frozenset, int], ...]:
-    return tuple((frozenset(_bits(m)), m) for m in range(1 << n)
-                 if not _image(up, m) & ~m)
+def _upclosed_sets(n: int, up: tuple) -> tuple[int, ...]:
+    return tuple(m for m in range(1 << n) if not _image(up, m) & ~m)
 
 
 def enumerate_models(sig: Signature) -> Iterator[Interpretation]:
     """Every interpretation over 1..max_worlds entities, in a fixed order.
 
     Models that differ only in their nominals share one bit-row kernel
-    assembled from the per-preorder and per-relation tables.
+    built from the per-preorder and per-relation tables.
     """
     for n in range(1, sig.max_worlds + 1):
         worlds = tuple(range(n))
-        for leq, up in _preorders(n):
+        for up in _preorders(n):
             role_choices = _frame_relations(n, up.rows)
             atom_choices = _upclosed_sets(n, up.rows)
             for role_vec in product(role_choices, repeat=len(sig.roles)):
-                roles = dict(zip(sig.roles, (rel for rel, _ in role_vec)))
-                role_rows = dict(zip(sig.roles, (rows for _, rows in role_vec)))
+                roles = dict(zip(sig.roles, role_vec))
                 for atom_vec in product(atom_choices, repeat=len(sig.atoms)):
-                    atoms = dict(zip(sig.atoms, (ext for ext, _ in atom_vec)))
-                    kernel = _Kernel(worlds, up, role_rows,
-                                     dict(zip(sig.atoms, (m for _, m in atom_vec))))
+                    kernel = _Kernel(worlds, up, roles, dict(zip(sig.atoms, atom_vec)))
                     for nom_vec in product(worlds, repeat=len(sig.nominals)):
-                        yield _assemble(worlds, leq, roles, atoms,
-                                        dict(zip(sig.nominals, nom_vec)), kernel)
-
-
-def heredity_closure(valuation: Mapping[str, Iterable], leq: frozenset) -> dict:
-    """Smallest refinement-closed superset of each atom extension."""
-    index, up = _closed_rows((w for ext in valuation.values() for w in ext), leq)
-    elems = list(index)
-    return {name: frozenset(elems[i] for i in _bits(_image(
-                up, sum(1 << index[w] for w in set(ext)))))
-            for name, ext in valuation.items()}
+                        yield Interpretation(kernel, dict(zip(sig.nominals, nom_vec)))
 
 
 _EDGE_P = 0.3      # off-diagonal refinement edges
@@ -149,22 +126,20 @@ def random_model(sig: Signature, seed: int, max_retries: int = 200) -> Interpret
     rng = random.Random(seed)
     n = sig.max_worlds
     worlds = tuple(range(n))
-    pairs = _pairs(n)
-    base = [(i, j) for (i, j) in pairs if i != j and rng.random() < _EDGE_P]
-    up = _closed_rows(worlds, base)[1]
+    up = _closed_rows([sum(1 << j for j in worlds if i != j and rng.random() < _EDGE_P)
+                       for i in worlds])
     roles = {}
     for role in sig.roles:
         for _ in range(max_retries):
-            mask = sum(1 << k for k in range(n * n) if rng.random() < _ROLE_P)
-            if _role_ok(up, _split(mask, n)):
-                roles[role] = _relation(mask, pairs)
+            rows = _split(sum(1 << k for k in range(n * n) if rng.random() < _ROLE_P), n)
+            if _role_ok(up, rows):
+                roles[role] = _Rows(rows)
                 break
         else:
             raise GenerationBudgetError(
                 f"no frame-compatible relation for role {role} "
                 f"after {max_retries} draws (seed {seed})")
-    atoms = {a: _bits(_image(up, sum(1 << w for w in worlds if rng.random() < _ATOM_P)))
+    atoms = {a: _image(up, sum(1 << w for w in worlds if rng.random() < _ATOM_P))
              for a in sig.atoms}
     nominals = {x: rng.choice(worlds) for x in sig.nominals}
-    leq = [(i, j) for i in worlds for j in _bits(up[i])]
-    return Interpretation.make(worlds, leq, roles, atoms, nominals)
+    return Interpretation(_Kernel(worlds, _Rows(up), roles, atoms), nominals)

@@ -18,17 +18,19 @@ of each outer nominal (shared across occurrences of the same nominal)
 plus one world for pure-concept members; antecedent subsumption concepts
 may optionally be read globally (the theory reading).
 
-Everything is computed on bit rows: world i of ``worlds`` is bit i, and
-up-sets, role successor rows, atom and concept extensions are ints.  One
-frame check and one Warshall closure serve validation, model loading and
-model generation; concepts are hash-consed into a bottom-up program, so
-a sequent is compiled once and evaluated on each model by row operations.
+Bit rows are the only stored form of an interpretation: world i of
+``worlds`` is bit i, and up-sets, role successor rows, atom and concept
+extensions are ints; the pair and set fields are views computed from
+them.  One frame check and one Warshall closure serve validation, model
+loading and model generation; concepts are hash-consed into a bottom-up
+program, so a sequent is compiled once and evaluated on each model by
+row operations.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Union
 
@@ -41,8 +43,8 @@ from .syntax import (
 __all__ = [
     "Interpretation", "Violation", "ValidationReport", "UnassignedNominalError",
     "ModelFileError", "validate_interpretation", "extension", "satisfies",
-    "sequent_valid", "entails", "reflexive_transitive_closure",
-    "load_model", "save_model", "model_to_dict", "model_from_dict",
+    "sequent_valid", "entails", "load_model", "save_model", "model_to_dict",
+    "model_from_dict",
 ]
 
 World = Union[int, str]
@@ -98,27 +100,18 @@ class _Rows:
         self.none = (tuple(_none(rows, m) for m in range(1 << len(rows))).__getitem__
                      if len(rows) <= 4 else partial(_none, rows))
 
+    def __eq__(self, other) -> bool:
+        return self.rows == other.rows
 
-def _closed_rows(elems: Iterable, pairs) -> tuple[dict, list[int]]:
-    """Positions of elems (extended by the pairs' elements) and the
-    reflexive-transitive closure of pairs over them (Warshall)."""
-    pairs = list(pairs)
-    index = {w: i for i, w in enumerate(dict.fromkeys([*elems, *(x for p in pairs for x in p)]))}
-    rows = [1 << i for i in range(len(index))]
-    for a, b in pairs:
-        rows[index[a]] |= 1 << index[b]
+
+def _closed_rows(rows) -> tuple[int, ...]:
+    """Reflexive-transitive closure of a relation's bit rows (Warshall)."""
+    rows = [r | 1 << i for i, r in enumerate(rows)]
     for j, row in enumerate(rows):
         for i, r in enumerate(rows):
             if r >> j & 1:
                 rows[i] = r | row
-    return index, rows
-
-
-def reflexive_transitive_closure(pairs: Iterable[tuple[World, World]],
-                                 worlds: Iterable[World]) -> frozenset:
-    index, rows = _closed_rows(worlds, pairs)
-    elems = list(index)
-    return frozenset((a, elems[j]) for a, r in zip(elems, rows) for j in _bits(r))
+    return tuple(rows)
 
 
 def _preorder_ok(up) -> bool:
@@ -134,8 +127,9 @@ def _role_ok(up, succ) -> bool:
 
 
 class _Kernel:
-    """Bit rows of one interpretation.  Models that differ only in their
-    nominals share one kernel, which memoises the last program's values."""
+    """Bit rows of one frame and its atoms.  Models that differ only in
+    their nominals share one kernel, which memoises the last program's
+    values."""
     __slots__ = ("worlds", "index", "full", "up", "roles", "atoms", "memo")
 
     def __init__(self, worlds: tuple, up: _Rows, roles: dict, atoms: dict):
@@ -151,12 +145,15 @@ class _Kernel:
             raise ValueError(f"entity {w!r} is not in the domain") from None
 
     def rel(self, role: str) -> _Rows:
-        if role not in self.roles:
-            self.roles[role] = _Rows((0,) * len(self.worlds))
-        return self.roles[role]
+        """The rows of role; an undeclared role is empty, and stays undeclared."""
+        rows = self.roles.get(role)
+        return rows if rows is not None else _Rows((0,) * len(self.worlds))
 
     def members(self, m: int) -> tuple:
         return tuple(w for i, w in enumerate(self.worlds) if m >> i & 1)
+
+    def pairs(self, rows) -> frozenset:
+        return frozenset((w, v) for w, row in zip(self.worlds, rows) for v in self.members(row))
 
     def frame_ok(self) -> bool:
         up = self.up.rows
@@ -165,22 +162,13 @@ class _Kernel:
                 and all(_role_ok(up, r.rows) for r in self.roles.values()))
 
 
-def _kernel(I: "Interpretation") -> _Kernel:
-    """The kernel of I, rebuilt only for an instance not made by ``make``."""
-    if "kernel" not in I._cache:
-        I._cache["kernel"] = Interpretation.make(
-            I.worlds, I.leq, I.roles, I.atoms, I.nominals)._cache["kernel"]
-    return I._cache["kernel"]
-
-
-@dataclass(frozen=True)
 class Interpretation:
-    worlds: tuple[World, ...]
-    leq: frozenset                      # refinement pairs (w, v): w <= v
-    roles: Mapping[str, frozenset]
-    atoms: Mapping[str, frozenset]
-    nominals: Mapping[str, World]
-    _cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    """A finite interpretation: its kernel's bit rows and an assignment of
+    nominals to entities.  The pair and set fields are views of the rows."""
+    __slots__ = ("_k", "nominals")
+
+    def __init__(self, kernel: _Kernel, nominals: Mapping[str, World]):
+        self._k, self.nominals = kernel, nominals
 
     @staticmethod
     def make(worlds: Iterable[World],
@@ -203,39 +191,45 @@ class Interpretation:
                 out[index[a]] |= 1 << index[b]
             return _Rows(tuple(out))
 
-        leq = frozenset((a, b) for (a, b) in leq)
         up = rows(leq, "refinement pair")
-        roles = {r: frozenset(map(tuple, rel)) for r, rel in (roles or {}).items()}
-        role_rows = {r: rows(rel, f"role {r}: pair") for r, rel in roles.items()}
-        atoms = {a: frozenset(ext) for a, ext in (atoms or {}).items()}
-        for a, ext in atoms.items():
-            if not all(w in index for w in ext):
+        role_rows = {r: rows(rel, f"role {r}: pair") for r, rel in (roles or {}).items()}
+        masks = {}
+        for a, ext in (atoms or {}).items():
+            ext = set(ext)
+            if not ext <= index.keys():
                 raise ValueError(f"atom {a}: extension outside the entity set")
-        masks = {a: sum(1 << index[w] for w in ext) for a, ext in atoms.items()}
-        return _assemble(ws, leq, roles, atoms, dict(nominals or {}),
-                         _Kernel(ws, up, role_rows, masks))
+            masks[a] = sum(1 << index[w] for w in ext)
+        return Interpretation(_Kernel(ws, up, role_rows, masks), dict(nominals or {}))
 
-    def up(self, w: World) -> tuple:
-        """All refinements of w (including w when the order is reflexive)."""
-        k = _kernel(self)
-        return k.members(k.up.rows[k.pos(w)])
+    @property
+    def worlds(self) -> tuple[World, ...]:
+        return self._k.worlds
 
-    def successors(self, role: str, w: World) -> tuple:
-        k = _kernel(self)
-        return k.members(k.rel(role).rows[k.pos(w)])
+    @property
+    def leq(self) -> frozenset:
+        """Refinement pairs (w, v): w <= v."""
+        return self._k.pairs(self._k.up.rows)
+
+    @property
+    def roles(self) -> Mapping[str, frozenset]:
+        return {r: self._k.pairs(rel.rows) for r, rel in self._k.roles.items()}
+
+    @property
+    def atoms(self) -> Mapping[str, frozenset]:
+        return {a: frozenset(self._k.members(m)) for a, m in self._k.atoms.items()}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Interpretation):
+            return NotImplemented
+        k, o = self._k, other._k
+        return ((k.worlds, k.up, k.roles, k.atoms, self.nominals)
+                == (o.worlds, o.up, o.roles, o.atoms, other.nominals))
 
     def entity_of(self, nominal: str) -> World:
         try:
             return self.nominals[nominal]
         except KeyError:
             raise UnassignedNominalError(nominal) from None
-
-
-def _assemble(worlds, leq, roles, atoms, nominals, kernel: _Kernel) -> Interpretation:
-    """An interpretation from normalized fields and their ready kernel."""
-    I = Interpretation(worlds, leq, roles, atoms, nominals)
-    I._cache["kernel"] = kernel
-    return I
 
 
 # ---------------------------------------------------------------------------
@@ -269,30 +263,31 @@ def validate_interpretation(I: Interpretation) -> ValidationReport:
     The row check decides; only a failing model has its violations
     listed, with witnesses, pairs taken in repr order."""
     # equality-based scan: stays total even for malformed targets
-    if _kernel(I).frame_ok() and all(any(t == w for w in I.worlds)
-                                     for t in I.nominals.values()):
+    if I._k.frame_ok() and all(any(t == w for w in I.worlds)
+                               for t in I.nominals.values()):
         return ValidationReport(())
     return ValidationReport(tuple(_violations(I)))
 
 
 def _violations(I: Interpretation):
-    k = _kernel(I)
+    k = I._k
     pos, up = k.pos, k.up.rows
-    leq = sorted(I.leq, key=repr)
+    pairs, atoms, roles = I.leq, I.atoms, I.roles
+    leq = sorted(pairs, key=repr)
     for w in I.worlds:
-        if (w, w) not in I.leq:
+        if (w, w) not in pairs:
             yield Violation("reflexivity", (w,))
     for (a, b) in leq:
         for (c, d) in leq:
-            if b == c and (a, d) not in I.leq:
+            if b == c and (a, d) not in pairs:
                 yield Violation("transitivity", (a, b, d))
-    for name in sorted(I.atoms):
-        ext = I.atoms[name]
+    for name in sorted(atoms):
+        ext = atoms[name]
         for (w, v) in leq:
             if w in ext and v not in ext:
                 yield Violation("heredity", (name, w, v))
-    for role in sorted(I.roles):
-        rel = sorted(I.roles[role], key=repr)
+    for role in sorted(roles):
+        rel = sorted(roles[role], key=repr)
         succ = k.rel(role).rows
         pred = _transpose(succ)
         for (w, w2) in leq:
@@ -385,7 +380,7 @@ def satisfies(I: Interpretation, f: Formula) -> bool:
 def extension(I: Interpretation, c: Concept) -> frozenset:
     """The set of entities satisfying c, per the constructive clauses."""
     ids: dict = {}
-    top, k = _intern(c, ids), _kernel(I)
+    top, k = _intern(c, ids), I._k
     return frozenset(k.members(_values(k, tuple(ids))[top]))
 
 
@@ -427,7 +422,7 @@ class _Goal:
         self.ops = tuple(ids)
 
     def holds(self, I: Interpretation) -> bool:
-        k = _kernel(I)
+        k = I._k
         v = _values(k, self.ops)
         choices = {x: k.up.rows[k.pos(I.entity_of(x))] for x in self.outers}
         choices[None] = k.full
@@ -495,23 +490,22 @@ def model_from_dict(doc: dict, raw: bool = False) -> tuple[Interpretation, list[
     warnings = []
     try:
         worlds = list(doc["worlds"])
-        leq_in = [(p[0], p[1]) for p in doc.get("leq", [])]
+        leq = [(p[0], p[1]) for p in doc.get("leq", [])]
         roles = {r: [(p[0], p[1]) for p in rel]
                  for r, rel in doc.get("roles", {}).items()}
         atoms = {a: list(ext) for a, ext in doc.get("atoms", {}).items()}
         nominals = dict(doc.get("nominals", {}))
-        leq = reflexive_transitive_closure(leq_in, worlds)
         I = Interpretation.make(worlds, leq, roles, atoms, nominals)
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
         raise ModelFileError(f"malformed model document: {e}") from None
-    k = _kernel(I)
-    k.atoms = {a: _image(k.up.rows, m) for a, m in k.atoms.items()}
-    closed = {a: frozenset(k.members(m)) for a, m in k.atoms.items()}
-    for a, ext in I.atoms.items():
-        if closed[a] != ext:
+    k = I._k
+    k.up = _Rows(_closed_rows(k.up.rows))
+    closed = {a: _image(k.up.rows, m) for a, m in k.atoms.items()}
+    for a, m in k.atoms.items():
+        if closed[a] != m:
             warnings.append(f"atom {a}: extension closed under refinement "
-                            f"(added {sorted(closed[a] - ext, key=repr)})")
-    I = _assemble(I.worlds, I.leq, I.roles, closed, I.nominals, k)
+                            f"(added {sorted(k.members(closed[a] & ~m), key=repr)})")
+    k.atoms = closed
     if not raw:
         report = validate_interpretation(I)
         if not report.ok:
@@ -523,7 +517,7 @@ def load_model(path: str, raw: bool = False) -> tuple[Interpretation, list[str]]
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ModelFileError(f"{path}: {e}") from None
     return model_from_dict(doc, raw=raw)
 

@@ -418,7 +418,7 @@ def tree_from_dict(d: dict) -> ProofTree:
             cut_formula=parse_formula(raw["cut"]) if "cut" in raw else None,
         )
         premises = tuple(tree_from_dict(c) for c in d.get("premises", []))
-    except (KeyError, TypeError, AttributeError) as e:
+    except (KeyError, TypeError, AttributeError, RecursionError) as e:
         raise ProofFileError(f"malformed proof node: {e}") from None
     return ProofTree(conclusion, rule, params, premises)
 
@@ -427,7 +427,7 @@ def load_proof(path: str) -> ProofTree:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ProofFileError(f"{path}: {e}") from None
     return tree_from_dict(doc)
 
@@ -587,6 +587,8 @@ def prove(s: Sequent, max_depth: int = 24, max_visited: int = 100_000) -> ProveR
     tree at all; exhausting either budget is an honest unknown, never a
     refutation.
     """
+    if max_depth < 0 or max_visited < 0:
+        raise ValueError(f"budgets must be nonnegative: depth {max_depth}, visited {max_visited}")
     search = _Search(s, max_visited)
     tree, _ = search.prove(s, max_depth, frozenset())
     budget = "visited" if search.exhausted else "depth" if tree is None and search.depth_cut else None

@@ -181,7 +181,7 @@ def test_models_count_matches_stream(capsys):
 # input errors and report stability
 # ---------------------------------------------------------------------------
 
-def test_input_errors_exit_3(capsys, tmp_path):
+def test_input_errors_exit_3(capsys, tmp_path, golden_dir):
     rc, _, err = invoke(capsys, "prove", "missing.ialc")
     assert rc == 3 and "error:" in err
     rc, _, err = invoke(capsys, "prove", "x", "--bogus")
@@ -195,6 +195,13 @@ def test_input_errors_exit_3(capsys, tmp_path):
     rc, _, err = invoke(capsys, "eval", "--model", "nope.model",
                         "--formula", "top")
     assert rc == 3
+    # negative budgets and counts are input errors, not exhausted searches
+    lem = str(golden_dir / "lem.ialc")
+    for argv in (["prove", lem, "--depth", "-1"], ["prove", lem, "--visited", "-1"],
+                 *(["models", "--worlds", "1", flag, "-3", "--count-only"]
+                   for flag in ("--atoms", "--roles", "--nominals"))):
+        rc, out, err = invoke(capsys, *argv)
+        assert rc == 3 and not out and "nonnegative" in err, argv
 
 
 def test_adversarial_inputs_never_crash(capsys, tmp_path, golden_dir):
@@ -224,6 +231,17 @@ def test_adversarial_inputs_never_crash(capsys, tmp_path, golden_dir):
     not_tree.write_text('{"conclusion": 7}')
     rc, _, err = invoke(capsys, "check", str(not_tree))
     assert rc == 3
+    # proof and model files nested past the interpreter's recursion limit
+    node = '{"rule": "weaken", "conclusion": "A |- A", "premises": ['
+    deep_tree = tmp_path / "deep.prf"
+    deep_tree.write_text(node * 500 + '{"rule": "axiom", "conclusion": "A |- A"}'
+                         + "]}" * 500)
+    rc, _, err = invoke(capsys, "check", str(deep_tree))
+    assert rc == 3 and "error:" in err
+    deep_model = tmp_path / "deep.model"
+    deep_model.write_text('{"worlds": ' + "[" * 2000 + "]" * 2000 + "}")
+    rc, _, err = invoke(capsys, "eval", "--model", str(deep_model), "--formula", "top")
+    assert rc == 3 and "error:" in err
     # a goal nested 3,000 deep is a positioned input error, not a crash
     deep = tmp_path / "deep.ialc"
     deep.write_text("goal:\n  " + "not " * 3000 + "A\n")

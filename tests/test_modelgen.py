@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ialc.modelgen import (
-    GenerationBudgetError, Signature, enumerate_models, heredity_closure,
-    random_model, signature_for,
+    GenerationBudgetError, Signature, enumerate_models, random_model,
+    signature_for,
 )
-from ialc.semantics import validate_interpretation
+from ialc.semantics import model_from_dict, validate_interpretation
 from ialc.syntax import parse_sequent
 
 
@@ -131,26 +131,32 @@ LEQ = frozenset([("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"),
                  ("a", "c")])
 
 
+def heredity_closure(ext) -> frozenset:
+    """The extension model_from_dict gives atom A on the chain a <= b <= c."""
+    doc = {"worlds": list("abc"), "leq": sorted(map(list, LEQ)),
+           "atoms": {"A": sorted(ext)}}
+    return model_from_dict(doc)[0].atoms["A"]
+
+
 def test_heredity_closure_forced_upward():
-    assert heredity_closure({"A": {"a"}}, LEQ) == {"A": frozenset("abc")}
-    assert heredity_closure({"A": {"b"}}, LEQ) == {"A": frozenset("bc")}
-    assert heredity_closure({"A": set()}, LEQ) == {"A": frozenset()}
+    assert heredity_closure({"a"}) == frozenset("abc")
+    assert heredity_closure({"b"}) == frozenset("bc")
+    assert heredity_closure(set()) == frozenset()
 
 
 @settings(max_examples=200)
 @given(st.frozensets(st.sampled_from("abc")))
 def test_heredity_closure_properties(seed_set):
-    once = heredity_closure({"A": seed_set}, LEQ)["A"]
-    assert seed_set <= once                                   # extensive
-    assert heredity_closure({"A": once}, LEQ)["A"] == once    # idempotent
+    once = heredity_closure(seed_set)
+    assert seed_set <= once                          # extensive
+    assert heredity_closure(once) == once            # idempotent
 
 
 @settings(max_examples=200)
 @given(st.frozensets(st.sampled_from("abc")), st.frozensets(st.sampled_from("abc")))
 def test_heredity_closure_monotone(s1, s2):
     lo, hi = (s1, s1 | s2)
-    assert (heredity_closure({"A": lo}, LEQ)["A"]
-            <= heredity_closure({"A": hi}, LEQ)["A"])
+    assert heredity_closure(lo) <= heredity_closure(hi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from ialc.modelgen import (
 )
 from ialc.semantics import (
     Interpretation, ModelFileError, UnassignedNominalError, Violation,
-    entails, extension, load_model, model_from_dict, satisfies, save_model,
-    sequent_valid, validate_interpretation,
+    entails, extension, load_model, model_from_dict, model_to_dict, satisfies,
+    save_model, sequent_valid, validate_interpretation,
 )
 from ialc.syntax import (
     And, Atom, BOT, Bot, ConceptF, Exists, Forall, NominalAssertion, Not, Or,
@@ -153,6 +153,22 @@ def test_extension_agrees_with_oracle_on_random_models():
 def test_extension_missing_names_default_empty(chain):
     assert extension(chain, Atom("Missing")) == frozenset()
     assert extension(chain, Exists("NoRole", TOP)) == frozenset()
+
+
+def test_an_undeclared_role_leaves_shared_frames_unchanged(golden_dir):
+    """Evaluating a role no model declares must not declare it: models
+    that differ only in their nominals share one frame."""
+    loaded, _ = load_model(str(golden_dir / "chain.model"))
+    siblings = list(enumerate_models(Signature(("A",), ("R",), ("x", "y"), 2)))
+    models = [loaded, *siblings]
+    before = [(I.roles, model_to_dict(I)) for I in models]
+    probes = (Exists("S", A), Forall("S", A))
+    for I in models:
+        for c in probes:
+            extension(I, c)
+            sequent_valid(I, Sequent(frozenset(), NominalAssertion("x", ConceptF(c))))
+    assert "S" not in loaded.roles
+    assert [(I.roles, model_to_dict(I)) for I in models] == before
 
 
 def test_extension_order_independent(chain):
@@ -389,6 +405,11 @@ def test_loaders_survive_adversarial_documents():
             tree_from_dict(doc)
         except (ProofFileError, ParseError):
             pass
+    deep = {"rule": "axiom", "conclusion": "A |- A"}
+    for _ in range(3000):
+        deep = {"rule": "weaken", "conclusion": "A |- A", "premises": [deep]}
+    with pytest.raises(ProofFileError):
+        tree_from_dict(deep)
 
 
 # ---------------------------------------------------------------------------
