@@ -5,6 +5,8 @@ For each goal the script runs the cut-free prover and the finite
 countermodel search side by side, printing proved / refuted / open.
 
     python scripts/classical_vs_constructive.py --max-worlds 3
+
+CI compares that run's output with classical_vs_constructive.expected.
 """
 
 import argparse

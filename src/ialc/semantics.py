@@ -178,10 +178,12 @@ class Interpretation:
              nominals: Mapping[str, World] | None = None) -> "Interpretation":
         """Normalize and sanity-check field shapes (not the frame laws),
         and build the bit rows."""
-        ws = tuple(dict.fromkeys(worlds))
+        ws = tuple(worlds)
         if not ws:
             raise ValueError("interpretation needs a nonempty entity set")
         index = {w: i for i, w in enumerate(ws)}
+        if len(index) < len(ws):
+            raise ValueError(f"entity set lists equal entities twice: {list(ws)!r}")
 
         def rows(pairs, what: str) -> _Rows:
             out = [0] * len(ws)

@@ -284,17 +284,13 @@ _RULES = {
 }
 
 
-def _nominals(*seqs: Sequent) -> set:
-    return {n for s in seqs for f in (*s.antecedent, s.succedent) for n in _nominals_in_order(f)}
-
-
 class _Premises(tuple):
     """The stated premises of a step, as the chooser of check_step: what
     the conclusion leaves open is read off them."""
 
     def witnesses(self, seq: Sequent):
         # the eigenvariable is a premise nominal that is absent from the conclusion
-        return _nominals(*self) - _nominals(seq)
+        return frozenset().union(*map(nominals_of, self)) - nominals_of(seq)
 
     def edges(self, shapes: list):
         return (self[0].succedent,)
@@ -305,7 +301,7 @@ class _Premises(tuple):
 
     def unprefixed(self, seq: Sequent):
         (p,) = self
-        return [(x, p.antecedent, p.succedent) for x in _nominals(seq)]
+        return [(x, p.antecedent, p.succedent) for x in nominals_of(seq)]
 
 
 def _agrees(stated: RuleParams, made: RuleParams) -> bool:
@@ -434,8 +430,7 @@ def load_proof(path: str) -> ProofTree:
 
 def save_proof(t: ProofTree, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tree_to_dict(t), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(tree_to_dict(t), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

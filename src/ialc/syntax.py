@@ -16,10 +16,10 @@ Concrete grammar (ASCII):
 
 Atoms and roles start with an uppercase letter; nominals start with a
 lowercase letter or underscore (``top``, ``bot``, ``not``, ``some``,
-``all`` are reserved).  Precedence, tightest first: ``not``/quantifiers,
-``&``, ``|``, ``->``.  ``->`` is right-associative, ``&`` and ``|``
-left-associative, and a quantifier body is a single unary item, so
-``all R.A & B`` reads ``(all R.A) & B``.
+``all`` are reserved).  One operator table is the source of precedence
+for parser and printer, tightest first: ``not``/quantifiers, ``&``, ``|``,
+``->``.  ``->`` is right-associative, ``&`` and ``|`` left-associative,
+and a quantifier body is one unary item: ``all R.A & B`` is ``(all R.A) & B``.
 
 One ``re`` pass lexes the text into a flat list of token strings, ending
 in the empty end-of-input sentinel: a punctuation or keyword token's text
@@ -224,8 +224,18 @@ class ParseError(Exception):
         return base
 
 
-_KEYWORDS = frozenset({"top", "bot", "not", "some", "all"})
-_PUNCT = frozenset({"|-", "->", "&", "|", ":", ";", ",", ".", "(", ")"})
+# The operator table.  Binary levels loosest first: the index is the
+# precedence, the flag says right-associative.  Prefix items, atoms and
+# constants bind tighter, at _UNARY.  The printer reads it by node type.
+_BINARY = (("->", Subs, True), ("|", Or, False), ("&", And, False))
+_PREFIX = {"not": Not, "some": Exists, "all": Forall}
+_CONSTANTS = {"top": TOP, "bot": BOT}
+_UNARY = len(_BINARY)
+_INFIX = {make: (level, f" {token} ", right) for level, (token, make, right) in enumerate(_BINARY)}
+_WORDS = {m: w for w, m in _PREFIX.items()} | {type(c): w for w, c in _CONSTANTS.items()}
+
+_KEYWORDS = frozenset(_PREFIX) | frozenset(_CONSTANTS)
+_PUNCT = frozenset({"|-", ":", ";", ",", ".", "(", ")"}) | {t for t, _, _ in _BINARY}
 _UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _LOWER = frozenset("abcdefghijklmnopqrstuvwxyz_")
 
@@ -289,33 +299,20 @@ class _Parser:
 
     # -- concepts ----------------------------------------------------------
 
-    def concept(self) -> Concept:
-        left = self.disj()
-        if self.toks[self.i] == "->":
-            self.i += 1
-            self.deeper()
-            right = self.concept()
-            self.depth -= 1
-            return Subs(left, right)
-        return left
-
-    def disj(self) -> Concept:
+    def concept(self, level: int = 0) -> Concept:
+        """A chain of the operator at ``level`` of _BINARY; the right operand
+        of a right-associative one is the rest of the chain."""
+        if level == _UNARY:
+            return self.unary()
+        token, make, right = _BINARY[level]
+        c = self.concept(level + 1)
+        if self.toks[self.i] != token:
+            return c
         saved = self.depth
-        c = self.conj()
-        while self.toks[self.i] == "|":
+        while self.toks[self.i] == token:
             self.i += 1
             self.deeper()       # each operator nests the tree one deeper
-            c = Or(c, self.conj())
-        self.depth = saved
-        return c
-
-    def conj(self) -> Concept:
-        saved = self.depth
-        c = self.unary()
-        while self.toks[self.i] == "&":
-            self.i += 1
-            self.deeper()
-            c = And(c, self.unary())
+            c = make(c, self.concept(level if right else level + 1))
         self.depth = saved
         return c
 
@@ -324,25 +321,22 @@ class _Parser:
         if t[:1] in _UPPER:
             self.i += 1
             return Atom(t)
-        if t == "top":
+        if t in _CONSTANTS:
             self.i += 1
-            return TOP
-        if t == "bot":
-            self.i += 1
-            return BOT
-        if t not in ("(", "not", "some", "all"):
+            return _CONSTANTS[t]
+        if t != "(" and t not in _PREFIX:
             raise self.error({"concept"})
         self.i += 1
         self.deeper()
         if t == "(":
             c = self.concept()
             self.expect(")", "')'")
-        elif t == "not":
+        elif _PREFIX[t] is Not:
             c = Not(self.unary())
         else:
             role = self.expect_role()
             self.expect(".", "'.'")
-            c = (Exists if t == "some" else Forall)(role, self.unary())
+            c = _PREFIX[t](role, self.unary())
         self.depth -= 1     # the item is closed: a chain around it counts no deeper
         return c
 
@@ -434,38 +428,24 @@ def parse_sequent(text: str) -> Sequent:
 # Printer
 # ---------------------------------------------------------------------------
 
-# binding strength of each binary level; unary constructs sit above these
-_PREC_SUBS, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4
-
-
 def _render_concept(c: Concept, min_prec: int) -> str:
-    if isinstance(c, Atom):
+    """c in concrete syntax, parenthesized when its binary level binds
+    looser than min_prec."""
+    kind = type(c)
+    if kind is Atom:
         return c.name
-    if isinstance(c, Top):
-        return "top"
-    if isinstance(c, Bot):
-        return "bot"
-    if isinstance(c, Not):
-        return "not " + _render_concept(c.body, _PREC_UNARY)
-    if isinstance(c, Exists):
-        return f"some {c.role}." + _render_concept(c.body, _PREC_UNARY)
-    if isinstance(c, Forall):
-        return f"all {c.role}." + _render_concept(c.body, _PREC_UNARY)
-    if isinstance(c, And):
-        s = (_render_concept(c.left, _PREC_AND) + " & "
-             + _render_concept(c.right, _PREC_AND + 1))
-        own = _PREC_AND
-    elif isinstance(c, Or):
-        s = (_render_concept(c.left, _PREC_OR) + " | "
-             + _render_concept(c.right, _PREC_OR + 1))
-        own = _PREC_OR
-    elif isinstance(c, Subs):
-        s = (_render_concept(c.left, _PREC_SUBS + 1) + " -> "
-             + _render_concept(c.right, _PREC_SUBS))
-        own = _PREC_SUBS
-    else:
+    if kind in _INFIX:
+        level, token, right = _INFIX[kind]
+        s = (_render_concept(c.left, level + right) + token
+             + _render_concept(c.right, level + 1 - right))
+        return "(" + s + ")" if level < min_prec else s
+    word = _WORDS.get(kind)
+    if word is None:
         raise TypeError(f"not a concept: {c!r}")
-    return "(" + s + ")" if own < min_prec else s
+    if kind is Top or kind is Bot:
+        return word
+    head = word + " " if kind is Not else f"{word} {c.role}."
+    return head + _render_concept(c.body, _UNARY)
 
 
 def render(obj: Union[Concept, Formula, Sequent]) -> str:
@@ -480,7 +460,7 @@ def render(obj: Union[Concept, Formula, Sequent]) -> str:
         if isinstance(obj.body, NominalAssertion):
             return f"{obj.nominal} : ({render(obj.body)})"
         # parenthesize binary bodies for readability: x : (A -> B)
-        return f"{obj.nominal} : " + _render_concept(obj.body.concept, _PREC_UNARY)
+        return f"{obj.nominal} : " + _render_concept(obj.body.concept, _UNARY)
     if isinstance(obj, Sequent):
         succ = render(obj.succedent)
         if not obj.antecedent:

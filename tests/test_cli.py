@@ -157,13 +157,15 @@ def test_eval_raw_loads_frame_violations(tmp_path, capsys):
 # axioms / models
 # ---------------------------------------------------------------------------
 
-def test_axioms_writes_and_verifies(tmp_path, capsys):
+def test_axioms_writes_and_verifies(tmp_path, capsys, golden_dir):
     rc, out, _ = invoke(capsys, "axioms", "--out", str(tmp_path))
     assert rc == 0
     lines = out.strip().splitlines()
     assert len(lines) == 5
     for i in range(1, 6):
         assert check_proof(load_proof(str(tmp_path / f"axiom{i}.prf"))).ok
+        written = (tmp_path / f"axiom{i}.prf").read_bytes()
+        assert written == (golden_dir / f"axiom{i}.prf").read_bytes(), f"axiom{i}.prf"
 
 
 def test_models_count_matches_stream(capsys):

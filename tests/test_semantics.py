@@ -114,6 +114,10 @@ def test_make_rejects_out_of_universe_references():
         Interpretation.make(["w"], [("w", "w")], roles={"R": [("w", "q")]})
     with pytest.raises(ValueError):
         Interpretation.make(["w"], [("w", "w")], atoms={"A": ["q"]})
+    # equal entities would merge into one world
+    for worlds in (["w", "w"], [1, True, 1.0]):
+        with pytest.raises(ValueError):
+            Interpretation.make(worlds)
 
 
 def test_empty_report_iff_valid(two_world_models):
@@ -405,6 +409,8 @@ def test_loaders_survive_adversarial_documents():
             tree_from_dict(doc)
         except (ProofFileError, ParseError):
             pass
+    with pytest.raises(ModelFileError):
+        model_from_dict({"worlds": [1, True, 1.0], "atoms": {"A": [True]}})
     deep = {"rule": "axiom", "conclusion": "A |- A"}
     for _ in range(3000):
         deep = {"rule": "weaken", "conclusion": "A |- A", "premises": [deep]}

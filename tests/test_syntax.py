@@ -1,15 +1,15 @@
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Union
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ialc.syntax import (
-    And, Atom, BOT, Concept, ConceptF, Exists, Forall, Formula, NominalAssertion, Not, Or,
-    MAX_NESTING, ParseError, RoleAssertion, Sequent, Subs, TOP, outer_nominal,
+    And, Atom, BOT, Bot, Concept, ConceptF, Exists, Forall, Formula, NominalAssertion, Not, Or,
+    MAX_NESTING, ParseError, RoleAssertion, Sequent, Subs, TOP, Top, outer_nominal,
     parse_concept, parse_formula, parse_problem, parse_sequent, render,
     atoms_of, nominals_of, roles_of,
 )
@@ -647,3 +647,110 @@ def test_parser_matches_reference_on_rendered_asts(seed):
 ])
 def test_parser_matches_reference_on_deep_inputs(text):
     assert_same_as_reference(text)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the previous printer
+# ---------------------------------------------------------------------------
+# The printer below is the previous implementation, kept verbatim (only
+# render is renamed ref_render, in its recursive calls too) as the
+# reference that the table-driven printer must reproduce character for
+# character.
+
+# binding strength of each binary level; unary constructs sit above these
+_PREC_SUBS, _PREC_OR, _PREC_AND, _PREC_UNARY = 1, 2, 3, 4
+
+
+def _render_concept(c: Concept, min_prec: int) -> str:
+    if isinstance(c, Atom):
+        return c.name
+    if isinstance(c, Top):
+        return "top"
+    if isinstance(c, Bot):
+        return "bot"
+    if isinstance(c, Not):
+        return "not " + _render_concept(c.body, _PREC_UNARY)
+    if isinstance(c, Exists):
+        return f"some {c.role}." + _render_concept(c.body, _PREC_UNARY)
+    if isinstance(c, Forall):
+        return f"all {c.role}." + _render_concept(c.body, _PREC_UNARY)
+    if isinstance(c, And):
+        s = (_render_concept(c.left, _PREC_AND) + " & "
+             + _render_concept(c.right, _PREC_AND + 1))
+        own = _PREC_AND
+    elif isinstance(c, Or):
+        s = (_render_concept(c.left, _PREC_OR) + " | "
+             + _render_concept(c.right, _PREC_OR + 1))
+        own = _PREC_OR
+    elif isinstance(c, Subs):
+        s = (_render_concept(c.left, _PREC_SUBS + 1) + " -> "
+             + _render_concept(c.right, _PREC_SUBS))
+        own = _PREC_SUBS
+    else:
+        raise TypeError(f"not a concept: {c!r}")
+    return "(" + s + ")" if own < min_prec else s
+
+
+def ref_render(obj: Union[Concept, Formula, Sequent]) -> str:
+    """Concrete syntax for a concept, formula, or sequent; reparses to obj."""
+    if isinstance(obj, Concept):
+        return _render_concept(obj, 0)
+    if isinstance(obj, ConceptF):
+        return _render_concept(obj.concept, 0)
+    if isinstance(obj, RoleAssertion):
+        return f"{obj.role}({obj.subject},{obj.object})"
+    if isinstance(obj, NominalAssertion):
+        if isinstance(obj.body, NominalAssertion):
+            return f"{obj.nominal} : ({ref_render(obj.body)})"
+        # parenthesize binary bodies for readability: x : (A -> B)
+        return f"{obj.nominal} : " + _render_concept(obj.body.concept, _PREC_UNARY)
+    if isinstance(obj, Sequent):
+        succ = ref_render(obj.succedent)
+        if not obj.antecedent:
+            return "|- " + succ
+        members = sorted(ref_render(m) for m in obj.antecedent)
+        return " ; ".join(members) + " |- " + succ
+    raise TypeError(f"cannot render {obj!r}")
+
+
+def _fresh_constants(c: Concept) -> Concept:
+    """c with each top and bot leaf a new instance, not the TOP/BOT singleton."""
+    if isinstance(c, (Top, Bot)):
+        return type(c)()
+    return type(c)(*(_fresh_constants(v) if isinstance(v, Concept) else v
+                     for v in vars(c).values()))
+
+
+def assert_renders_as_reference(obj):
+    assert render(obj) == ref_render(obj), obj
+
+
+@settings(max_examples=300)
+@given(_concepts, _formulas, st.frozensets(_formulas, max_size=4))
+def test_render_matches_reference_on_generated_asts(c, f, ant):
+    fresh = _fresh_constants(c)
+    for obj in (c, fresh, ConceptF(fresh), NominalAssertion("x", ConceptF(fresh)),
+                f, Sequent(ant, f)):
+        assert_renders_as_reference(obj)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_render_matches_reference_on_random_asts(seed):
+    rng = random.Random(200 + seed)
+    for obj in (Top(), Bot(), Not(Top()), Or(Bot(), Subs(Top(), Bot()))):
+        assert_renders_as_reference(obj)
+    for _ in range(1_000):
+        c = _random_concept(rng, rng.randint(1, 30))
+        fresh = _fresh_constants(c)
+        s = Sequent.make([_random_formula(rng) for _ in range(rng.randint(0, 3))],
+                         _random_formula(rng))
+        for obj in (c, fresh, ConceptF(fresh), NominalAssertion("y", ConceptF(fresh)),
+                    NominalAssertion("x", NominalAssertion("y", ConceptF(fresh))), s):
+            assert_renders_as_reference(obj)
+
+
+@pytest.mark.parametrize("obj", [Concept(), ConceptF(Concept()), 42, None])
+def test_render_rejects_what_the_reference_rejects(obj):
+    for r in (render, ref_render):
+        with pytest.raises(TypeError):
+            r(obj)
