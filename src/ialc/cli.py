@@ -11,6 +11,7 @@ import functools
 import json
 import os
 import sys
+import time
 from typing import Optional
 
 from . import golden, hilbert
@@ -71,6 +72,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-worlds", type=int, required=True)
     p.add_argument("--emit-model", metavar="F")
     p.add_argument("--tbox-local", action="store_true")
+    p.add_argument("--stats", action="store_true", help="print the models enumerated "
+                   "and evaluated per world count as one JSON line on stderr")
 
     p = sub.add_parser("eval", help="evaluate a formula or sequent on a model")
     p.add_argument("--model", required=True, metavar="F")
@@ -133,7 +136,12 @@ def _cmd_check(args) -> int:
 def _cmd_countermodel(args) -> int:
     goal = _load_problem(args.problem).sequent()
     sig = signature_for(goal, args.max_worlds)
-    model = find_countermodel(goal, sig, tbox_global=not args.tbox_local)
+    stats = {} if args.stats else None
+    start = time.perf_counter()
+    model = find_countermodel(goal, sig, tbox_global=not args.tbox_local, stats=stats)
+    if stats is not None:
+        stats["elapsed_s"] = round(time.perf_counter() - start, 6)
+        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
     if model is None:
         print(f"no countermodel with up to {args.max_worlds} worlds: {render(goal)}")
         return EXIT_OK

@@ -7,6 +7,11 @@ satisfy the frame conditions and only refinement-closed atom extensions.
 Random generation rejection-samples roles against the frame conditions,
 so both paths emit models that pass validation.
 
+``candidates`` filters the enumeration down to the models that can be
+the first on which a sequent fails: those that come first among their
+copies under a renaming of worlds and are generated by one world and
+the nominals' worlds.  The countermodel search evaluates only these.
+
 A relation on n worlds is a bitmask over its n*n pairs, row by row, so
 the mask splits directly into the bit rows of the semantics kernel, the
 only stored form of a model.  Preorders, frame-compatible relations and
@@ -18,9 +23,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
-from typing import Iterator
+from functools import lru_cache, reduce
+from itertools import permutations, product
+from operator import or_
+from typing import Iterable, Iterator
 
 from .semantics import (
     Interpretation, _closed_rows, _image, _Kernel, _preorder_ok, _role_ok,
@@ -29,8 +35,8 @@ from .semantics import (
 from .syntax import Sequent, atoms_of, nominals_of, roles_of
 
 __all__ = [
-    "Signature", "GenerationBudgetError", "enumerate_models", "random_model",
-    "signature_for",
+    "Signature", "GenerationBudgetError", "enumerate_models", "candidates",
+    "random_model", "signature_for",
 ]
 
 
@@ -97,19 +103,104 @@ def enumerate_models(sig: Signature) -> Iterator[Interpretation]:
     """Every interpretation over 1..max_worlds entities, in a fixed order.
 
     Models that differ only in their nominals share one bit-row kernel
-    built from the per-preorder and per-relation tables.
+    built from the per-preorder and per-relation tables; the kernels of
+    one world count share its world index.
     """
     for n in range(1, sig.max_worlds + 1):
         worlds = tuple(range(n))
+        index = {w: w for w in worlds}
+        assignments = [dict(zip(sig.nominals, v))
+                       for v in product(worlds, repeat=len(sig.nominals))]
         for up in _preorders(n):
             role_choices = _frame_relations(n, up.rows)
             atom_choices = _upclosed_sets(n, up.rows)
             for role_vec in product(role_choices, repeat=len(sig.roles)):
                 roles = dict(zip(sig.roles, role_vec))
                 for atom_vec in product(atom_choices, repeat=len(sig.atoms)):
-                    kernel = _Kernel(worlds, up, roles, dict(zip(sig.atoms, atom_vec)))
-                    for nom_vec in product(worlds, repeat=len(sig.nominals)):
-                        yield Interpretation(kernel, dict(zip(sig.nominals, nom_vec)))
+                    kernel = _Kernel(worlds, up, roles, dict(zip(sig.atoms, atom_vec)), index)
+                    for nominals in assignments:
+                        yield Interpretation(kernel, nominals.copy())
+
+
+# ---------------------------------------------------------------------------
+# The models that can be the first countermodel
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _set_images(n: int) -> tuple:
+    """For each set of n worlds, its image under each relabelling: each
+    permutation of the worlds but the identity."""
+    perms = [p for p in permutations(range(n)) if p != tuple(range(n))]
+    return tuple(tuple(_image([1 << q for q in p], m) for p in perms) for m in range(1 << n))
+
+
+@lru_cache(maxsize=None)
+def _relation_images(rows: tuple) -> tuple:
+    """A relation's mask and its mask under each relabelling (which takes
+    world i to the one world of the image of {i})."""
+    n, sets = len(rows), _set_images(len(rows))
+    return (sum(r << n * i for i, r in enumerate(rows)),
+            tuple(sum(sets[r][g] << n * (sets[1 << i][g].bit_length() - 1)
+                      for i, r in enumerate(rows)) for g in range(len(sets[0]))))
+
+
+def _fixers(group, values: list):
+    """The relabellings in group that fix every (value, its images), or
+    None when one maps the values to a lexicographically smaller vector."""
+    kept = []
+    for g in group:
+        for v, images in values:
+            if images[g] != v:
+                if images[g] < v:
+                    return None
+                break
+        else:
+            kept.append(g)
+    return kept
+
+
+@lru_cache(maxsize=None)
+def _generated(edges: tuple, nominals: bool):
+    """For each set of nominal worlds (only the empty one without
+    nominals), whether it and one more world generate the frame along
+    edges; None when none does."""
+    reach = _closed_rows(edges)
+    table = tuple(any(r | _image(reach, m) == (1 << len(reach)) - 1 for r in reach)
+                  for m in range(1 << len(reach) if nominals else 1))
+    return table if any(table) else None
+
+
+def candidates(models: Iterable[Interpretation], sig: Signature) -> Iterator[Interpretation]:
+    """The models of ``enumerate_models(sig)`` that can be the first on
+    which a sequent over sig fails; the rest are pulled and dropped.
+
+    Truth does not change under renaming worlds, and the stream is in
+    lexicographic order of (world count, preorder mask, role masks, atom
+    masks, nominal vector), so that model comes first among its renamed
+    copies: checked down a stabiliser chain, per frame, kernel and model.
+    Truth at a world depends only on the submodel it generates under
+    refinement and every role, and that submodel is a model, enumerated
+    at a lower world count if smaller: so one world and the nominals'
+    worlds generate that model.
+    """
+    up = roles = kernel = None
+    for I in models:
+        k = I._k
+        if k.up is not up or k.roles is not roles:
+            up, roles, sets = k.up, k.roles, _set_images(len(k.worlds))
+            rels = [up.rows, *(roles[r].rows for r in sig.roles)]
+            generated = _generated(tuple(reduce(or_, c) for c in zip(*rels)), bool(sig.nominals))
+            # the relabellings, by index, that fix the preorder and the roles
+            frame = generated and _fixers(range(len(sets[0])), [*map(_relation_images, rels)])
+        if k is not kernel:
+            kernel = k
+            group = frame and _fixers(frame, [(m, sets[m]) for m in map(k.atoms.get, sig.atoms)])
+        if group is None:
+            continue
+        bits = [1 << I.nominals[x] for x in sig.nominals]    # world w as {w}: same order
+        if generated[reduce(or_, bits, 0)] and (
+                not group or _fixers(group, [(b, sets[b]) for b in bits]) is not None):
+            yield I
 
 
 _EDGE_P = 0.3      # off-diagonal refinement edges

@@ -132,9 +132,9 @@ class _Kernel:
     values."""
     __slots__ = ("worlds", "index", "full", "up", "roles", "atoms", "memo")
 
-    def __init__(self, worlds: tuple, up: _Rows, roles: dict, atoms: dict):
+    def __init__(self, worlds: tuple, up: _Rows, roles: dict, atoms: dict, index=None):
         self.worlds, self.up, self.roles, self.atoms = worlds, up, roles, atoms
-        self.index = {w: i for i, w in enumerate(worlds)}
+        self.index = index or {w: i for i, w in enumerate(worlds)}
         self.full = (1 << len(worlds)) - 1
         self.memo = None
 

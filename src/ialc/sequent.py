@@ -27,17 +27,22 @@ edge is the first premise's succedent, the sub-l premises may split the
 context, and the p-nom premise may have any antecedent that lifts to the
 conclusion's.  A stated param is compared only with the fields the
 instance sets, so a ``role`` contradicting the quantifier is rejected.
+
+``find_countermodel`` evaluates a sequent only on the enumerated models
+that can be the first to fail it (``modelgen.candidates``: first among
+their renamed copies, generated), so it reports the first failing model.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 from typing import Iterator, Optional, Sequence
 
-from .modelgen import Signature, enumerate_models
+from .modelgen import Signature, candidates, enumerate_models
 from .semantics import Interpretation, entails
 from .syntax import (
     And, Bot, ConceptF, Exists, Forall, Formula, NominalAssertion,
@@ -256,7 +261,7 @@ def _lift(f: Formula, x: str) -> Formula:
 
 def _p_nom(seq: Sequent, shapes: list, chooser) -> Iterator:
     # premise gamma |- delta, conclusion: every concept of both prefixed with x
-    if any(isinstance(m, ConceptF) for m, _, _ in shapes):
+    if any(isinstance(m, ConceptF) for m in seq.antecedent):
         return      # a lifted antecedent has no concept member
     for x, gamma, delta in chooser.unprefixed(seq):
         if (_lift(delta, x) == seq.succedent
@@ -267,9 +272,9 @@ def _p_nom(seq: Sequent, shapes: list, chooser) -> Iterator:
 
 # Every rule but cut and weaken, in the order the search tries them, as
 # (principal, instances): principal is (on the left?, operator) of the
-# formula the rule decomposes, None when there is none, and
-# instances(conclusion, antecedent shapes, chooser) yields (label, params,
-# premises) for each way the rule derives the conclusion.
+# formula the rule decomposes, None when there is none and the rule reads
+# no shapes, and instances(conclusion, antecedent shapes, chooser) yields
+# (label, params, premises) for each way the rule derives the conclusion.
 _RULES = {
     "axiom": (None, _axiom), "bot-l": ((True, Bot), _bot_l),
     # invertible decompositions first
@@ -336,8 +341,11 @@ def check_step(rule: str, params: Optional[RuleParams],
         return (gamma in p2.antecedent and p2.succedent == succ
                 and p1.antecedent | (p2.antecedent - {gamma}) == ant)
 
-    premises = _Premises(premises)
-    for label, made, prem in _RULES[base][1](conclusion, [_shape(m) for m in ant], premises):
+    # initial sequents leave nothing to choose, and principal-free rules read no shapes
+    premises = _Premises(premises) if premises else ()
+    principal, instances = _RULES[base]
+    for label, made, prem in instances(conclusion, principal and [_shape(m) for m in ant],
+                                       premises):
         if label == rule and prem == premises and _agrees(p, made):
             return True
     return False
@@ -590,7 +598,22 @@ def prove(s: Sequent, max_depth: int = 24, max_visited: int = 100_000) -> ProveR
     return ProveResult(tree, search.visited, search.cache_hits, search.loop_prunes, budget)
 
 
-def find_countermodel(s: Sequent, sig: Signature,
-                      tbox_global: bool = True) -> Optional[Interpretation]:
-    """First enumerated model on which s fails, None if all satisfy it."""
-    return entails(enumerate_models(sig), s, tbox_global)
+def _counted(models: Iterator[Interpretation], tally: Counter) -> Iterator[Interpretation]:
+    for I in models:
+        tally[len(I.worlds)] += 1
+        yield I
+
+
+def find_countermodel(s: Sequent, sig: Signature, tbox_global: bool = True,
+                      stats: Optional[dict] = None) -> Optional[Interpretation]:
+    """First enumerated model on which s fails, None if all satisfy it;
+    s is evaluated only on ``modelgen.candidates``, and sig must assign
+    every nominal of s.  A stats dict gets Counters of the models
+    ``enumerated`` and ``evaluated`` per world count."""
+    models = enumerate_models(sig)
+    if stats is not None:
+        models = _counted(models, stats.setdefault("enumerated", Counter()))
+    models = candidates(models, sig)
+    if stats is not None:
+        models = _counted(models, stats.setdefault("evaluated", Counter()))
+    return entails(models, s, tbox_global)

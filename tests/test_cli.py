@@ -119,6 +119,20 @@ def test_countermodel_none_found(capsys, tmp_path):
     assert rc == 0 and out.startswith("no countermodel")
 
 
+@pytest.mark.parametrize("name,enumerated,evaluated", [
+    ("lem", {"1": 2, "2": 6}, {"1": 2, "2": 2}),
+    ("axiom4", {"1": 8, "2": 900}, {"1": 8, "2": 450}),
+])
+def test_countermodel_stats_go_to_stderr_only(capsys, golden_dir, name, enumerated, evaluated):
+    argv = ["countermodel", str(golden_dir / f"{name}.ialc"), "--max-worlds", "2"]
+    rc, out, err = invoke(capsys, *argv, "--stats")
+    assert (rc, out, "") == invoke(capsys, *argv)
+    stats = json.loads(err)
+    assert set(stats) == {"enumerated", "evaluated", "elapsed_s"}
+    assert (stats["enumerated"], stats["evaluated"]) == (enumerated, evaluated)
+    assert stats["elapsed_s"] >= 0 and err.count("\n") == 1
+
+
 def test_eval_formula_reports(capsys, golden_dir):
     rc, out, _ = invoke(capsys, "eval", "--model",
                         str(golden_dir / "chain.model"), "--formula", "top")
