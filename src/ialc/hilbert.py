@@ -194,8 +194,9 @@ def check_hilbert_proof(p: HilbertProof) -> CheckResult:
 # Proof files
 # ---------------------------------------------------------------------------
 
+_ROLE_RE = re.compile(r"[A-Z][A-Za-z0-9_']*")
 _MP_RE = re.compile(r"^mp\s+(\d+)\s+(\d+)$")
-_NEC_RE = re.compile(r"^nec\s+(\d+)\s+([A-Z][A-Za-z0-9_']*)$")
+_NEC_RE = re.compile(rf"^nec\s+(\d+)\s+({_ROLE_RE.pattern})$")
 _AX_RE = re.compile(r"^(ipl\s+[a-z0-9]+|ik\s+\d+)\s*(\[.*\])?$")
 
 
@@ -203,20 +204,25 @@ def _parse_subst(text: str, lineno: int, start: int) -> tuple[tuple[str, Union[C
     """The bindings of a bracketed list that begins at column start + 1."""
     if not text[1:-1].strip():
         return ()
-    out = []
+    out = {}
     start += 1
     for part in text[1:-1].split(","):
         if ":=" not in part:
             raise ParseError(f"bad binding {part.strip()!r}", lineno, 1)
         name, value = part.split(":=", 1)
-        name = name.strip()
-        if name == "R":
-            out.append((name, value.strip()))
+        key, at = name.strip(), start + part.index(":=") + 2
+        if key in out:
+            raise ParseError(f"{key} is bound twice", lineno,
+                             start + 1 + len(name) - len(name.lstrip()))
+        if key != "R":
+            out[key] = _parse_line(parse_concept, value, lineno, at)
+        elif _ROLE_RE.fullmatch(value.strip()):
+            out[key] = value.strip()
         else:
-            at = start + part.index(":=") + 2
-            out.append((name, _parse_line(parse_concept, value, lineno, at)))
+            raise ParseError(f"R needs one role name, not {value.strip()!r}", lineno,
+                             at + 1 + len(value) - len(value.lstrip()))
         start += len(part) + 1
-    return tuple(out)
+    return tuple(out.items())
 
 
 def parse_hilbert_proof(text: str) -> HilbertProof:
@@ -231,16 +237,13 @@ def parse_hilbert_proof(text: str) -> HilbertProof:
         concept = _parse_line(parse_concept, concept_text, lineno)
         just_text = just_code.strip()
         just_at = len(concept_text) + 1 + len(just_code) - len(just_code.lstrip())
-        m = _MP_RE.match(just_text)
-        if m:
+        if m := _MP_RE.match(just_text):
             lines.append(ProofLine(concept, ModusPonens(int(m.group(1)), int(m.group(2)))))
             continue
-        m = _NEC_RE.match(just_text)
-        if m:
+        if m := _NEC_RE.match(just_text):
             lines.append(ProofLine(concept, Necessitation(int(m.group(1)), m.group(2))))
             continue
-        m = _AX_RE.match(just_text)
-        if m:
+        if m := _AX_RE.match(just_text):
             head = m.group(1).split()
             subst = _parse_subst(m.group(2), lineno, just_at + m.start(2)) if m.group(2) else ()
             if head[0] == "ipl":
@@ -249,6 +252,8 @@ def parse_hilbert_proof(text: str) -> HilbertProof:
                 lines.append(ProofLine(concept, IkAx(int(head[1]), subst)))
             continue
         raise ParseError(f"bad justification {just_text!r}", lineno, 1)
+    if not lines:
+        raise ParseError("no proof lines", 1, 1)
     return HilbertProof(tuple(lines))
 
 

@@ -15,8 +15,8 @@ the nominals' worlds.  The countermodel search evaluates only these.
 A relation on n worlds is a bitmask over its n*n pairs, row by row, so
 the mask splits directly into the bit rows of the semantics kernel, the
 only stored form of a model.  Preorders, frame-compatible relations and
-up-closed sets are filtered by the kernel's own frame check and cached,
-as rows and masks, per world count and preorder.
+up-closed sets are filtered by the fault generator that validation uses,
+and cached, as rows and masks, per world count and preorder.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from operator import or_
 from typing import Iterable, Iterator
 
 from .semantics import (
-    Interpretation, _closed_rows, _image, _Kernel, _preorder_ok, _role_ok,
-    _Rows,
+    Interpretation, _closed_rows, _faults, _image, _Kernel, _Rows,
 )
 from .syntax import Sequent, atoms_of, nominals_of, roles_of
 
@@ -85,18 +84,18 @@ def _table_relation(n: int, mask: int) -> _Rows:
 @lru_cache(maxsize=None)
 def _preorders(n: int) -> tuple[_Rows, ...]:
     return tuple(_table_relation(n, mask) for mask in range(1 << n * n)
-                 if _preorder_ok(_split(mask, n)))
+                 if not any(_faults(_split(mask, n))))
 
 
 @lru_cache(maxsize=None)
 def _frame_relations(n: int, up: tuple) -> tuple[_Rows, ...]:
     return tuple(_table_relation(n, mask) for mask in range(1 << n * n)
-                 if _role_ok(up, _split(mask, n)))
+                 if not any(_faults(up, roles={"": _split(mask, n)})))
 
 
 @lru_cache(maxsize=None)
 def _upclosed_sets(n: int, up: tuple) -> tuple[int, ...]:
-    return tuple(m for m in range(1 << n) if not _image(up, m) & ~m)
+    return tuple(m for m in range(1 << n) if not any(_faults(up, {"": m})))
 
 
 def enumerate_models(sig: Signature) -> Iterator[Interpretation]:
@@ -223,7 +222,7 @@ def random_model(sig: Signature, seed: int, max_retries: int = 200) -> Interpret
     for role in sig.roles:
         for _ in range(max_retries):
             rows = _split(sum(1 << k for k in range(n * n) if rng.random() < _ROLE_P), n)
-            if _role_ok(up, rows):
+            if not any(_faults(up, roles={"": rows})):
                 roles[role] = _Rows(rows)
                 break
         else:

@@ -21,10 +21,11 @@ may optionally be read globally (the theory reading).
 Bit rows are the only stored form of an interpretation: world i of
 ``worlds`` is bit i, and up-sets, role successor rows, atom and concept
 extensions are ints; the pair and set fields are views computed from
-them.  One frame check and one Warshall closure serve validation, model
-loading and model generation; concepts are hash-consed into a bottom-up
-program, so a sequent is compiled once and evaluated on each model by
-row operations.
+them.  One fault generator holds the frame laws for validation, model
+loading and model generation (a failing model's report lists its faults
+in the order ``validate_interpretation`` states), beside one Warshall
+closure; concepts are hash-consed into a bottom-up program, so a sequent
+is compiled once and evaluated on each model by row operations.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class UnassignedNominalError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Bit rows: one closure, one frame check
+# Bit rows: one closure, one fault generator
 # ---------------------------------------------------------------------------
 
 def _bits(m: int):
@@ -81,14 +82,6 @@ def _image(rows, m: int) -> int:
 def _none(rows, m: int) -> int:
     """Positions whose row misses every bit of m."""
     return sum(1 << i for i, r in enumerate(rows) if not r & m)
-
-
-def _transpose(rows) -> list[int]:
-    out = [0] * len(rows)
-    for i, row in enumerate(rows):
-        for j in _bits(row):
-            out[j] |= 1 << i
-    return out
 
 
 class _Rows:
@@ -114,16 +107,34 @@ def _closed_rows(rows) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _preorder_ok(up) -> bool:
-    return all(r >> i & 1 and not _image(up, r) & ~r for i, r in enumerate(up))
-
-
-def _role_ok(up, succ) -> bool:
-    """F1 and F2: for every edge w R v, no refinement of w has no successor
-    in the cone of v, and no refinement of v has no predecessor in that of w."""
-    pred = _transpose(succ)
-    return not any(up[w] & _none(succ, up[v]) or up[v] & _none(pred, up[w])
-                   for w, row in enumerate(succ) for v in _bits(row))
+def _faults(up, atoms: Mapping = {}, roles: Mapping = {}):
+    """Every fault of the frame laws on bit rows, as (kind, names,
+    positions): heredity of each atom's mask, F1 and F2 of each role's
+    successor rows, and reflexivity and transitivity of the refinement
+    rows up, last: a filter of candidate atoms or roles over a known
+    preorder rejects most of them before it.  A lawful frame yields
+    nothing, so a yes/no check stops at the first fault."""
+    for name, m in atoms.items():
+        for w in _bits(m):
+            for v in _bits(up[w] & ~m):
+                yield "heredity", (name,), (w, v)
+    for name, succ in roles.items():
+        # per edge w R v: the refinements of w with no successor in the cone
+        # of v (F1), and those of v that no refinement of w reaches (F2)
+        for w, row in enumerate(succ):
+            reached = _image(succ, up[w]) if row else 0
+            for v in _bits(row):
+                for w2 in _bits(up[w] & _none(succ, up[v])):
+                    yield "F1", (name,), (w, w2, v)
+                for v2 in _bits(up[v] & ~reached):
+                    yield "F2", (name,), (w, v, v2)
+    for i, r in enumerate(up):
+        if not r >> i & 1:
+            yield "reflexivity", (), (i,)
+    for a, r in enumerate(up):
+        for b in _bits(r):
+            for d in _bits(up[b] & ~r):
+                yield "transitivity", (), (a, b, d)
 
 
 class _Kernel:
@@ -154,12 +165,6 @@ class _Kernel:
 
     def pairs(self, rows) -> frozenset:
         return frozenset((w, v) for w, row in zip(self.worlds, rows) for v in self.members(row))
-
-    def frame_ok(self) -> bool:
-        up = self.up.rows
-        return (_preorder_ok(up)
-                and not any(_image(up, m) & ~m for m in self.atoms.values())
-                and all(_role_ok(up, r.rows) for r in self.roles.values()))
 
 
 class Interpretation:
@@ -259,50 +264,39 @@ class ValidationReport:
         return "; ".join(map(str, self.violations)) if self.violations else "ok"
 
 
+# per kind of fault, its rank in a report (F1 and F2 of a role together)
+# and the pairs of its witnesses whose reprs sort it; reflexivity has none
+# and keeps the fault generator's model order (the sort is stable)
+_ORDER = {"reflexivity": (0, ()), "transitivity": (1, ((0, 1), (1, 2))),
+          "heredity": (2, ((0, 1),)), "F1": (3, ((0, 1), (0, 2))), "F2": (3, ((1, 2), (0, 1)))}
+
+
 def validate_interpretation(I: Interpretation) -> ValidationReport:
     """Check the preorder laws, heredity, F1/F2, and nominal targets.
 
-    The row check decides; only a failing model has its violations
-    listed, with witnesses, pairs taken in repr order."""
+    One fault generator holds the frame laws for validation, model loading
+    and model generation; its first fault decides.  Only a failing model
+    has all its violations listed, with witnesses: reflexivity in model
+    order; transitivity; heredity, then F1 and F2 (F1 first), per atom or
+    role in name order; each of these by the reprs of its witness pairs
+    (a <= b, b <= d; w <= v; w <= w2, w R v; v <= v2, w R v); dangling
+    nominals last, by name."""
+    k, ws = I._k, I.worlds
+    faults = partial(_faults, k.up.rows, k.atoms, {r: rel.rows for r, rel in k.roles.items()})
     # equality-based scan: stays total even for malformed targets
-    if I._k.frame_ok() and all(any(t == w for w in I.worlds)
-                               for t in I.nominals.values()):
+    dangling = tuple(Violation("dangling-nominal", (x, t)) for x, t in sorted(I.nominals.items())
+                     if not any(t == w for w in ws))
+    if not dangling and not any(faults()):
         return ValidationReport(())
-    return ValidationReport(tuple(_violations(I)))
 
+    def key(fault):
+        kind, names, at = fault
+        rank, pairs = _ORDER[kind]
+        return rank, names, kind, [repr((ws[at[i]], ws[at[j]])) for i, j in pairs]
 
-def _violations(I: Interpretation):
-    k = I._k
-    pos, up = k.pos, k.up.rows
-    pairs, atoms, roles = I.leq, I.atoms, I.roles
-    leq = sorted(pairs, key=repr)
-    for w in I.worlds:
-        if (w, w) not in pairs:
-            yield Violation("reflexivity", (w,))
-    for (a, b) in leq:
-        for (c, d) in leq:
-            if b == c and (a, d) not in pairs:
-                yield Violation("transitivity", (a, b, d))
-    for name in sorted(atoms):
-        ext = atoms[name]
-        for (w, v) in leq:
-            if w in ext and v not in ext:
-                yield Violation("heredity", (name, w, v))
-    for role in sorted(roles):
-        rel = sorted(roles[role], key=repr)
-        succ = k.rel(role).rows
-        pred = _transpose(succ)
-        for (w, w2) in leq:
-            for (a, v) in rel:
-                if a == w and not succ[pos(w2)] & up[pos(v)]:
-                    yield Violation("F1", (role, w, w2, v))
-        for (v, v2) in leq:
-            for (w, b) in rel:
-                if b == v and not pred[pos(v2)] & up[pos(w)]:
-                    yield Violation("F2", (role, w, v, v2))
-    for nom in sorted(I.nominals):
-        if not any(I.nominals[nom] == w for w in I.worlds):
-            yield Violation("dangling-nominal", (nom, I.nominals[nom]))
+    return ValidationReport(tuple(
+        Violation(kind, names + tuple(ws[p] for p in at))
+        for kind, names, at in sorted(faults(), key=key)) + dangling)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,12 @@ def test_input_errors_exit_3(capsys, tmp_path, golden_dir):
     rc, _, err = invoke(capsys, "eval", "--model", "nope.model",
                         "--formula", "top")
     assert rc == 3
+    # a Hilbert file without a proof line proves nothing
+    for text in ("", "# only a comment\n\n"):
+        empty = tmp_path / "empty.hpf"
+        empty.write_text(text)
+        rc, out, err = invoke(capsys, "check", str(empty))
+        assert rc == 3 and not out and "no proof lines" in err
     # negative budgets and counts are input errors, not exhausted searches
     lem = str(golden_dir / "lem.ialc")
     for argv in (["prove", lem, "--depth", "-1"], ["prove", lem, "--visited", "-1"],

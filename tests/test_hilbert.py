@@ -122,6 +122,9 @@ def test_file_parse_examples():
     # substitution values are placed on their own line and column
     ("A -> A ; mp 1 2\nA -> A ; ipl a1 [C := A &, D := B]\n", 2, 26),
     ("A -> A ; ipl a1 [C := A,  D :=  B @]\n", 1, 35),
+    # a role value is one role name, and each metavariable is bound once
+    ("some R.bot -> bot ; ik 4 [R := A -> B]\n", 1, 32),
+    ("A -> A ; ipl a1 [C := A, D := B,  C := B]\n", 1, 35),
 ])
 def test_file_errors_report_raw_line_columns(text, line, col):
     with pytest.raises(ParseError) as exc:

@@ -69,16 +69,17 @@ def test_two_world_one_atom_count_frozen():
     assert sum(1 for _ in enumerate_models(Signature(atoms=("A",), max_worlds=2))) == 14
 
 
-@pytest.mark.parametrize("atoms,roles,noms,expect", [
-    (2, 1, 2, 1808),     # the exhaustive soundness family, frozen
-    (2, 1, 0, 458),      # same without nominal assignments
-    (0, 2, 0, 486),
-])
-def test_counts_match_oracle(atoms, roles, noms, expect):
+@pytest.mark.parametrize("atoms,roles,noms,worlds,expect", [
+    (2, 1, 2, 2, 1808),     # the exhaustive soundness family, frozen
+    (2, 1, 0, 2, 458),      # same without nominal assignments
+    (0, 2, 0, 2, 486),
+    (1, 1, 0, 3, 21698),    # the preorder, role and atom filters at 3 worlds
+], ids=["2-1-2-1808", "2-1-0-458", "0-2-0-486", "1-1-0-w3-21698"])
+def test_counts_match_oracle(atoms, roles, noms, worlds, expect):
     sig = Signature(atoms=tuple("AB")[:atoms], roles=("R", "S")[:roles],
-                    nominals=("x", "y")[:noms], max_worlds=2)
+                    nominals=("x", "y")[:noms], max_worlds=worlds)
     got = sum(1 for _ in enumerate_models(sig))
-    assert got == count_models_oracle(2, atoms, roles, noms) == expect
+    assert got == count_models_oracle(worlds, atoms, roles, noms) == expect
 
 
 def test_every_emitted_model_validates():

@@ -654,7 +654,7 @@ def _rename(f, mapping):
     return f
 
 
-_WORLDS = ["u", "v", "w", 0]
+_WORLDS = ["u", "v", "w", 0, 2, 10]
 
 
 @settings(max_examples=300, deadline=None)
