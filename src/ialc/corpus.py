@@ -1,42 +1,24 @@
-"""Sequent corpora for soundness sweeps: axiom roots and random instances."""
+"""Sequent corpora for soundness sweeps: the axiom roots, written once as
+``golden.AXIOM_ROOTS``, and random instances of them by ``syntax.substitute``."""
 
 from __future__ import annotations
 
 import random
 from typing import Sequence
 
+from .golden import AXIOM_ROOTS
 from .syntax import (
-    And, Atom, BOT, Concept, ConceptF, Exists, Forall, NominalAssertion,
-    Not, Or, Sequent, Subs, TOP,
+    And, Atom, BOT, Concept, Exists, Forall, Not, Or, Sequent, Subs, TOP,
+    parse_sequent, substitute,
 )
 
 __all__ = ["axiom_root_sequent", "random_concept", "schema_instance_corpus"]
 
 
-def axiom_root_sequent(i: int, alpha: Concept, beta: Concept,
-                       role: str = "R", nominal: str = "x") -> Sequent:
+def axiom_root_sequent(i: int, alpha: Concept, beta: Concept) -> Sequent:
     """Root sequent of the i-th axiom derivation, with alpha/beta
-    substituted for the schematic concepts."""
-    ex, fa = Exists(role, alpha), Forall(role, alpha)
-    exb, fab = Exists(role, beta), Forall(role, beta)
-    if i == 1:
-        return Sequent.make([ConceptF(Forall(role, Subs(alpha, beta)))],
-                            ConceptF(Subs(ex, exb)))
-    if i == 2:
-        return Sequent.make([ConceptF(Forall(role, Subs(alpha, beta)))],
-                            ConceptF(Subs(fa, fab)))
-    if i == 3:
-        return Sequent.make(
-            [], NominalAssertion(nominal, ConceptF(Subs(Exists(role, BOT), BOT))))
-    if i == 4:
-        return Sequent.make(
-            [NominalAssertion(nominal, ConceptF(Exists(role, Or(alpha, beta))))],
-            NominalAssertion(nominal, ConceptF(Or(ex, exb))))
-    if i == 5:
-        return Sequent.make(
-            [], NominalAssertion(nominal, ConceptF(
-                Subs(Subs(ex, fab), Forall(role, Subs(alpha, beta))))))
-    raise ValueError(f"axiom index {i} out of range")
+    substituted for the schematic concepts A and B."""
+    return substitute(parse_sequent(AXIOM_ROOTS[i]), {"A": alpha, "B": beta})
 
 
 def random_concept(rng: random.Random, atoms: Sequence[str],

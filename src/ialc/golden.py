@@ -38,7 +38,7 @@ def _tree1() -> ProofTree:
     sl = _node("sub-l", "A -> B ; A |- B", (left, right), principal="A -> B")
     pe = _node("p-exists", "all R.(A -> B) ; some R.A |- some R.B", (sl,),
                principal="A", role="R")
-    return _node("sub-r", "all R.(A -> B) |- some R.A -> some R.B", (pe,))
+    return _node("sub-r", AXIOM_ROOTS[1], (pe,))
 
 
 def _tree2() -> ProofTree:
@@ -47,14 +47,14 @@ def _tree2() -> ProofTree:
     sl = _node("sub-l", "A -> B ; A |- B", (left, right), principal="A -> B")
     pf = _node("p-forall", "all R.(A -> B) ; all R.A |- all R.B", (sl,),
                role="R")
-    return _node("sub-r", "all R.(A -> B) |- all R.A -> all R.B", (pf,))
+    return _node("sub-r", AXIOM_ROOTS[2], (pf,))
 
 
 def _tree3() -> ProofTree:
     leaf = _node("bot-l", "R(x,y) ; y : bot |- x : bot")
     el = _node("exists-l", "x : some R.bot |- x : bot", (leaf,),
                principal="x : some R.bot", role="R", nominal="y")
-    return _node("n-sub-r", "|- x : (some R.bot -> bot)", (el,))
+    return _node("n-sub-r", AXIOM_ROOTS[3], (el,))
 
 
 def _tree4() -> ProofTree:
@@ -71,7 +71,7 @@ def _tree4() -> ProofTree:
     right = _node("n-or2-r", f"R(x,y) ; y : B |- {goal}", (erb,))
     ol = _node("n-or-l", f"R(x,y) ; y : (A | B) |- {goal}", (left, right),
                principal="y : (A | B)")
-    return _node("exists-l", f"x : some R.(A | B) |- {goal}", (ol,),
+    return _node("exists-l", AXIOM_ROOTS[4], (ol,),
                  principal="x : some R.(A | B)", role="R", nominal="y")
 
 
@@ -91,8 +91,7 @@ def _tree5() -> ProofTree:
     fr = _node("forall-r",
                "x : (some R.A -> all R.B) |- x : all R.(A -> B)", (sr,),
                role="R", nominal="y")
-    return _node("n-sub-r",
-                 "|- x : ((some R.A -> all R.B) -> all R.(A -> B))", (fr,))
+    return _node("n-sub-r", AXIOM_ROOTS[5], (fr,))
 
 
 def axiom_trees() -> dict[int, ProofTree]:

@@ -12,7 +12,9 @@ Proof files carry one step per line::
     <concept> ; mp 2 3
     <concept> ; nec 5 R
 
-Line references are 1-based and must point at earlier lines.
+Line references are 1-based and must point at earlier lines.  A line may
+bind only its schema's metavariables; the instance is ``syntax.substitute``
+of the bindings, as for the axiom roots written once in ``golden.AXIOM_ROOTS``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Mapping, Union
 
 from .syntax import (
     Atom, BOT, Concept, Exists, Forall, Not, And, Or, Subs,
-    ParseError, _parse_line, parse_concept, render,
+    ParseError, _parse_line, _walk, atoms_of, parse_concept, render, roles_of, substitute,
 )
 
 __all__ = [
@@ -66,41 +68,31 @@ IK_SCHEMATA: dict[int, Concept] = {
 }
 
 
-def _instantiate(template: Concept, subst: Mapping[str, Union[Concept, str]]) -> Concept:
-    if isinstance(template, Atom):
-        try:
-            value = subst[template.name]
-        except KeyError:
-            raise SchemaError(f"missing binding for metavariable {template.name}") from None
-        if not isinstance(value, Concept):
-            raise SchemaError(f"metavariable {template.name} needs a concept, got {value!r}")
-        return value
-    if isinstance(template, Not):
-        return Not(_instantiate(template.body, subst))
-    if isinstance(template, (And, Or, Subs)):
-        cls = type(template)
-        return cls(_instantiate(template.left, subst), _instantiate(template.right, subst))
-    if isinstance(template, (Exists, Forall)):
-        try:
-            role = subst[template.role]
-        except KeyError:
-            raise SchemaError(f"missing binding for role metavariable {template.role}") from None
-        if not isinstance(role, str):
-            raise SchemaError(f"role metavariable {template.role} needs a role name")
-        return type(template)(role, _instantiate(template.body, subst))
-    return template           # top / bot
+def _instance(template: Concept, subst: Mapping[str, Union[Concept, str]]) -> Concept:
+    """template with its metavariables substituted, each checked, in walk
+    order, to be bound to a value of its kind; unused bindings are ignored."""
+    for node in _walk(template):
+        if isinstance(node, Atom) and not isinstance(value := subst.get(node.name), Concept):
+            raise SchemaError(f"missing binding for metavariable {node.name}"
+                              if node.name not in subst else
+                              f"metavariable {node.name} needs a concept, got {value!r}")
+        if isinstance(node, (Exists, Forall)) and not isinstance(subst.get(node.role), str):
+            raise SchemaError(f"missing binding for role metavariable {node.role}"
+                              if node.role not in subst else
+                              f"role metavariable {node.role} needs a role name")
+    return substitute(template, subst)
 
 
 def ipl_instance(schema: str, subst: Mapping[str, Union[Concept, str]]) -> Concept:
     if schema not in IPL_SCHEMATA:
         raise SchemaError(f"unknown propositional schema {schema!r}")
-    return _instantiate(IPL_SCHEMATA[schema], subst)
+    return _instance(IPL_SCHEMATA[schema], subst)
 
 
 def axiom_instance(axiom: int, subst: Mapping[str, Union[Concept, str]]) -> Concept:
     if axiom not in IK_SCHEMATA:
         raise SchemaError(f"unknown modal axiom {axiom!r}")
-    return _instantiate(IK_SCHEMATA[axiom], subst)
+    return _instance(IK_SCHEMATA[axiom], subst)
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +153,16 @@ def check_hilbert_proof(p: HilbertProof) -> CheckResult:
     for idx, line in enumerate(p.lines, start=1):
         j = line.justification
         if isinstance(j, (IplAx, IkAx)):
+            ipl = isinstance(j, IplAx)
             try:
-                if isinstance(j, IplAx):
-                    want = ipl_instance(j.schema, dict(j.subst))
-                else:
-                    want = axiom_instance(j.axiom, dict(j.subst))
+                want = (ipl_instance(j.schema, dict(j.subst)) if ipl
+                        else axiom_instance(j.axiom, dict(j.subst)))
             except SchemaError as e:
                 return CheckResult(False, idx, str(e))
+            template = IPL_SCHEMATA[j.schema] if ipl else IK_SCHEMATA[j.axiom]
+            used = atoms_of(template) | roles_of(template)
+            if unused := [k for k, _ in j.subst if k not in used]:
+                return CheckResult(False, idx, f"the schema has no metavariable {unused[0]}")
             if line.concept != want:
                 return CheckResult(False, idx,
                                    f"stated concept is not the schema instance {render(want)}")
@@ -208,7 +203,8 @@ def _parse_subst(text: str, lineno: int, start: int) -> tuple[tuple[str, Union[C
     start += 1
     for part in text[1:-1].split(","):
         if ":=" not in part:
-            raise ParseError(f"bad binding {part.strip()!r}", lineno, 1)
+            raise ParseError(f"bad binding {part.strip()!r}", lineno,
+                             start + 1 + len(part) - len(part.lstrip()))
         name, value = part.split(":=", 1)
         key, at = name.strip(), start + part.index(":=") + 2
         if key in out:
@@ -238,41 +234,29 @@ def parse_hilbert_proof(text: str) -> HilbertProof:
         just_text = just_code.strip()
         just_at = len(concept_text) + 1 + len(just_code) - len(just_code.lstrip())
         if m := _MP_RE.match(just_text):
-            lines.append(ProofLine(concept, ModusPonens(int(m.group(1)), int(m.group(2)))))
-            continue
-        if m := _NEC_RE.match(just_text):
-            lines.append(ProofLine(concept, Necessitation(int(m.group(1)), m.group(2))))
-            continue
-        if m := _AX_RE.match(just_text):
-            head = m.group(1).split()
+            just = ModusPonens(int(m.group(1)), int(m.group(2)))
+        elif m := _NEC_RE.match(just_text):
+            just = Necessitation(int(m.group(1)), m.group(2))
+        elif m := _AX_RE.match(just_text):
+            kind, key = m.group(1).split()
             subst = _parse_subst(m.group(2), lineno, just_at + m.start(2)) if m.group(2) else ()
-            if head[0] == "ipl":
-                lines.append(ProofLine(concept, IplAx(head[1], subst)))
-            else:
-                lines.append(ProofLine(concept, IkAx(int(head[1]), subst)))
-            continue
-        raise ParseError(f"bad justification {just_text!r}", lineno, 1)
+            just = IplAx(key, subst) if kind == "ipl" else IkAx(int(key), subst)
+        else:
+            raise ParseError(f"bad justification {just_text!r}", lineno, just_at + 1)
+        lines.append(ProofLine(concept, just))
     if not lines:
         raise ParseError("no proof lines", 1, 1)
     return HilbertProof(tuple(lines))
-
-
-def _render_subst(subst) -> str:
-    if not subst:
-        return ""
-    parts = ", ".join(f"{k} := {v if isinstance(v, str) else render(v)}"
-                      for k, v in subst)
-    return f" [{parts}]"
 
 
 def render_hilbert_proof(p: HilbertProof) -> str:
     out = []
     for line in p.lines:
         j = line.justification
-        if isinstance(j, IplAx):
-            jtext = f"ipl {j.schema}{_render_subst(j.subst)}"
-        elif isinstance(j, IkAx):
-            jtext = f"ik {j.axiom}{_render_subst(j.subst)}"
+        if isinstance(j, (IplAx, IkAx)):
+            binds = [f"{k} := {v if isinstance(v, str) else render(v)}" for k, v in j.subst]
+            jtext = (f"ipl {j.schema}" if isinstance(j, IplAx) else f"ik {j.axiom}") + (
+                f" [{', '.join(binds)}]" if binds else "")
         elif isinstance(j, ModusPonens):
             jtext = f"mp {j.i} {j.j}"
         else:
@@ -285,12 +269,10 @@ def identity_proof(c: Concept, role: str) -> HilbertProof:
     """Machine-built derivation of ``all role.(c -> c)`` from a1/a2 via
     modus ponens, closed by necessitation."""
     cc = Subs(c, c)
-    l1 = ProofLine(Subs(c, cc), IplAx("a1", (("C", c), ("D", c))))
-    l2 = ProofLine(Subs(c, Subs(cc, c)), IplAx("a1", (("C", c), ("D", cc))))
-    l3 = ProofLine(
-        Subs(Subs(c, Subs(cc, c)), Subs(Subs(c, cc), cc)),
-        IplAx("a2", (("C", c), ("D", cc), ("E", c))))
-    l4 = ProofLine(Subs(Subs(c, cc), cc), ModusPonens(2, 3))
-    l5 = ProofLine(cc, ModusPonens(1, 4))
-    l6 = ProofLine(Forall(role, cc), Necessitation(5, role))
-    return HilbertProof((l1, l2, l3, l4, l5, l6))
+    axioms = (("a1", {"C": c, "D": c}), ("a1", {"C": c, "D": cc}),
+              ("a2", {"C": c, "D": cc, "E": c}))
+    return HilbertProof((
+        *(ProofLine(ipl_instance(a, b), IplAx(a, tuple(b.items()))) for a, b in axioms),
+        ProofLine(Subs(Subs(c, cc), cc), ModusPonens(2, 3)),
+        ProofLine(cc, ModusPonens(1, 4)),
+        ProofLine(Forall(role, cc), Necessitation(5, role))))

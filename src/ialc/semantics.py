@@ -475,22 +475,31 @@ def model_to_dict(I: Interpretation) -> dict:
     }
 
 
-def model_from_dict(doc: dict, raw: bool = False) -> tuple[Interpretation, list[str]]:
-    """Build an interpretation from a parsed model document.
+def _shaped(value, kind: type, what: str, size: Optional[int] = None):
+    """value if it is a JSON array (list) of size entries or object (dict)."""
+    if isinstance(value, kind) and size in (None, len(value)):
+        return value
+    shape = "an object" if kind is dict else f"an array of {size} entries" if size else "an array"
+    raise TypeError(f"{what} must be {shape}, got {value!r:.40}")
 
+
+def model_from_dict(doc: dict, raw: bool = False) -> tuple[Interpretation, list[str]]:
+    """Build an interpretation from a parsed model document, whose
+    ``worlds`` and atom extensions are arrays, ``leq`` and role pairs arrays
+    of two worlds, and ``roles``, ``atoms`` and ``nominals`` objects.
     Applies the reflexive-transitive closure to ``leq`` and the heredity
     closure to atom extensions (warning when that changes anything);
     rejects on frame violations unless raw is set.  Returns the model
-    and a list of warnings.
-    """
+    and a list of warnings."""
     warnings = []
     try:
-        worlds = list(doc["worlds"])
-        leq = [(p[0], p[1]) for p in doc.get("leq", [])]
-        roles = {r: [(p[0], p[1]) for p in rel]
-                 for r, rel in doc.get("roles", {}).items()}
-        atoms = {a: list(ext) for a, ext in doc.get("atoms", {}).items()}
-        nominals = dict(doc.get("nominals", {}))
+        worlds = _shaped(doc["worlds"], list, "worlds")
+        leq = [tuple(_shaped(p, list, "a leq pair", 2)) for p in doc.get("leq", [])]
+        roles = {r: [tuple(_shaped(p, list, f"a pair of role {r}", 2)) for p in rel]
+                 for r, rel in _shaped(doc.get("roles", {}), dict, "roles").items()}
+        atoms = {a: _shaped(ext, list, f"atom {a}")
+                 for a, ext in _shaped(doc.get("atoms", {}), dict, "atoms").items()}
+        nominals = _shaped(doc.get("nominals", {}), dict, "nominals")
         I = Interpretation.make(worlds, leq, roles, atoms, nominals)
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
         raise ModelFileError(f"malformed model document: {e}") from None

@@ -27,14 +27,16 @@ is its kind, and an identifier's first character says whether it is an
 atom/role or a nominal.  The parser indexes that list and keeps no
 positions; a ``ParseError``'s line and column are computed from the
 failing token's offset only when the error is raised, and a character
-that starts no token is reported before any other error.
+that starts no token is reported before any other error.  ``substitute``
+replaces atoms, roles and nominals at once; Hilbert schema instances and
+the instances of the axiom roots written once in ``golden.AXIOM_ROOTS`` use it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 __all__ = [
     "Atom", "Top", "Bot", "Not", "And", "Or", "Subs", "Exists", "Forall",
@@ -42,7 +44,7 @@ __all__ = [
     "Sequent", "Problem", "ParseError", "MAX_NESTING",
     "parse_concept", "parse_formula", "parse_sequent", "parse_problem",
     "render", "outer_nominal", "atoms_of", "roles_of", "nominals_of",
-    "TOP", "BOT",
+    "substitute", "TOP", "BOT",
 ]
 
 
@@ -202,6 +204,21 @@ def nominals_of(obj) -> frozenset[str]:
         elif isinstance(f, RoleAssertion):
             noms.update((f.subject, f.object))
     return frozenset(noms)
+
+
+def substitute(obj, names: Mapping[str, Union[Concept, str]]):
+    """A concept, formula or sequent with each atom that names maps to a
+    concept, and each role or nominal that it maps to a name, replaced by
+    it, all at once: a replacement is never substituted again."""
+    if isinstance(obj, Sequent):
+        return Sequent.make([substitute(m, names) for m in obj.antecedent],
+                            substitute(obj.succedent, names))
+    if isinstance(obj, Atom):
+        return value if isinstance(value := names.get(obj.name), Concept) else obj
+    if isinstance(obj, str):
+        return value if isinstance(value := names.get(obj), str) else obj
+    fields = vars(obj).values()     # none for top and bot, kept as themselves
+    return type(obj)(*(substitute(v, names) for v in fields)) if fields else obj
 
 
 # ---------------------------------------------------------------------------

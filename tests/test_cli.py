@@ -242,6 +242,11 @@ def test_adversarial_inputs_never_crash(capsys, tmp_path, golden_dir):
     rc, _, err = invoke(capsys, "eval", "--model", str(bad_model),
                         "--formula", "top")
     assert rc == 3 and "error:" in err
+    # model file with a string where a leq pair belongs
+    bad_pair = tmp_path / "bad_pair.model"
+    bad_pair.write_text('{"worlds": ["0", "1"], "leq": ["01"]}')
+    rc, out, err = invoke(capsys, "eval", "--model", str(bad_pair), "--formula", "top")
+    assert rc == 3 and not out and "leq pair" in err
     # model file that is not even a JSON object
     bad_doc = tmp_path / "list.model"
     bad_doc.write_text('[1, 2, 3]')

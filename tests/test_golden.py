@@ -1,12 +1,16 @@
 import json
+import random
 
 import pytest
 
+from ialc.corpus import axiom_root_sequent, random_concept, schema_instance_corpus
 from ialc.golden import AXIOM_ROOTS, axiom_trees
 from ialc.sequent import (
     ProofTree, RULE_LABELS, check_proof, load_proof, tree_to_dict,
 )
-from ialc.syntax import parse_sequent
+from ialc.syntax import (
+    Atom, BOT, ConceptF, Exists, Forall, NominalAssertion, Or, Sequent, Subs, parse_sequent,
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +98,57 @@ def test_repository_files_match_generated_trees(trees, golden_dir):
         on_disk = json.loads(path.read_text())
         assert on_disk == tree_to_dict(tree), path
         assert check_proof(load_proof(str(path))).ok
+
+
+# ---------------------------------------------------------------------------
+# Reference differential: the corpus against the hand-built roots it used
+# before the roots were substituted into
+# ---------------------------------------------------------------------------
+# _ref_axiom_root_sequent is that implementation, kept verbatim but for its
+# name; the reference corpus is schema_instance_corpus over it.
+
+def _ref_axiom_root_sequent(i, alpha, beta, role="R", nominal="x"):
+    """Root sequent of the i-th axiom derivation, with alpha/beta
+    substituted for the schematic concepts."""
+    ex, fa = Exists(role, alpha), Forall(role, alpha)
+    exb, fab = Exists(role, beta), Forall(role, beta)
+    if i == 1:
+        return Sequent.make([ConceptF(Forall(role, Subs(alpha, beta)))],
+                            ConceptF(Subs(ex, exb)))
+    if i == 2:
+        return Sequent.make([ConceptF(Forall(role, Subs(alpha, beta)))],
+                            ConceptF(Subs(fa, fab)))
+    if i == 3:
+        return Sequent.make(
+            [], NominalAssertion(nominal, ConceptF(Subs(Exists(role, BOT), BOT))))
+    if i == 4:
+        return Sequent.make(
+            [NominalAssertion(nominal, ConceptF(Exists(role, Or(alpha, beta))))],
+            NominalAssertion(nominal, ConceptF(Or(ex, exb))))
+    if i == 5:
+        return Sequent.make(
+            [], NominalAssertion(nominal, ConceptF(
+                Subs(Subs(ex, fab), Forall(role, Subs(alpha, beta))))))
+    raise ValueError(f"axiom index {i} out of range")
+
+
+def _ref_schema_instance_corpus(per_axiom, seed, atoms=("A", "B"), roles=("R",), depth=2):
+    rng = random.Random(seed)
+    out = [_ref_axiom_root_sequent(i, Atom("A"), Atom("B")) for i in range(1, 6)]
+    for i in range(1, 6):
+        for _ in range(per_axiom):
+            alpha = random_concept(rng, atoms, roles, depth)
+            beta = random_concept(rng, atoms, roles, depth)
+            out.append(_ref_axiom_root_sequent(i, alpha, beta))
+    return out
+
+
+@pytest.mark.parametrize("per_axiom", [1, 4, 6])
+def test_corpus_matches_the_hand_built_roots(per_axiom):
+    for seed in range(30):
+        want = _ref_schema_instance_corpus(per_axiom, seed)
+        assert schema_instance_corpus(per_axiom, seed) == want, seed
+    # a concept that mentions A or B is not substituted into again
+    swap = axiom_root_sequent(1, Atom("B"), Atom("A"))
+    assert swap == parse_sequent("all R.(B -> A) |- some R.B -> some R.A")
+    assert swap == _ref_axiom_root_sequent(1, Atom("B"), Atom("A"))

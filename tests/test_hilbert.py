@@ -2,14 +2,17 @@ import random
 
 import pytest
 
+from ialc.cli import run
 from ialc.corpus import random_concept
 from ialc.hilbert import (
-    HilbertProof, IkAx, IplAx, IPL_SCHEMATA, ModusPonens, Necessitation,
+    HilbertProof, IK_SCHEMATA, IkAx, IplAx, IPL_SCHEMATA, ModusPonens, Necessitation,
     ProofLine, SchemaError, axiom_instance, check_hilbert_proof,
     identity_proof, ipl_instance, parse_hilbert_proof, render_hilbert_proof,
 )
 from ialc.semantics import extension
-from ialc.syntax import Atom, BOT, Exists, Forall, Not, ParseError, Subs, parse_concept
+from ialc.syntax import (
+    And, Atom, BOT, Concept, Exists, Forall, Not, Or, ParseError, Subs, parse_concept,
+)
 
 A, B = Atom("A"), Atom("B")
 
@@ -125,11 +128,116 @@ def test_file_parse_examples():
     # a role value is one role name, and each metavariable is bound once
     ("some R.bot -> bot ; ik 4 [R := A -> B]\n", 1, 32),
     ("A -> A ; ipl a1 [C := A, D := B,  C := B]\n", 1, 35),
+    # a binding without ':=', an empty binding and a bad justification
+    ("A -> A ; ipl a1 [C := A, D B]\n", 1, 26),
+    ("A -> A ; ipl a1 [C := A, D := B,]\n", 1, 33),
+    ("A -> A ; ipl A1 [C := A]\n", 1, 10),
 ])
 def test_file_errors_report_raw_line_columns(text, line, col):
     with pytest.raises(ParseError) as exc:
         parse_hilbert_proof(text)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("text,name", [
+    ("A -> (B -> A) ; ipl a1 [C := A, D := B, X := top]\n", "X"),
+    ("some R.bot -> bot ; ik 4 [R := R, C := A]\n", "C"),
+])
+def test_binding_the_schema_does_not_use_is_rejected(text, name, tmp_path, capsys):
+    r = check_hilbert_proof(parse_hilbert_proof(text))
+    assert (r.ok, r.line, r.reason) == (False, 1, f"the schema has no metavariable {name}")
+    path = tmp_path / "unused.hpf"
+    path.write_text(text)
+    assert run(["check", str(path)]) == 1
+    assert capsys.readouterr().out == f"rejected at line 1: {r.reason}\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference differential: schema instances against the tree walk that
+# instantiated them before syntax.substitute
+# ---------------------------------------------------------------------------
+# The three functions below are that implementation, kept verbatim but for
+# their names.  Equal instances and equal SchemaError messages are required.
+
+def _ref_instantiate(template, subst):
+    if isinstance(template, Atom):
+        try:
+            value = subst[template.name]
+        except KeyError:
+            raise SchemaError(f"missing binding for metavariable {template.name}") from None
+        if not isinstance(value, Concept):
+            raise SchemaError(f"metavariable {template.name} needs a concept, got {value!r}")
+        return value
+    if isinstance(template, Not):
+        return Not(_ref_instantiate(template.body, subst))
+    if isinstance(template, (And, Or, Subs)):
+        cls = type(template)
+        return cls(_ref_instantiate(template.left, subst), _ref_instantiate(template.right, subst))
+    if isinstance(template, (Exists, Forall)):
+        try:
+            role = subst[template.role]
+        except KeyError:
+            raise SchemaError(f"missing binding for role metavariable {template.role}") from None
+        if not isinstance(role, str):
+            raise SchemaError(f"role metavariable {template.role} needs a role name")
+        return type(template)(role, _ref_instantiate(template.body, subst))
+    return template           # top / bot
+
+
+def _ref_ipl_instance(schema, subst):
+    if schema not in IPL_SCHEMATA:
+        raise SchemaError(f"unknown propositional schema {schema!r}")
+    return _ref_instantiate(IPL_SCHEMATA[schema], subst)
+
+
+def _ref_axiom_instance(axiom, subst):
+    if axiom not in IK_SCHEMATA:
+        raise SchemaError(f"unknown modal axiom {axiom!r}")
+    return _ref_instantiate(IK_SCHEMATA[axiom], subst)
+
+
+def _outcome(instance, key, subst):
+    try:
+        return instance(key, subst)
+    except SchemaError as e:
+        return f"SchemaError: {e}"
+
+
+def _random_binding(rng):
+    """A binding value: mostly a concept over the metavariables themselves
+    (C := D -> C), else a role name, a nominal or an integer."""
+    roll = rng.random()
+    if roll < 0.7:
+        return random_concept(rng, ("A", "C", "D", "E", "R"), ("R", "S"), rng.randint(0, 2))
+    return "S" if roll < 0.8 else "R" if roll < 0.9 else rng.choice(["x", 3])
+
+
+def test_schema_instances_match_the_reference_walk():
+    rng = random.Random(2026)
+    schemata = [(ipl_instance, _ref_ipl_instance, k) for k in IPL_SCHEMATA]
+    schemata += [(axiom_instance, _ref_axiom_instance, k) for k in IK_SCHEMATA]
+    assert len(schemata) == 16
+    outcomes = []
+    for n in range(2000):
+        instance, reference, key = schemata[n % 16]
+        # each name is left out (missing), bound to a value of either kind
+        # (mistyped or not), or bound but unused by the schema (extra)
+        subst = {name: _random_binding(rng) for name in ("C", "D", "E", "R", "X")
+                 if rng.random() < 0.85}
+        if rng.random() < 0.5:      # a well-typed binding of every metavariable
+            subst.update({name: random_concept(rng, ("A", "C", "D"), ("R",), 2)
+                          for name in "CDE"}, R=rng.choice("RS"))
+        want = _outcome(reference, key, subst)
+        assert _outcome(instance, key, subst) == want, (key, subst)
+        outcomes.append(want)
+    errors = [o for o in outcomes if isinstance(o, str)]
+    assert len(errors) < len(outcomes) - 500
+    for text in ("missing binding for metavariable", "missing binding for role metavariable",
+                 "needs a concept, got", "needs a role name"):
+        assert any(text in e for e in errors), text
+    # a replacement is not substituted again
+    dc = Subs(Atom("D"), Atom("C"))
+    assert ipl_instance("a1", {"C": dc, "D": A}) == Subs(dc, Subs(A, dc))
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,15 @@ def test_model_load_rejects_garbage():
         model_from_dict({"leq": []})
     with pytest.raises(ModelFileError):
         model_from_dict({"worlds": ["w"], "roles": {"R": [["w", "nope"]]}})
+    # JSON shapes: worlds and extensions are arrays, pairs arrays of two
+    # worlds, roles/atoms/nominals objects; no string or object stands in
+    for doc in ({"worlds": "ab"}, {"worlds": {"a": 1}},
+                {"worlds": ["0", "1"], "leq": ["01"]},
+                {"worlds": [0, 5], "leq": [[0, 0, 5]]},
+                {"worlds": ["a", "b"], "atoms": {"A": "ab"}},
+                {"worlds": [0], "nominals": [["x", 0]]}):
+        with pytest.raises(ModelFileError, match="must be an"):
+            model_from_dict(doc)
 
 
 def test_loaders_survive_adversarial_documents():

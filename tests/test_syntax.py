@@ -11,7 +11,7 @@ from ialc.syntax import (
     And, Atom, BOT, Bot, Concept, ConceptF, Exists, Forall, Formula, NominalAssertion, Not, Or,
     MAX_NESTING, ParseError, RoleAssertion, Sequent, Subs, TOP, Top, outer_nominal,
     parse_concept, parse_formula, parse_problem, parse_sequent, render,
-    atoms_of, nominals_of, roles_of,
+    atoms_of, nominals_of, roles_of, substitute,
 )
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -96,6 +96,21 @@ def test_symbol_collectors():
     assert atoms_of(s) == {"A", "B", "C"}
     assert roles_of(s) == {"R", "S"}
     assert nominals_of(s) == {"x", "y", "z"}
+
+
+def test_substitute_is_simultaneous_and_typed():
+    S = parse_sequent
+    s = S("x : some R.(A & B) ; R(x,y) ; S(y,z) |- y : all R.(B -> not A | top)")
+    swapped = substitute(s, {"A": B, "B": A, "R": "S", "S": "R", "x": "y", "y": "x"})
+    assert swapped == S("y : some S.(B & A) ; S(y,x) ; R(x,z) |- x : all S.(A -> not B | top)")
+    # an atom takes only a concept, a role or nominal only a name
+    assert substitute(S("A |- some R.A"), {"R": A, "A": "R"}) == S("A |- some R.A")
+    assert substitute(S("R |- some R.R"), {"R": "S"}) == S("R |- some S.R")
+    # unnamed symbols and constants are kept, the constants as themselves
+    assert substitute(parse_concept("C & top | bot"), {"A": B}) == parse_concept("C & top | bot")
+    assert substitute(TOP, {"A": B}) is TOP
+    assert substitute(parse_formula("A -> C"), {"A": parse_concept("A -> C"), "C": A}) == \
+        parse_formula("(A -> C) -> A")
 
 
 # ---------------------------------------------------------------------------
