@@ -207,8 +207,9 @@ def _parse_subst(text: str, lineno: int, start: int) -> tuple[tuple[str, Union[C
                              start + 1 + len(part) - len(part.lstrip()))
         name, value = part.split(":=", 1)
         key, at = name.strip(), start + part.index(":=") + 2
-        if key in out:
-            raise ParseError(f"{key} is bound twice", lineno,
+        if key in out or not _ROLE_RE.fullmatch(key):   # named like a role
+            raise ParseError(f"{key} is bound twice" if key in out else
+                             f"bad metavariable name {key!r}", lineno,
                              start + 1 + len(name) - len(name.lstrip()))
         if key != "R":
             out[key] = _parse_line(parse_concept, value, lineno, at)

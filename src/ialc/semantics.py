@@ -24,8 +24,9 @@ extensions are ints; the pair and set fields are views computed from
 them.  One fault generator holds the frame laws for validation, model
 loading and model generation (a failing model's report lists its faults
 in the order ``validate_interpretation`` states), beside one Warshall
-closure; concepts are hash-consed into a bottom-up program, so a sequent
-is compiled once and evaluated on each model by row operations.
+closure; a sequent is compiled once into a bottom-up program, keyed on
+the hash-consed syntax nodes (one entry per distinct subconcept), and
+evaluated on each model by row operations.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterable, Mapping, Optional, Union
 from .syntax import (
     And, Atom, Bot, Concept, ConceptF, Exists, Forall, Formula,
     NominalAssertion, Not, Or, RoleAssertion, Sequent, Subs, Top,
-    outer_nominal,
+    _walk, outer_nominal,
 )
 
 __all__ = [
@@ -320,13 +321,15 @@ _CLAUSES = {
 
 
 def _intern(c: Concept, ids: dict) -> int:
-    """Index of c in ids, adding its subconcepts first.  Hash-consing: a
-    node's key holds its children's indices, never the children."""
-    if type(c) not in _CLAUSES:
-        raise TypeError(f"not a concept: {c!r}")
-    args = [_intern(x, ids) if isinstance(x, Concept) else x for x in vars(c).values()]
-    args += [None] * (2 - len(args))
-    return ids.setdefault((_CLAUSES[type(c)], *args), len(ids))
+    """Index of the node c in the program ids, adding its subconcepts
+    first: ids maps each concept node to (index, clause, a, b)."""
+    op = ids.get(c)
+    if op is None:
+        if type(c) not in _CLAUSES:
+            raise TypeError(f"not a concept: {c!r}")
+        args = [_intern(x, ids) if isinstance(x, Concept) else x for x in c.fields]
+        op = ids[c] = (len(ids), _CLAUSES[type(c)], *args, *[None] * (2 - len(args)))
+    return op[0]
 
 
 def _values(k: _Kernel, ops: tuple) -> list[int]:
@@ -334,36 +337,26 @@ def _values(k: _Kernel, ops: tuple) -> list[int]:
     if k.memo is not None and k.memo[0] is ops:
         return k.memo[1]
     v: list[int] = []
-    for clause, a, b in ops:
+    for _, clause, a, b in ops:
         v.append(clause(k, v, a, b))
     k.memo = (ops, v)
     return v
 
 
-def _formula(f: Formula, ids: dict) -> tuple:
-    if isinstance(f, ConceptF):
-        return (ConceptF, _intern(f.concept, ids))
-    if isinstance(f, RoleAssertion):
-        return (RoleAssertion, f.subject, f.role, f.object)
-    if isinstance(f, NominalAssertion):
-        return (NominalAssertion, f.nominal, _formula(f.body, ids))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _holds(I: Interpretation, k: _Kernel, v: list, g: tuple) -> bool:
-    """Hybrid satisfaction of a compiled role or nominal assertion:
-    assertions hold hereditarily above their anchors."""
+def _holds(I: Interpretation, k: _Kernel, v: list, ids: dict, f: Formula) -> bool:
+    """Hybrid satisfaction of a role or nominal assertion whose concepts are
+    in the program ids: assertions hold hereditarily above their anchors."""
     up = k.up.rows
-    if g[0] is RoleAssertion:
+    if isinstance(f, RoleAssertion):
         # all refinement pairs above the two anchors are related
-        zx, zy = (up[k.pos(I.entity_of(x))] for x in (g[1], g[3]))
-        succ = k.rel(g[2]).rows
+        zx, zy = (up[k.pos(I.entity_of(x))] for x in (f.subject, f.object))
+        succ = k.rel(f.role).rows
         return all(succ[a] & zy == zy for a in _bits(zx))
-    anchor, body = up[k.pos(I.entity_of(g[1]))], g[2]
-    if body[0] is ConceptF:
-        return not anchor & ~v[body[1]]
+    anchor, body = up[k.pos(I.entity_of(f.nominal))], f.body
+    if isinstance(body, ConceptF):
+        return not anchor & ~v[ids[body.concept][0]]
     # a nested assertion re-anchors at its own nominal
-    return not anchor or _holds(I, k, v, body)
+    return not anchor or _holds(I, k, v, ids, body)
 
 
 def satisfies(I: Interpretation, f: Formula) -> bool:
@@ -377,7 +370,7 @@ def extension(I: Interpretation, c: Concept) -> frozenset:
     """The set of entities satisfying c, per the constructive clauses."""
     ids: dict = {}
     top, k = _intern(c, ids), I._k
-    return frozenset(k.members(_values(k, tuple(ids))[top]))
+    return frozenset(k.members(_values(k, tuple(ids.values()))[top]))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +385,12 @@ def _member(f: Formula, ids: dict) -> tuple:
         return None, _intern(f.concept, ids)
     if isinstance(f, NominalAssertion) and isinstance(f.body, ConceptF):
         return f.nominal, _intern(f.body.concept, ids)
-    return (_formula(f.body if isinstance(f, NominalAssertion) else f, ids),)
+    if not isinstance(f, (NominalAssertion, RoleAssertion)):
+        raise TypeError(f"not a formula: {f!r}")
+    for g in _walk(f, Formula):
+        if isinstance(g, ConceptF):
+            _intern(g.concept, ids)
+    return (f.body if isinstance(f, NominalAssertion) else f,)
 
 
 class _Goal:
@@ -415,7 +413,7 @@ class _Goal:
             else:
                 self.at.append(m)
         self.succ = _member(s.succedent, ids)
-        self.ops = tuple(ids)
+        self.ids, self.ops = ids, tuple(ids.values())
 
     def holds(self, I: Interpretation) -> bool:
         k = I._k
@@ -425,10 +423,10 @@ class _Goal:
         for x, c in self.at:
             choices[x] &= v[c]
         if (not all(choices.values()) or any(v[c] != k.full for c in self.tbox)
-                or not all(_holds(I, k, v, g) for g in self.fixed)):
+                or not all(_holds(I, k, v, self.ids, g) for g in self.fixed)):
             return True
         if len(self.succ) == 1:
-            return _holds(I, k, v, self.succ[0])
+            return _holds(I, k, v, self.ids, self.succ[0])
         x, c = self.succ
         return not choices[x] & ~v[c]
 

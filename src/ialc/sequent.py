@@ -46,8 +46,8 @@ from .modelgen import Signature, candidates, enumerate_models
 from .semantics import Interpretation, entails
 from .syntax import (
     And, Bot, ConceptF, Exists, Forall, Formula, NominalAssertion,
-    Or, RoleAssertion, Sequent, Subs, nominals_of, parse_formula,
-    parse_sequent, render,
+    Or, RoleAssertion, Sequent, Subs, _parse_memo, _text, _walk, nominals_of, parse_formula,
+    parse_sequent, render, substitute,
 )
 
 __all__ = [
@@ -121,14 +121,6 @@ def _shape(f: Formula) -> tuple:
     if isinstance(f, NominalAssertion):
         return (f, True, f.body.concept) if isinstance(f.body, ConceptF) else (f, False, None)
     return f, False, getattr(f, "concept", None)
-
-
-def _nominals_in_order(f: Formula) -> list[str]:
-    if isinstance(f, RoleAssertion):
-        return [f.subject, f.object]
-    if isinstance(f, NominalAssertion):
-        return [f.nominal] + _nominals_in_order(f.body)
-    return []
 
 
 def _parts(m: Formula, nominal: bool, c) -> tuple:
@@ -264,10 +256,8 @@ def _p_nom(seq: Sequent, shapes: list, chooser) -> Iterator:
     if any(isinstance(m, ConceptF) for m in seq.antecedent):
         return      # a lifted antecedent has no concept member
     for x, gamma, delta in chooser.unprefixed(seq):
-        if (_lift(delta, x) == seq.succedent
-                and frozenset(_lift(m, x) for m in gamma) == seq.antecedent):
-            lifted = isinstance(delta, ConceptF) or any(isinstance(m, ConceptF) for m in gamma)
-            yield "p-nom", RuleParams(prefix=x) if lifted else _NO_PARAMS, (Sequent(gamma, delta),)
+        lifted = isinstance(delta, ConceptF) or any(isinstance(m, ConceptF) for m in gamma)
+        yield "p-nom", RuleParams(prefix=x) if lifted else _NO_PARAMS, (Sequent(gamma, delta),)
 
 
 # Every rule but cut and weaken, in the order the search tries them, as
@@ -306,7 +296,9 @@ class _Premises(tuple):
 
     def unprefixed(self, seq: Sequent):
         (p,) = self
-        return [(x, p.antecedent, p.succedent) for x in nominals_of(seq)]
+        return [(x, p.antecedent, p.succedent) for x in nominals_of(seq)
+                if _lift(p.succedent, x) == seq.succedent
+                and frozenset(_lift(m, x) for m in p.antecedent) == seq.antecedent]
 
 
 def _agrees(stated: RuleParams, made: RuleParams) -> bool:
@@ -344,11 +336,8 @@ def check_step(rule: str, params: Optional[RuleParams],
     # initial sequents leave nothing to choose, and principal-free rules read no shapes
     premises = _Premises(premises) if premises else ()
     principal, instances = _RULES[base]
-    for label, made, prem in instances(conclusion, principal and [_shape(m) for m in ant],
-                                       premises):
-        if label == rule and prem == premises and _agrees(p, made):
-            return True
-    return False
+    return any(label == rule and prem == premises and _agrees(p, made) for label, made, prem
+               in instances(conclusion, principal and [_shape(m) for m in ant], premises))
 
 
 def check_proof(t: ProofTree) -> CheckResult:
@@ -408,20 +397,23 @@ def tree_to_dict(t: ProofTree) -> dict:
 
 
 def tree_from_dict(d: dict) -> ProofTree:
+    """The tree of a proof document; each distinct member text of its
+    conclusions and param formulas is parsed once."""
+    return _tree_from_dict(d, {})
+
+
+def _tree_from_dict(d: dict, memo: dict) -> ProofTree:
     try:
         rule = d["rule"]
         if not isinstance(rule, str):
             raise ProofFileError(f"rule must be a string, got {rule!r}")
-        conclusion = parse_sequent(d["conclusion"])
+        conclusion = _parse_memo(parse_sequent, d["conclusion"], memo)
         raw = d.get("params", {})
-        params = RuleParams(
-            principal=parse_formula(raw["principal"]) if "principal" in raw else None,
-            role=raw.get("role"),
-            nominal=raw.get("nominal"),
-            prefix=raw.get("prefix"),
-            cut_formula=parse_formula(raw["cut"]) if "cut" in raw else None,
-        )
-        premises = tuple(tree_from_dict(c) for c in d.get("premises", []))
+        principal, cut = (_parse_memo(parse_formula, raw[k], memo) if k in raw else None
+                          for k in ("principal", "cut"))
+        params = RuleParams(principal=principal, role=raw.get("role"), nominal=raw.get("nominal"),
+                            prefix=raw.get("prefix"), cut_formula=cut)
+        premises = tuple(_tree_from_dict(c, memo) for c in d.get("premises", []))
     except (KeyError, TypeError, AttributeError, RecursionError) as e:
         raise ProofFileError(f"malformed proof node: {e}") from None
     return ProofTree(conclusion, rule, params, premises)
@@ -461,16 +453,6 @@ class ProveResult:
 _ENGINE_NOMINAL = re.compile(r"^_n\d+$")
 
 
-def _rename_formula(f: Formula, mapping: dict) -> Formula:
-    if isinstance(f, RoleAssertion):
-        return RoleAssertion(mapping.get(f.subject, f.subject), f.role,
-                             mapping.get(f.object, f.object))
-    if isinstance(f, NominalAssertion):
-        return NominalAssertion(mapping.get(f.nominal, f.nominal),
-                                _rename_formula(f.body, mapping))
-    return f
-
-
 class _Search:
     """Depth-first backward search with loop pruning and a failure cache.
 
@@ -491,6 +473,8 @@ class _Search:
         self.failed: dict[Sequent, list[tuple[int, frozenset]]] = {}
         self.used_nominals = set(nominals_of(root))
         self.counter = count()
+        self.engine: dict[Formula, tuple] = {}      # a formula's engine nominals
+        self.renamed: dict[tuple, Formula] = {}     # (formula, their new names) -> renamed
 
     def fresh_nominal(self) -> str:
         while True:
@@ -500,16 +484,23 @@ class _Search:
                 return name
 
     def normalize(self, seq: Sequent, members: list) -> Sequent:
-        order: list[str] = []
-        for f in members + [seq.succedent]:
-            for nom in _nominals_in_order(f):
-                if _ENGINE_NOMINAL.match(nom) and nom not in order:
-                    order.append(nom)
-        if not order:
-            return seq
-        mapping = {n: f"_c{i}" for i, n in enumerate(order)}
-        return Sequent(frozenset(_rename_formula(f, mapping) for f in seq.antecedent),
-                       _rename_formula(seq.succedent, mapping))
+        """seq with its engine nominals renamed _c0, _c1, ... in order of occurrence over
+        the sorted members and the succedent; members without one pass through."""
+        engine, mapping, renamed = self.engine, {}, []
+        for f in (*members, seq.succedent):
+            noms = engine.get(f)
+            if noms is None:
+                # the names of f's assertions, outermost first: its nominals and roles
+                noms = engine[f] = tuple(n for g in _walk(f, Formula) for n in g.fields
+                                         if isinstance(n, str) and _ENGINE_NOMINAL.match(n))
+            for nom in noms:
+                if nom not in mapping:
+                    mapping[nom] = f"_c{len(mapping)}"
+            if noms:
+                key = (f, *map(mapping.get, noms))
+                f = self.renamed.get(key) or self.renamed.setdefault(key, substitute(f, mapping))
+            renamed.append(f)
+        return Sequent(frozenset(renamed[:-1]), renamed[-1]) if mapping else seq
 
     def prove(self, seq: Sequent, depth: int,
               ancestors: frozenset) -> tuple[Optional[ProofTree], Optional[frozenset]]:
@@ -517,7 +508,7 @@ class _Search:
         (None, None) once the visited cap is spent."""
         if self.exhausted:
             return None, None
-        members = sorted(seq.antecedent, key=render)
+        members = sorted(seq.antecedent, key=_text)
         key = self.normalize(seq, members)
         if key in ancestors:
             self.loop_prunes += 1

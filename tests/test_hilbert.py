@@ -132,11 +132,22 @@ def test_file_parse_examples():
     ("A -> A ; ipl a1 [C := A, D B]\n", 1, 26),
     ("A -> A ; ipl a1 [C := A, D := B,]\n", 1, 33),
     ("A -> A ; ipl A1 [C := A]\n", 1, 10),
+    # a binding's name is a metavariable name: an uppercase identifier
+    ("A -> A ; ipl a1 [C := A, D := B,  := top]\n", 1, 35),
+    ("A -> A ; ipl a1 [C := A, d x := B]\n", 1, 26),
 ])
 def test_file_errors_report_raw_line_columns(text, line, col):
     with pytest.raises(ParseError) as exc:
         parse_hilbert_proof(text)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize("binding,name", [("D := B,  := top", ""), ("d x := B", "d x")])
+def test_binding_name_must_be_a_metavariable_name(binding, name, tmp_path, capsys):
+    path = tmp_path / "badname.hpf"
+    path.write_text(f"A -> (B -> A) ; ipl a1 [C := A, {binding}]\n")
+    assert run(["check", str(path)]) == 3
+    assert f"bad metavariable name {name!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text,name", [

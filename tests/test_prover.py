@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 from itertools import count
 
@@ -8,7 +10,9 @@ from ialc.corpus import random_concept, schema_instance_corpus
 from ialc.golden import AXIOM_ROOTS
 from ialc.modelgen import Signature, enumerate_models, signature_for
 from ialc.semantics import sequent_valid
-from ialc.sequent import ProofTree, RuleParams, check_proof, find_countermodel, prove
+from ialc.sequent import (
+    ProofTree, RuleParams, check_proof, find_countermodel, prove, tree_to_dict,
+)
 from ialc.syntax import (
     Bot, ConceptF, Exists, Forall, NominalAssertion, RoleAssertion, Sequent,
     nominals_of, parse_sequent, render,
@@ -443,3 +447,24 @@ def test_unknown_names_the_budget_that_stopped_it():
     assert prove(goal, max_depth=16).budget is None
     # a search that runs out of sequents to try is stopped by neither budget
     assert prove(S("|- A | not A"), max_depth=24).budget is None
+
+
+# sha256 over each goal's rendered root, visited, cache hits, loop prunes,
+# budget and proof file text: the five golden roots at depth 16, then 300
+# seeded random goals at depth 10, each with a cap of 5,000 visited nodes.
+# It pins the search's DFS order, engine names and failure cache, and must
+# not depend on PYTHONHASHSEED or on set iteration order.
+SEARCH_DIGEST = "d88418bd87e082dc4a8f3bf7b4df79deb4b2fd9ae046bad650162660aa027b17"
+
+
+def test_search_digest_is_pinned():
+    rng = random.Random(1402)
+    goals = [(S(AXIOM_ROOTS[i]), 16) for i in sorted(AXIOM_ROOTS)]
+    goals += [(_random_sequent(rng), 10) for _ in range(300)]
+    digest = hashlib.sha256()
+    for goal, depth in goals:
+        r = prove(goal, max_depth=depth, max_visited=5000)
+        tree = json.dumps(tree_to_dict(r.tree)) if r.proved else None
+        digest.update(repr((render(goal), r.visited, r.cache_hits, r.loop_prunes,
+                            r.budget, tree)).encode())
+    assert digest.hexdigest() == SEARCH_DIGEST

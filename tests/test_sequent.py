@@ -1,9 +1,11 @@
+import pytest
+
 from ialc.sequent import (
     CheckResult, ProofTree, RuleParams, check_proof, check_step,
     load_proof, save_proof, tree_from_dict, tree_to_dict, weaken_tree,
 )
 from ialc.golden import axiom_trees
-from ialc.syntax import parse_formula, parse_sequent
+from ialc.syntax import ParseError, parse_formula, parse_sequent
 from ref_sequent import ref_check_step
 
 S = parse_sequent
@@ -279,3 +281,30 @@ def test_proof_file_roundtrip(tmp_path):
 def test_tree_dict_roundtrip():
     for tree in axiom_trees().values():
         assert tree_from_dict(tree_to_dict(tree)) == tree
+
+
+# A later node of a proof file with a malformed member, after the earlier
+# nodes' members were parsed: the error is the parser's on the whole text.
+@pytest.mark.parametrize("where,text,error", [
+    ("conclusion", "A -> B ; A |- B & (C", "1:21: unexpected end of input (expected ')')"),
+    ("conclusion", "A -> B ; A B |- B", "1:12: unexpected 'B' (expected '|-')"),
+    ("conclusion", "A -> B ; A |- ", "1:15: unexpected end of input (expected succedent formula)"),
+    ("conclusion", "A -> B ; ; A |- B", "1:10: unexpected ';' (expected concept)"),
+    ("conclusion", "A -> B ; A |- B |- A", "1:17: unexpected '|-' (expected end of input)"),
+    ("conclusion", "A -> B ; A $ |- B", "1:12: unexpected character '$'"),
+    ("conclusion", "A -> B ; A # c |- B", "1:20: unexpected end of input (expected '|-')"),
+    ("conclusion", "A -> B\n ; A -> |- B", "2:9: unexpected '|-' (expected concept)"),
+    ("principal", "A -> ", "1:6: unexpected end of input (expected concept)"),
+    ("principal", "A -> B ; A", "1:8: unexpected ';' (expected end of input)"),
+])
+def test_malformed_member_of_a_later_node_reports_the_parse_error(where, text, error):
+    node = {"rule": "axiom", "conclusion": "A -> B ; A |- B"}
+    if where == "principal":
+        node["params"] = {"principal": text}
+    else:
+        node["conclusion"] = text
+    doc = {"rule": "sub-l", "conclusion": "A -> B ; A |- B", "params": {"principal": "A -> B"},
+           "premises": [{"rule": "axiom", "conclusion": "A -> B ; A |- A"}, node]}
+    with pytest.raises(ParseError) as exc:
+        tree_from_dict(doc)
+    assert str(exc.value) == error

@@ -1,5 +1,9 @@
+import copy
+import pickle
 import random
 import re
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -232,6 +236,79 @@ def test_formula_roundtrip(f):
 def test_sequent_roundtrip(ant, succ):
     s = Sequent(ant, succ)
     assert parse_sequent(render(s)) == s
+
+
+# ---------------------------------------------------------------------------
+# Hash-consed nodes
+# ---------------------------------------------------------------------------
+
+def test_equal_nodes_are_one_object():
+    assert Atom("A") is Atom("A") and Top() is TOP and Bot() is BOT
+    f = NominalAssertion("x", ConceptF(Subs(A, Not(B))))
+    assert f is NominalAssertion("x", ConceptF(Subs(Atom("A"), Not(Atom("B")))))
+    assert And(A, B) is not And(B, A) and And(A, B) is not Or(A, B)
+    assert f.fields == ("x", ConceptF(Subs(A, Not(B)))) and TOP.fields == ()
+
+
+@settings(max_examples=200)
+@given(_concepts, _formulas)
+def test_reparsed_text_is_the_node(c, f):
+    assert parse_concept(render(c)) is c
+    assert parse_formula(render(f)) is f
+
+
+def test_nodes_are_immutable():
+    c = Subs(A, B)
+    for name in ("left", "fields", "_text", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, A)
+    with pytest.raises(AttributeError):
+        del c.left
+    assert c.fields == (A, B) and c.left is A and render(c) == "A -> B"
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    for node in (Subs(A, Not(B)), TOP, RoleAssertion("x", "R", "y"),
+                 NominalAssertion("x", NominalAssertion("y", ConceptF(Exists("R", A))))):
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_threads_building_the_same_nodes_get_one_object():
+    def build(seed, out):
+        rng = random.Random(seed)
+        names = [f"T{i}" for i in range(300)]
+        rng.shuffle(names)
+        out.extend((n, NominalAssertion("t", ConceptF(And(Atom(n), Not(Atom(n)))))) for n in names)
+
+    results = [[] for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i, out)) for i, out in enumerate(results)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    first = dict(results[0])
+    assert all(len(out) == 300 and all(first[n] is f for n, f in out) for out in results)
+
+
+def test_node_repr_and_construction_errors():
+    assert repr(Exists("R", A)) == "Exists(role='R', body=Atom(name='A'))"
+    assert repr(NominalAssertion("x", ConceptF(TOP))) == \
+        "NominalAssertion(nominal='x', body=ConceptF(concept=Top()))"
+    with pytest.raises(TypeError):
+        Atom()
+    with pytest.raises(TypeError):
+        And(A)
+    with pytest.raises(ValueError):
+        NominalAssertion("x", RoleAssertion("x", "R", "y"))
+    with pytest.raises(TypeError):
+        NominalAssertion("x", A)
 
 
 def test_printer_never_needs_extra_parens():
@@ -729,11 +806,12 @@ def ref_render(obj: Union[Concept, Formula, Sequent]) -> str:
 
 
 def _fresh_constants(c: Concept) -> Concept:
-    """c with each top and bot leaf a new instance, not the TOP/BOT singleton."""
+    """c rebuilt through its constructors, top and bot leaves included;
+    hash-consing returns the very nodes of c."""
     if isinstance(c, (Top, Bot)):
         return type(c)()
     return type(c)(*(_fresh_constants(v) if isinstance(v, Concept) else v
-                     for v in vars(c).values()))
+                     for v in c.fields))
 
 
 def assert_renders_as_reference(obj):
