@@ -117,15 +117,11 @@ def _cmd_prove(args) -> int:
     return EXIT_OK
 
 
-def _sniff_is_tree(text: str) -> bool:
-    lines = (line.strip() for line in text.splitlines())
-    return next((s for s in lines if s and not s.startswith("#")), "").startswith("{")
-
-
 def _cmd_check(args) -> int:
     with open(args.prooffile, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if _sniff_is_tree(text):
+    lines = (s.strip() for s in text.splitlines())      # a sequent proof tree is JSON
+    if next((s for s in lines if s and not s.startswith("#")), "").startswith("{"):
         result = check_proof(load_proof(args.prooffile))
     else:
         result = hilbert.check_hilbert_proof(hilbert.parse_hilbert_proof(text))

@@ -57,18 +57,18 @@ def _tree3() -> ProofTree:
     return _node("n-sub-r", AXIOM_ROOTS[3], (el,))
 
 
+def _exists_r(atom: str) -> ProofTree:
+    """R(x,y) ; y : atom |- x : some R.atom, by exists-r over two axioms."""
+    ctx = f"R(x,y) ; y : {atom}"
+    return _node("exists-r", f"{ctx} |- x : some R.{atom}",
+                 (_node("axiom", f"{ctx} |- R(x,y)"), _node("axiom", f"{ctx} |- y : {atom}")),
+                 role="R", nominal="y")
+
+
 def _tree4() -> ProofTree:
     goal = "x : (some R.A | some R.B)"
-    era = _node("exists-r", "R(x,y) ; y : A |- x : some R.A",
-                (_node("axiom", "R(x,y) ; y : A |- R(x,y)"),
-                 _node("axiom", "R(x,y) ; y : A |- y : A")),
-                role="R", nominal="y")
-    left = _node("n-or1-r", f"R(x,y) ; y : A |- {goal}", (era,))
-    erb = _node("exists-r", "R(x,y) ; y : B |- x : some R.B",
-                (_node("axiom", "R(x,y) ; y : B |- R(x,y)"),
-                 _node("axiom", "R(x,y) ; y : B |- y : B")),
-                role="R", nominal="y")
-    right = _node("n-or2-r", f"R(x,y) ; y : B |- {goal}", (erb,))
+    left = _node("n-or1-r", f"R(x,y) ; y : A |- {goal}", (_exists_r("A"),))
+    right = _node("n-or2-r", f"R(x,y) ; y : B |- {goal}", (_exists_r("B"),))
     ol = _node("n-or-l", f"R(x,y) ; y : (A | B) |- {goal}", (left, right),
                principal="y : (A | B)")
     return _node("exists-l", AXIOM_ROOTS[4], (ol,),
@@ -76,16 +76,12 @@ def _tree4() -> ProofTree:
 
 
 def _tree5() -> ProofTree:
-    er = _node("exists-r", "R(x,y) ; y : A |- x : some R.A",
-               (_node("axiom", "R(x,y) ; y : A |- R(x,y)"),
-                _node("axiom", "R(x,y) ; y : A |- y : A")),
-               role="R", nominal="y")
     fl = _node("forall-l", "R(x,y) ; x : all R.B ; y : A |- y : B",
                (_node("axiom", "R(x,y) ; x : all R.B ; y : A ; y : B |- y : B"),),
                principal="x : all R.B", role="R", nominal="y")
     sl = _node("n-sub-l",
                "R(x,y) ; x : (some R.A -> all R.B) ; y : A |- y : B",
-               (er, fl), principal="x : (some R.A -> all R.B)")
+               (_exists_r("A"), fl), principal="x : (some R.A -> all R.B)")
     sr = _node("n-sub-r",
                "R(x,y) ; x : (some R.A -> all R.B) |- y : (A -> B)", (sl,))
     fr = _node("forall-r",

@@ -14,9 +14,9 @@ the nominals' worlds.  The countermodel search evaluates only these.
 
 A relation on n worlds is a bitmask over its n*n pairs, row by row, so
 the mask splits directly into the bit rows of the semantics kernel, the
-only stored form of a model.  Preorders, frame-compatible relations and
-up-closed sets are filtered by the fault generator that validation uses,
-and cached, as rows and masks, per world count and preorder.
+only stored form of a model.  Preorders and up-closed sets are filtered
+by the fault generator that validation uses, frame-compatible relations
+built class by class from F1 and F2; all are cached per preorder.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations, product
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Iterator
 
 from .semantics import (
-    Interpretation, _closed_rows, _faults, _image, _Kernel, _Rows,
+    Interpretation, _bits, _closed_rows, _faults, _image, _Kernel, _none, _Rows,
 )
 from .syntax import Sequent, atoms_of, nominals_of, roles_of
 
@@ -89,8 +89,26 @@ def _preorders(n: int) -> tuple[_Rows, ...]:
 
 @lru_cache(maxsize=None)
 def _frame_relations(n: int, up: tuple) -> tuple[_Rows, ...]:
-    return tuple(_table_relation(n, mask) for mask in range(1 << n * n)
-                 if not any(_faults(up, roles={"": _split(mask, n)})))
+    """The relations that meet F1 and F2 over the preorder up, by mask.  A
+    row is bound only by the rows of its world's refinements, so each class
+    of equivalent worlds takes its rows after the classes above it: it may
+    reach v only if every row of its up-set meets the cone of v (F1), and
+    the cones it reaches must lie in the union of those rows (F2)."""
+    low = (1 << n) - 1
+    meets = [low & ~_none(up, r) for r in range(1 << n)].__getitem__    # v whose cone meets r
+    masks = [0]
+    for cone in sorted(set(up), key=int.bit_count):         # refinements first
+        members = [w for w in range(n) if up[w] == cone]
+        grown = []
+        for m in masks:
+            fixed = [m >> n * w & low for w in _bits(cone) if up[w] != cone]
+            reach, may = reduce(or_, fixed, 0), reduce(and_, map(meets, fixed), low)
+            for rows in product([r for r in range(1 << n) if r & may == r], repeat=len(members)):
+                u = reduce(or_, rows, 0)
+                if not u & ~reduce(and_, map(meets, rows), low) | _image(up, u) & ~(u | reach):
+                    grown.append(m | sum(r << n * w for w, r in zip(members, rows)))
+        masks = grown
+    return tuple(_table_relation(n, m) for m in sorted(masks))
 
 
 @lru_cache(maxsize=None)

@@ -431,10 +431,8 @@ class _Goal:
         return not choices[x] & ~v[c]
 
 
-@lru_cache(maxsize=8)
-def _compiled(s: Sequent, tbox_global: bool) -> _Goal:
-    """Compiled sequents, kept for callers that check one sequent on many models."""
-    return _Goal(s, tbox_global)
+# compiled sequents, kept for callers that check one sequent on many models
+_compiled = lru_cache(maxsize=8)(_Goal)
 
 
 def sequent_valid(I: Interpretation, s: Sequent, tbox_global: bool = True) -> bool:

@@ -484,8 +484,8 @@ class _Search:
                 return name
 
     def normalize(self, seq: Sequent, members: list) -> Sequent:
-        """seq with its engine nominals renamed _c0, _c1, ... in order of occurrence over
-        the sorted members and the succedent; members without one pass through."""
+        """seq with its engine nominals renamed #0, #1, ..., names no input can spell, in
+        order of occurrence over the sorted members and the succedent; others pass through."""
         engine, mapping, renamed = self.engine, {}, []
         for f in (*members, seq.succedent):
             noms = engine.get(f)
@@ -495,7 +495,7 @@ class _Search:
                                          if isinstance(n, str) and _ENGINE_NOMINAL.match(n))
             for nom in noms:
                 if nom not in mapping:
-                    mapping[nom] = f"_c{len(mapping)}"
+                    mapping[nom] = f"#{len(mapping)}"
             if noms:
                 key = (f, *map(mapping.get, noms))
                 f = self.renamed.get(key) or self.renamed.setdefault(key, substitute(f, mapping))

@@ -519,9 +519,8 @@ def parse_problem(text: str) -> Problem:
             raise ParseError("formula before any section header",
                              lineno, 1, {"theory:", "assume:", "goal:"})
         f = _parse_line(parse_formula, code, lineno)
-        if current == "theory" and not _is_theory_formula(f):
-            raise ParseError(
-                "theory members must be subsumptions or assertions", lineno, 1)
+        if current == "theory" and isinstance(f, ConceptF) and not isinstance(f.concept, Subs):
+            raise ParseError("theory members must be subsumptions or assertions", lineno, 1)
         sections[current].append(f)
     goals = sections["goal"]
     if len(goals) != 1:
@@ -540,9 +539,3 @@ def _parse_line(parse, code: str, lineno: int, start: int = 0):
     except ParseError as e:
         col = e.col + len(code) - len(code.lstrip()) if e.col <= len(text) else len(code) + 1
         raise ParseError(e.args[0], lineno, start + col, e.expected) from None
-
-
-def _is_theory_formula(f: Formula) -> bool:
-    if isinstance(f, (NominalAssertion, RoleAssertion)):
-        return True
-    return isinstance(f, ConceptF) and isinstance(f.concept, Subs)

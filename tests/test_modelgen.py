@@ -1,3 +1,4 @@
+import random
 from itertools import islice
 
 import pytest
@@ -5,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ialc.modelgen import (
-    GenerationBudgetError, Signature, enumerate_models, random_model,
-    signature_for,
+    GenerationBudgetError, Signature, _frame_relations, _preorders, _split,
+    enumerate_models, random_model, signature_for,
 )
-from ialc.semantics import model_from_dict, validate_interpretation
+from ialc.semantics import _faults, model_from_dict, validate_interpretation
 from ialc.syntax import parse_sequent
 
 
@@ -80,6 +81,28 @@ def test_counts_match_oracle(atoms, roles, noms, worlds, expect):
                     nominals=("x", "y")[:noms], max_worlds=worlds)
     got = sum(1 for _ in enumerate_models(sig))
     assert got == count_models_oracle(worlds, atoms, roles, noms) == expect
+
+
+def lawful(n, up, mask):
+    return not any(_faults(up, roles={"": _split(mask, n)}))
+
+
+def test_frame_relations_are_the_fault_filter_up_to_three_worlds():
+    # the generator against the one validator: same masks, same order
+    for n in (1, 2, 3):
+        for up in _preorders(n):
+            got = [rel.rows for rel in _frame_relations(n, up.rows)]
+            assert got == [_split(m, n) for m in range(1 << n * n) if lawful(n, up.rows, m)]
+
+
+def test_four_world_frame_relations_are_lawful_and_complete_on_samples():
+    rng = random.Random(4)
+    for up in rng.sample(_preorders(4), 2):
+        table = {sum(r << 4 * i for i, r in enumerate(rel.rows))
+                 for rel in _frame_relations(4, up.rows)}
+        assert all(lawful(4, up.rows, m) for m in table)
+        for m in rng.sample(range(1 << 16), 300):
+            assert (m in table) == lawful(4, up.rows, m)
 
 
 def test_every_emitted_model_validates():

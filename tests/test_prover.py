@@ -135,6 +135,16 @@ def test_fresh_nominals_avoid_user_names():
     assert result.proved
 
 
+@pytest.mark.parametrize("nom", ["_c0", "_d0", "_n0", "x"])
+def test_canonical_names_avoid_user_names(nom):
+    # the failure cache's canonical names for engine nominals must not
+    # identify a sequent with one that mentions a user nominal so spelt
+    goal = S(f"|- {nom} : ((some R.A -> all R.(some R.A & (A & bot))) "
+             f"-> all R.(A -> some R.A & (A & bot)))")
+    result = prove(goal)
+    assert result.proved and result.visited == 21
+
+
 # ---------------------------------------------------------------------------
 # Countermodels
 # ---------------------------------------------------------------------------
