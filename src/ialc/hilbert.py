@@ -20,8 +20,7 @@ of the bindings, as for the axiom roots written once in ``golden.AXIOM_ROOTS``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .syntax import (
     Atom, BOT, Concept, Exists, Forall, Not, And, Or, Subs,
@@ -99,46 +98,22 @@ def axiom_instance(axiom: int, subst: Mapping[str, Union[Concept, str]]) -> Conc
 # Proof objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IplAx:
-    schema: str
-    subst: tuple[tuple[str, Union[Concept, str]], ...]
-
-
-@dataclass(frozen=True)
-class IkAx:
-    axiom: int
-    subst: tuple[tuple[str, Union[Concept, str]], ...]
-
-
-@dataclass(frozen=True)
-class ModusPonens:
-    i: int                 # line proving C
-    j: int                 # line proving C -> D
-
-
-@dataclass(frozen=True)
-class Necessitation:
-    i: int
-    role: str
+# Justifications: an instance of a propositional schema or a modal axiom, modus
+# ponens from line i proving C and line j proving C -> D, necessitation of line i.
+class IplAx(NamedTuple): schema: str; subst: tuple[tuple[str, Union[Concept, str]], ...]
+class IkAx(NamedTuple): axiom: int; subst: tuple[tuple[str, Union[Concept, str]], ...]
+class ModusPonens(NamedTuple): i: int; j: int
+class Necessitation(NamedTuple): i: int; role: str
 
 
 Justification = Union[IplAx, IkAx, ModusPonens, Necessitation]
 
 
-@dataclass(frozen=True)
-class ProofLine:
-    concept: Concept
-    justification: Justification
+class ProofLine(NamedTuple): concept: Concept; justification: Justification
+class HilbertProof(NamedTuple): lines: tuple[ProofLine, ...]
 
 
-@dataclass(frozen=True)
-class HilbertProof:
-    lines: tuple[ProofLine, ...]
-
-
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     line: int | None = None        # 1-based first bad line
     reason: str | None = None

@@ -15,18 +15,20 @@ the nominals' worlds.  The countermodel search evaluates only these.
 A relation on n worlds is a bitmask over its n*n pairs, row by row, so
 the mask splits directly into the bit rows of the semantics kernel, the
 only stored form of a model.  Preorders and up-closed sets are filtered
-by the fault generator that validation uses, frame-compatible relations
-built class by class from F1 and F2; all are cached per preorder.
+by the fault generator that validation uses.  Frame-compatible relations
+are built class by class from F1 and F2, the rows of a class found once
+per choice of the rows above it.  All are cached per preorder, and
+``count_models`` counts the stream from their sizes alone, building no
+role table for a signature without roles.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import permutations, product
 from operator import and_, or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .semantics import (
     Interpretation, _bits, _closed_rows, _faults, _image, _Kernel, _none, _Rows,
@@ -34,25 +36,33 @@ from .semantics import (
 from .syntax import Sequent, atoms_of, nominals_of, roles_of
 
 __all__ = [
-    "Signature", "GenerationBudgetError", "enumerate_models", "candidates",
+    "Signature", "GenerationBudgetError", "count_models", "enumerate_models", "candidates",
     "random_model", "signature_for",
 ]
 
 
-@dataclass(frozen=True)
-class Signature:
+class _SignatureFields(NamedTuple):
     atoms: tuple[str, ...] = ()
     roles: tuple[str, ...] = ()
     nominals: tuple[str, ...] = ()
     max_worlds: int = 2
 
-    def __post_init__(self):
+
+class Signature(_SignatureFields):
+    """Distinct names of each kind and at least one world, also after ``_replace``."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for kind, names in (("atom", self.atoms), ("role", self.roles),
                             ("nominal", self.nominals)):
             if len(set(names)) != len(names):
                 raise ValueError(f"duplicate {kind} names: {names}")
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be at least 1")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 class GenerationBudgetError(RuntimeError):
@@ -96,17 +106,24 @@ def _frame_relations(n: int, up: tuple) -> tuple[_Rows, ...]:
     the cones it reaches must lie in the union of those rows (F2)."""
     low = (1 << n) - 1
     meets = [low & ~_none(up, r) for r in range(1 << n)].__getitem__    # v whose cone meets r
+    closure = [_image(up, u) for u in range(1 << n)]
     masks = [0]
     for cone in sorted(set(up), key=int.bit_count):         # refinements first
         members = [w for w in range(n) if up[w] == cone]
-        grown = []
+        above = [w for w in _bits(cone) if up[w] != cone]
+        bound, adds, grown = sum(low << n * w for w in above), {}, []
         for m in masks:
-            fixed = [m >> n * w & low for w in _bits(cone) if up[w] != cone]
-            reach, may = reduce(or_, fixed, 0), reduce(and_, map(meets, fixed), low)
-            for rows in product([r for r in range(1 << n) if r & may == r], repeat=len(members)):
-                u = reduce(or_, rows, 0)
-                if not u & ~reduce(and_, map(meets, rows), low) | _image(up, u) & ~(u | reach):
-                    grown.append(m | sum(r << n * w for w, r in zip(members, rows)))
+            # the class's rows depend only on the rows above it: found once per part
+            if (part := m & bound) not in adds:
+                fixed = [part >> n * w & low for w in above]
+                reach, may = reduce(or_, fixed, 0), reduce(and_, map(meets, fixed), low)
+                adds[part] = found = []
+                free = [r for r in range(1 << n) if r & may == r]
+                for rows in product(free, repeat=len(members)):
+                    u = reduce(or_, rows, 0)
+                    if not u & ~reduce(and_, map(meets, rows), low) | closure[u] & ~(u | reach):
+                        found.append(sum(r << n * w for w, r in zip(members, rows)))
+            grown += [m | a for a in adds[part]]
         masks = grown
     return tuple(_table_relation(n, m) for m in sorted(masks))
 
@@ -114,6 +131,14 @@ def _frame_relations(n: int, up: tuple) -> tuple[_Rows, ...]:
 @lru_cache(maxsize=None)
 def _upclosed_sets(n: int, up: tuple) -> tuple[int, ...]:
     return tuple(m for m in range(1 << n) if not any(_faults(up, {"": m})))
+
+
+def count_models(sig: Signature) -> int:
+    """The length of ``enumerate_models(sig)``, from the tables' sizes: no
+    model is built, and no role table for a signature without roles."""
+    return sum((len(_frame_relations(n, up.rows)) ** len(sig.roles) if sig.roles else 1)
+               * len(_upclosed_sets(n, up.rows)) ** len(sig.atoms) * n ** len(sig.nominals)
+               for n in range(1, sig.max_worlds + 1) for up in _preorders(n))
 
 
 def enumerate_models(sig: Signature) -> Iterator[Interpretation]:

@@ -32,9 +32,8 @@ evaluated on each model by row operations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .syntax import (
     And, Atom, Bot, Concept, ConceptF, Exists, Forall, Formula,
@@ -90,9 +89,14 @@ class _Rows:
     __slots__ = ("rows", "none")
 
     def __init__(self, rows: tuple):
-        self.rows = rows
-        self.none = (tuple(_none(rows, m) for m in range(1 << len(rows))).__getitem__
-                     if len(rows) <= 4 else partial(_none, rows))
+        self.rows, n = rows, len(rows)
+        if n > 4:
+            self.none = partial(_none, rows)
+            return
+        table = [(1 << n) - 1] * (1 << n)   # rows missing m: missing its lowest bit and the rest
+        for m in range(1, 1 << n):
+            table[m] = table[m & -m] & table[m & m - 1] if m & m - 1 else _none(rows, m)
+        self.none = table.__getitem__
 
     def __eq__(self, other) -> bool:
         return self.rows == other.rows
@@ -117,25 +121,30 @@ def _faults(up, atoms: Mapping = {}, roles: Mapping = {}):
     nothing, so a yes/no check stops at the first fault."""
     for name, m in atoms.items():
         for w in _bits(m):
-            for v in _bits(up[w] & ~m):
-                yield "heredity", (name,), (w, v)
+            if up[w] & ~m:
+                for v in _bits(up[w] & ~m):
+                    yield "heredity", (name,), (w, v)
     for name, succ in roles.items():
         # per edge w R v: the refinements of w with no successor in the cone
         # of v (F1), and those of v that no refinement of w reaches (F2)
+        blind = {c: _none(succ, c) for c in set(up)} if any(succ) else {}
         for w, row in enumerate(succ):
             reached = _image(succ, up[w]) if row else 0
             for v in _bits(row):
-                for w2 in _bits(up[w] & _none(succ, up[v])):
-                    yield "F1", (name,), (w, w2, v)
-                for v2 in _bits(up[v] & ~reached):
-                    yield "F2", (name,), (w, v, v2)
+                if up[w] & blind[up[v]]:
+                    for w2 in _bits(up[w] & blind[up[v]]):
+                        yield "F1", (name,), (w, w2, v)
+                if up[v] & ~reached:
+                    for v2 in _bits(up[v] & ~reached):
+                        yield "F2", (name,), (w, v, v2)
     for i, r in enumerate(up):
         if not r >> i & 1:
             yield "reflexivity", (), (i,)
     for a, r in enumerate(up):
         for b in _bits(r):
-            for d in _bits(up[b] & ~r):
-                yield "transitivity", (), (a, b, d)
+            if up[b] & ~r:
+                for d in _bits(up[b] & ~r):
+                    yield "transitivity", (), (a, b, d)
 
 
 class _Kernel:
@@ -244,8 +253,7 @@ class Interpretation:
 # Validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str          # reflexivity | transitivity | heredity | F1 | F2 | dangling-nominal
     witnesses: tuple
 
@@ -253,8 +261,7 @@ class Violation:
         return f"{self.kind}{self.witnesses!r}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property

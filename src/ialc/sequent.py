@@ -38,9 +38,8 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import count
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .modelgen import Signature, candidates, enumerate_models
 from .semantics import Interpretation, entails
@@ -79,8 +78,7 @@ def _base_rule(label: str) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class RuleParams:
+class RuleParams(NamedTuple):
     principal: Optional[Formula] = None   # the formula the rule acts on
     role: Optional[str] = None
     nominal: Optional[str] = None         # witness nominal (exists-l, forall-r, ...)
@@ -91,16 +89,14 @@ class RuleParams:
 _NO_PARAMS = RuleParams()
 
 
-@dataclass(frozen=True)
-class ProofTree:
+class ProofTree(NamedTuple):
     conclusion: Sequent
     rule: str
     params: RuleParams = _NO_PARAMS
     premises: tuple["ProofTree", ...] = ()
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     path: Optional[tuple[int, ...]] = None   # premise indices from the root
     reason: Optional[str] = None
@@ -389,7 +385,7 @@ class ProofFileError(Exception):
 def tree_to_dict(t: ProofTree) -> dict:
     d: dict = {"rule": t.rule, "conclusion": render(t.conclusion)}
     params = {("cut" if k == "cut_formula" else k): render(v) if isinstance(v, Formula) else v
-              for k, v in vars(t.params).items() if v is not None}
+              for k, v in t.params._asdict().items() if v is not None}
     if params:
         d["params"] = params
     d["premises"] = [tree_to_dict(c) for c in t.premises]
@@ -437,8 +433,7 @@ def save_proof(t: ProofTree, path: str) -> None:
 # Backward proof search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProveResult:
+class ProveResult(NamedTuple):
     tree: Optional[ProofTree]
     visited: int
     cache_hits: int = 0

@@ -40,8 +40,7 @@ the instances of the axiom roots written once in ``golden.AXIOM_ROOTS`` use it.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 __all__ = [
     "Atom", "Top", "Bot", "Not", "And", "Or", "Subs", "Exists", "Forall",
@@ -58,6 +57,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _NODES: dict = {}       # (class, fields) -> node, process-global, never shrinks
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to a field of an immutable node."""
 
 
 class _Node:
@@ -132,8 +135,7 @@ class NominalAssertion(Formula):
         return self
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(NamedTuple):
     antecedent: frozenset[Formula]
     succedent: Formula
 
@@ -145,8 +147,7 @@ class Sequent:
         return Sequent(self.antecedent | frozenset(extra), self.succedent)
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     """A reasoning task: theory (global axioms), assumptions, and a goal."""
     theory: tuple[Formula, ...]
     assumptions: tuple[Formula, ...]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import islice
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from ialc.modelgen import (
     GenerationBudgetError, Signature, _frame_relations, _preorders, _split,
-    enumerate_models, random_model, signature_for,
+    count_models, enumerate_models, random_model, signature_for,
 )
 from ialc.semantics import _faults, model_from_dict, validate_interpretation
 from ialc.syntax import parse_sequent
@@ -93,6 +94,34 @@ def test_frame_relations_are_the_fault_filter_up_to_three_worlds():
         for up in _preorders(n):
             got = [rel.rows for rel in _frame_relations(n, up.rows)]
             assert got == [_split(m, n) for m in range(1 << n * n) if lawful(n, up.rows, m)]
+
+
+def test_frame_relation_tables_are_pinned_up_to_three_worlds():
+    # every preorder's rows in table order, as the 2^(n*n) mask filter yields them
+    digest, total = hashlib.sha256(), 0
+    for n in (1, 2, 3):
+        for up in _preorders(n):
+            rels = _frame_relations(n, up.rows)
+            total += len(rels)
+            digest.update(repr((up.rows, [rel.rows for rel in rels])).encode())
+    assert total == 4518
+    assert digest.hexdigest() == "55f5b6aef50b76a725efd46d9c740df08f3046cd6d4b0ac1740b77e2f2692b34"
+
+
+@pytest.mark.parametrize("atoms,roles,noms,worlds", [
+    (0, 0, 0, 3), (1, 0, 2, 3), (2, 1, 2, 2), (0, 2, 0, 2), (1, 1, 1, 3)])
+def test_count_models_is_the_stream_length(atoms, roles, noms, worlds):
+    sig = Signature(atoms=tuple("AB")[:atoms], roles=("R", "S")[:roles],
+                    nominals=("x", "y")[:noms], max_worlds=worlds)
+    assert count_models(sig) == sum(1 for _ in enumerate_models(sig))
+
+
+def test_count_models_without_roles_builds_no_role_table():
+    before = _frame_relations.cache_info()
+    assert count_models(Signature(atoms=("A",), max_worlds=4)) == 2482
+    assert count_models(Signature(max_worlds=4)) == 389      # the preorders
+    after = _frame_relations.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_four_world_frame_relations_are_lawful_and_complete_on_samples():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -403,8 +402,8 @@ def _canonical(tree: ProofTree, root: Sequent) -> ProofTree:
 
     def rename(t):
         p, seq = t.params, t.conclusion
-        params = dataclasses.replace(
-            p, principal=p.principal and _rename_formula(p.principal, mapping),
+        params = p._replace(
+            principal=p.principal and _rename_formula(p.principal, mapping),
             nominal=mapping.get(p.nominal, p.nominal), prefix=mapping.get(p.prefix, p.prefix))
         conclusion = Sequent(frozenset(_rename_formula(f, mapping) for f in seq.antecedent),
                              _rename_formula(seq.succedent, mapping))

@@ -1,7 +1,6 @@
 """The rule table against the previous checker, and rule by rule against
 the semantics."""
 
-import dataclasses
 import random
 
 import pytest
@@ -36,7 +35,7 @@ def _narrowed(rule, params, premises, conclusion) -> bool:
     accepted them."""
     # a stated role that contradicts the quantifier, which was ignored
     if rule in ("exists-r", "exists-l", "forall-l") and params is not None and params.role:
-        return check_step(rule, dataclasses.replace(params, role=None), premises, conclusion)
+        return check_step(rule, params._replace(role=None), premises, conclusion)
     # a p-nom step whose premise is its conclusion, with a bare concept in
     # the antecedent: no antecedent lifted by p-nom has one
     return (rule == "p-nom" and list(premises) == [conclusion]

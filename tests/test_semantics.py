@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -12,7 +13,7 @@ from ialc.modelgen import (
 from ialc.semantics import (
     Interpretation, ModelFileError, UnassignedNominalError, Violation,
     entails, extension, load_model, model_from_dict, model_to_dict, satisfies,
-    save_model, sequent_valid, validate_interpretation,
+    _faults, save_model, sequent_valid, validate_interpretation,
 )
 from ialc.syntax import (
     And, Atom, BOT, Bot, ConceptF, Exists, Forall, NominalAssertion, Not, Or,
@@ -706,3 +707,16 @@ def test_violation_lists_of_bad_models_unchanged():
     assert [str(v) for v in validate_interpretation(bad_models[3]).violations] == [
         "reflexivity('a',)", "reflexivity('b',)", "reflexivity('c',)",
         "transitivity('a', 'b', 'c')", "dangling-nominal('x', 'zzz')"]
+
+
+def test_fault_generator_order_is_pinned():
+    # the raw fault stream, in the order a yes/no check meets it
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    for _ in range(800):
+        n = rng.randint(1, 6)
+        up = [sum(1 << j for j in range(n) if rng.random() < 0.5) for _ in range(n)]
+        atoms = {"A": rng.randrange(1 << n)}
+        roles = {r: tuple(rng.randrange(1 << n) for _ in range(n)) for r in "RS"}
+        digest.update(repr(list(_faults(up, atoms, roles))).encode())
+    assert digest.hexdigest() == "dd3af597b83f1f5d53eccff11e1f86d1e76dc82226e62e41dda0f1bd94a40c55"
