@@ -21,7 +21,7 @@ from .semantics import (
     model_to_dict, satisfies, save_model, sequent_valid,
 )
 from .sequent import (
-    ProofFileError, check_proof, find_countermodel, load_proof, prove,
+    ProofFileError, check_proof, find_countermodel, parse_proof, prove,
     save_proof,
 )
 from .syntax import (
@@ -119,7 +119,7 @@ def _cmd_check(args) -> int:
         text = fh.read()
     lines = (s.strip() for s in text.splitlines())      # a sequent proof tree is JSON
     if next((s for s in lines if s and not s.startswith("#")), "").startswith("{"):
-        result = check_proof(load_proof(args.prooffile))
+        result = check_proof(parse_proof(text, args.prooffile))
     else:
         result = hilbert.check_hilbert_proof(hilbert.parse_hilbert_proof(text))
     print(result)

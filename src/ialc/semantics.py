@@ -85,18 +85,20 @@ def _none(rows, m: int) -> int:
 
 
 class _Rows:
-    """A relation as bit rows; ``none`` is a table lookup on small frames."""
+    """A relation as bit rows; ``none`` is a table lookup on small frames, built on first use."""
     __slots__ = ("rows", "none")
 
     def __init__(self, rows: tuple):
-        self.rows, n = rows, len(rows)
-        if n > 4:
-            self.none = partial(_none, rows)
-            return
-        table = [(1 << n) - 1] * (1 << n)   # rows missing m: missing its lowest bit and the rest
-        for m in range(1, 1 << n):
-            table[m] = table[m & -m] & table[m & m - 1] if m & m - 1 else _none(rows, m)
+        self.rows = rows
+        self.none = partial(_none, rows) if len(rows) > 4 else self._first_none
+
+    def _first_none(self, m: int) -> int:
+        rows, n = self.rows, len(self.rows)
+        table = [(1 << n) - 1] * (1 << n)   # rows missing k: missing its lowest bit and the rest
+        for k in range(1, 1 << n):
+            table[k] = table[k & -k] & table[k & k - 1] if k & k - 1 else _none(rows, k)
         self.none = table.__getitem__
+        return table[m]
 
     def __eq__(self, other) -> bool:
         return self.rows == other.rows

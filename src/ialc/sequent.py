@@ -45,15 +45,15 @@ from .modelgen import Signature, candidates, enumerate_models
 from .semantics import Interpretation, entails
 from .syntax import (
     And, Bot, ConceptF, Exists, Forall, Formula, NominalAssertion,
-    Or, RoleAssertion, Sequent, Subs, _parse_memo, _text, _walk, nominals_of, parse_formula,
+    Or, RoleAssertion, Sequent, Subs, _text, _walk, nominals_of, parse_formula,
     parse_sequent, render, substitute,
 )
 
 __all__ = [
     "RuleParams", "ProofTree", "CheckResult", "RULE_ARITY", "RULE_LABELS",
     "check_step", "check_proof", "prove", "ProveResult", "find_countermodel",
-    "weaken_tree", "tree_to_dict", "tree_from_dict", "load_proof", "save_proof",
-    "ProofFileError",
+    "weaken_tree", "tree_to_dict", "tree_from_dict", "parse_proof", "load_proof",
+    "save_proof", "ProofFileError",
 ]
 
 RULE_ARITY = {
@@ -393,35 +393,32 @@ def tree_to_dict(t: ProofTree) -> dict:
 
 
 def tree_from_dict(d: dict) -> ProofTree:
-    """The tree of a proof document; each distinct member text of its
-    conclusions and param formulas is parsed once."""
-    return _tree_from_dict(d, {})
-
-
-def _tree_from_dict(d: dict, memo: dict) -> ProofTree:
     try:
         rule = d["rule"]
         if not isinstance(rule, str):
             raise ProofFileError(f"rule must be a string, got {rule!r}")
-        conclusion = _parse_memo(parse_sequent, d["conclusion"], memo)
+        conclusion = parse_sequent(d["conclusion"])
         raw = d.get("params", {})
-        principal, cut = (_parse_memo(parse_formula, raw[k], memo) if k in raw else None
-                          for k in ("principal", "cut"))
+        principal, cut = (parse_formula(raw[k]) if k in raw else None for k in ("principal", "cut"))
         params = RuleParams(principal=principal, role=raw.get("role"), nominal=raw.get("nominal"),
                             prefix=raw.get("prefix"), cut_formula=cut)
-        premises = tuple(_tree_from_dict(c, memo) for c in d.get("premises", []))
+        premises = tuple(tree_from_dict(c) for c in d.get("premises", []))
     except (KeyError, TypeError, AttributeError, RecursionError) as e:
         raise ProofFileError(f"malformed proof node: {e}") from None
     return ProofTree(conclusion, rule, params, premises)
 
 
+def parse_proof(text: str, path: str) -> ProofTree:
+    """The tree of the JSON text of the proof file at path."""
+    try:
+        return tree_from_dict(json.loads(text))
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ProofFileError(f"{path}: {e}") from None
+
+
 def load_proof(path: str) -> ProofTree:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as e:
-            raise ProofFileError(f"{path}: {e}") from None
-    return tree_from_dict(doc)
+        return parse_proof(fh.read(), path)
 
 
 def save_proof(t: ProofTree, path: str) -> None:

@@ -32,9 +32,13 @@ is its kind, and an identifier's first character says whether it is an
 atom/role or a nominal.  The parser indexes that list and keeps no
 positions; a ``ParseError``'s line and column are computed from the
 failing token's offset only when the error is raised, and a character
-that starts no token is reported before any other error.  ``substitute``
-replaces atoms, roles and nominals at once; Hilbert schema instances and
-the instances of the axiom roots written once in ``golden.AXIOM_ROOTS`` use it.
+that starts no token is reported before any other error.  ``parse_sequent``
+is the one sequent parser, and every parse goes through one table from (rule,
+text) to what the rule parsed: only successful parses fill it, never the
+printer, and like the node table it is process-global and never shrinks.
+``substitute`` replaces atoms, roles and nominals at once; Hilbert schema
+instances and the instances of the axiom roots written once in
+``golden.AXIOM_ROOTS`` use it.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _NODES: dict = {}       # (class, fields) -> node, process-global, never shrinks
+_PARSED: dict = {}      # (parse rule, text) -> what the rule parsed; successes only, never shrinks
 
 
 class FrozenInstanceError(AttributeError):
@@ -247,8 +252,9 @@ _LOWER = frozenset("abcdefghijklmnopqrstuvwxyz_")
 # Whitespace and comments are skipped before each token.  The empty match
 # at the end of the text is the end-of-input sentinel, and "." takes a
 # character that starts no token, which fails the whole input.
+_SPACE = " \t\r\n"
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]|\#[^\n]*)*(\|-|->|[&|:;,.()]|[A-Za-z_][A-Za-z0-9_']*|\Z|.)", re.S)
+    rf"(?:[{_SPACE}]|\#[^\n]*)*(\|-|->|[&|:;,.()]|[A-Za-z_][A-Za-z0-9_']*|\Z|.)", re.S)
 
 
 def _error_at(text: str, offset: int, message: str, expected: Iterable[str] = ()) -> ParseError:
@@ -410,11 +416,14 @@ class _Parser:
 
 
 def _parse(text: str, rule):
-    p = _Parser(text)
-    result = rule(p)
-    if p.toks[p.i]:
-        raise p.error({"end of input"})
-    return result
+    found = _PARSED.get(key := (rule, text)) if isinstance(text, str) else None
+    if found is None:
+        p = _Parser(text)
+        found = rule(p)
+        if p.toks[p.i]:
+            raise p.error({"end of input"})
+        _PARSED[key] = found
+    return found
 
 
 def parse_concept(text: str) -> Concept:
@@ -426,25 +435,16 @@ def parse_formula(text: str) -> Formula:
 
 
 def parse_sequent(text: str) -> Sequent:
-    return _parse(text, _Parser.sequent)
-
-
-def _parse_memo(parse, text: str, memo: dict):
-    """parse_sequent or parse_formula of text, each distinct member text parsed
-    once per memo.  Outside comments, ';' and '|-' occur only as tokens and never
-    inside a formula, so a text without '#' splits into its members at them;
-    otherwise, and when a member fails, parse(text) places the error in text."""
-    if isinstance(text, str) and "#" not in text:
-        ant, sep, succ = text.partition("|-") if parse is parse_sequent else ("", "|-", text)
-        keys = [k.strip() for k in ant.split(";")] if ant.strip() else []
+    """The sequent of text: outside comments ';' and '|-' occur only as tokens, so the
+    members of a text without '#' are read one by one, and the whole text if one fails."""
+    if isinstance(text, str) and "#" not in text and "|-" in text:
+        ant, _, succ = text.partition("|-")
         try:
-            found = [memo[k] if k in memo else memo.setdefault(k, parse_formula(k))
-                     for k in keys + [succ.strip()]]
-            if sep:
-                return Sequent.make(found[:-1], found[-1]) if parse is parse_sequent else found[0]
+            return Sequent.make([parse_formula(m.strip(_SPACE)) for m in ant.split(";")]
+                                if ant.strip(_SPACE) else (), parse_formula(succ.strip(_SPACE)))
         except ParseError:
             pass
-    return parse(text)
+    return _parse(text, _Parser.sequent)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,11 @@ def test_input_errors_exit_3(capsys, tmp_path, golden_dir):
         empty.write_text(text)
         rc, out, err = invoke(capsys, "check", str(empty))
         assert rc == 3 and not out and "no proof lines" in err
+    # a member with whitespace the lexer does not skip fails as in `ialc eval`
+    form_feed = tmp_path / "form_feed.prf"
+    form_feed.write_text('{"rule": "axiom", "conclusion": "\\u000cA |- A", "premises": []}')
+    rc, out, err = invoke(capsys, "check", str(form_feed))
+    assert rc == 3 and not out and "1:1: unexpected character '\\x0c'" in err
     # negative budgets and counts are input errors, not exhausted searches
     lem = str(golden_dir / "lem.ialc")
     for argv in (["prove", lem, "--depth", "-1"], ["prove", lem, "--visited", "-1"],

@@ -13,7 +13,7 @@ from ialc.modelgen import (
 from ialc.semantics import (
     Interpretation, ModelFileError, UnassignedNominalError, Violation,
     entails, extension, load_model, model_from_dict, model_to_dict, satisfies,
-    _faults, save_model, sequent_valid, validate_interpretation,
+    _faults, _none, _Rows, save_model, sequent_valid, validate_interpretation,
 )
 from ialc.syntax import (
     And, Atom, BOT, Bot, ConceptF, Exists, Forall, NominalAssertion, Not, Or,
@@ -632,6 +632,18 @@ _PROBE_SEQUENTS = [parse_sequent(t) for t in (
     "all R.A -> A ; x : not not A |- x : A",
     "A -> all R.A |- all R.A",
 )]
+
+
+def test_relation_tables_are_built_on_first_use():
+    for n in range(1, 6):
+        for rows in product(range(1 << n), repeat=n) if n < 3 else [
+                tuple(random.Random(n + i).randrange(1 << n) for _ in range(n)) for i in range(50)]:
+            r = _Rows(rows)
+            if n <= 4:     # the small-frame table is built by the first call
+                assert r.none == r._first_none
+                assert r.none(1) == _none(rows, 1) and r.none.__self__ is not r
+            assert [r.none(m) for m in range(1 << n)] == [_none(rows, m) for m in range(1 << n)]
+            assert r == _Rows(rows)
 
 
 def test_kernel_agrees_with_reference_on_every_small_frame():

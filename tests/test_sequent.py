@@ -296,6 +296,10 @@ def test_tree_dict_roundtrip():
     ("conclusion", "A -> B\n ; A -> |- B", "2:9: unexpected '|-' (expected concept)"),
     ("principal", "A -> ", "1:6: unexpected end of input (expected concept)"),
     ("principal", "A -> B ; A", "1:8: unexpected ';' (expected end of input)"),
+    # whitespace that the lexer does not skip, at the edge of a member
+    ("conclusion", "A -> B ; \x0cA |- B", "1:10: unexpected character '\\x0c'"),
+    ("conclusion", "A -> B ; A\xa0 |- B", "1:11: unexpected character '\\xa0'"),
+    ("principal", "A -> B\x0b", "1:7: unexpected character '\\x0b'"),
 ])
 def test_malformed_member_of_a_later_node_reports_the_parse_error(where, text, error):
     node = {"rule": "axiom", "conclusion": "A -> B ; A |- B"}

@@ -1,16 +1,19 @@
 import copy
+import json
 import pickle
 import random
 import re
 import sys
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Union
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ialc import syntax
 from ialc.syntax import (
     And, Atom, BOT, Bot, Concept, ConceptF, Exists, Forall, Formula, NominalAssertion, Not, Or,
     MAX_NESTING, ParseError, RoleAssertion, Sequent, Subs, TOP, Top, outer_nominal,
@@ -739,6 +742,108 @@ def test_parser_matches_reference_on_rendered_asts(seed):
 ])
 def test_parser_matches_reference_on_deep_inputs(text):
     assert_same_as_reference(text)
+
+
+# ---------------------------------------------------------------------------
+# The table of parsed texts never changes an answer
+# ---------------------------------------------------------------------------
+# _untabled_parse is syntax._parse without the table of parsed texts, kept
+# verbatim as the reference; it parses a sequent text whole.
+
+def _untabled_parse(text: str, rule):
+    p = syntax._Parser(text)
+    result = rule(p)
+    if p.toks[p.i]:
+        raise p.error({"end of input"})
+    return result
+
+
+_RULES = [(parse_concept, syntax._Parser.concept), (parse_formula, syntax._Parser.formula),
+          (parse_sequent, syntax._Parser.sequent)]
+_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool"
+
+
+def _answer(parse, *args):
+    try:
+        return "ok", parse(*args)
+    except ParseError as e:
+        return "error", (e.args[0], e.line, e.col, e.expected)
+
+
+def _problem_texts(text: str) -> list:
+    """The member texts of a problem file and the sequent text they make."""
+    sections, current = {}, None
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line[:-1] in ("theory", "assume", "goal") and line.endswith(":"):
+            current = sections.setdefault(line[:-1], [])
+        elif line:
+            current.append(line)
+    members = sections.get("theory", []) + sections.get("assume", [])
+    return members + sections["goal"] + [" ; ".join(members) + " |- " + sections["goal"][0]]
+
+
+def _pool_texts() -> list:
+    with open(_POOL / "eval.json") as fh:
+        texts = [text for entry in json.load(fh) for _, text in entry["queries"]]
+    with open(_POOL / "prove.json") as fh:
+        texts += [t for entry in json.load(fh) for t in _problem_texts(entry["text"])]
+    with open(_POOL / "hilbert.json") as fh:
+        for entry in json.load(fh):
+            for line in entry["text"].splitlines():
+                texts += [line.split(" ; ")[0], *re.findall(r":= ([^,\]]*)", line)]
+    return texts
+
+
+_LAYOUT = [" ", "\t", "\r\n", "\n", "   ", " \t ", "\r\n\t"]
+# whitespace to Python's str.strip that the lexer does not skip
+_NOT_LAYOUT = ["\x0c", "\x0b", "\xa0", "\u2028"]
+
+
+def _respaced(rng, text: str) -> str:
+    """text with each space replaced by tabs, CR/LF or a run of spaces, and
+    layout added at both ends; one in ten spaces or ends gets a character
+    that only str.strip takes for whitespace."""
+    def gap():
+        return rng.choice(_NOT_LAYOUT if rng.random() < 0.1 else _LAYOUT)
+    return gap() + "".join(gap() if ch == " " else ch for ch in text) + gap()
+
+
+def _assert_table_keeps_answers(texts):
+    for text in texts:
+        for parse, rule in _RULES:
+            want = _answer(_untabled_parse, text, rule)
+            for call in ("first", "repeated"):
+                got = _answer(parse, text)
+                assert got == want, (parse.__name__, call, text)
+                if got[0] == "ok" and not isinstance(want[1], Sequent):
+                    assert got[1] is want[1]
+                elif got[0] == "ok":
+                    assert got[1].succedent is want[1].succedent
+                    assert sorted(map(id, got[1].antecedent)) == sorted(map(id, want[1].antecedent))
+            if want[0] == "error":      # only what parsed is kept
+                assert (rule, text) not in syntax._PARSED
+
+
+def test_parse_table_keeps_answers_on_pool_texts():
+    texts = _pool_texts()
+    assert len(texts) > 3_000
+    _assert_table_keeps_answers(texts)
+
+
+def test_parse_table_keeps_answers_on_malformed_and_deep_inputs():
+    _assert_table_keeps_answers(MALFORMED + DEEP + ["A ; " * 3000 + "|- A"])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parse_table_keeps_answers_on_respaced_sequents(seed):
+    rng = random.Random(300 + seed)
+    texts = []
+    for _ in range(300):
+        s = Sequent.make([_random_formula(rng) for _ in range(rng.randint(0, 4))],
+                         _random_formula(rng))
+        texts += [_respaced(rng, render(s)), _respaced(rng, render(s.succedent))]
+    _assert_table_keeps_answers(texts)
 
 
 # ---------------------------------------------------------------------------
