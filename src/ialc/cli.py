@@ -25,7 +25,7 @@ from .sequent import (
     save_proof,
 )
 from .syntax import (
-    ConceptF, ParseError, parse_formula, parse_problem, parse_sequent, render,
+    _SPACE, ConceptF, ParseError, parse_formula, parse_problem, parse_sequent, render,
 )
 
 __all__ = ["run", "main"]
@@ -71,8 +71,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-worlds", type=int, required=True)
     p.add_argument("--emit-model", metavar="F")
     p.add_argument("--tbox-local", action="store_true")
-    p.add_argument("--stats", action="store_true", help="print the models enumerated "
-                   "and evaluated per world count as one JSON line on stderr")
+    p.add_argument("--stats", action="store_true", help="print the models enumerated and "
+                   "evaluated and the frames enumerated per world count as JSON on stderr")
 
     p = sub.add_parser("eval", help="evaluate a formula or sequent on a model")
     p.add_argument("--model", required=True, metavar="F")
@@ -117,7 +117,7 @@ def _cmd_prove(args) -> int:
 def _cmd_check(args) -> int:
     with open(args.prooffile, "r", encoding="utf-8") as fh:
         text = fh.read()
-    lines = (s.strip() for s in text.splitlines())      # a sequent proof tree is JSON
+    lines = (s.strip(_SPACE) for s in text.split("\n"))     # a sequent proof tree is JSON
     if next((s for s in lines if s and not s.startswith("#")), "").startswith("{"):
         result = check_proof(parse_proof(text, args.prooffile))
     else:
@@ -202,14 +202,8 @@ def _cmd_models(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "prove": _cmd_prove,
-    "check": _cmd_check,
-    "countermodel": _cmd_countermodel,
-    "eval": _cmd_eval,
-    "axioms": _cmd_axioms,
-    "models": _cmd_models,
-}
+# the subcommand <name> runs _cmd_<name>
+_COMMANDS = {name[5:]: f for name, f in globals().items() if name.startswith("_cmd_")}
 
 
 def run(argv: Optional[list[str]] = None) -> int:

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Sequence
 
 from .golden import AXIOM_ROOTS
@@ -32,14 +33,12 @@ def random_concept(rng: random.Random, atoms: Sequence[str],
     kind = rng.choice(["atom", "not", "and", "or", "subs", "exists", "forall"])
     if kind == "atom":
         return Atom(rng.choice(list(atoms)))
+    part = partial(random_concept, rng, atoms, roles, depth - 1)
     if kind == "not":
-        return Not(random_concept(rng, atoms, roles, depth - 1))
+        return Not(part())
     if kind in ("and", "or", "subs"):
-        cls = {"and": And, "or": Or, "subs": Subs}[kind]
-        return cls(random_concept(rng, atoms, roles, depth - 1),
-                   random_concept(rng, atoms, roles, depth - 1))
-    cls = Exists if kind == "exists" else Forall
-    return cls(rng.choice(list(roles)), random_concept(rng, atoms, roles, depth - 1))
+        return {"and": And, "or": Or, "subs": Subs}[kind](part(), part())
+    return (Exists if kind == "exists" else Forall)(rng.choice(list(roles)), part())
 
 
 def schema_instance_corpus(per_axiom: int, seed: int,

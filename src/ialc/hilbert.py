@@ -24,7 +24,7 @@ from typing import Mapping, NamedTuple, Union
 
 from .syntax import (
     Atom, BOT, Concept, Exists, Forall, Not, And, Or, Subs,
-    ParseError, _parse_line, _walk, atoms_of, parse_concept, render, roles_of, substitute,
+    ParseError, _SPACE, _parse_line, _walk, atoms_of, parse_concept, render, roles_of, substitute,
 )
 
 __all__ = [
@@ -165,50 +165,50 @@ def check_hilbert_proof(p: HilbertProof) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 _ROLE_RE = re.compile(r"[A-Z][A-Za-z0-9_']*")
-_MP_RE = re.compile(r"^mp\s+(\d+)\s+(\d+)$")
-_NEC_RE = re.compile(rf"^nec\s+(\d+)\s+({_ROLE_RE.pattern})$")
-_AX_RE = re.compile(r"^(ipl\s+[a-z0-9]+|ik\s+\d+)\s*(\[.*\])?$")
+_MP_RE = re.compile(rf"^mp[{_SPACE}]+([0-9]+)[{_SPACE}]+([0-9]+)$")
+_NEC_RE = re.compile(rf"^nec[{_SPACE}]+([0-9]+)[{_SPACE}]+({_ROLE_RE.pattern})$")
+_AX_RE = re.compile(rf"^(ipl[{_SPACE}]+[a-z0-9]+|ik[{_SPACE}]+[0-9]+)[{_SPACE}]*(\[.*\])?$")
 
 
 def _parse_subst(text: str, lineno: int, start: int) -> tuple[tuple[str, Union[Concept, str]], ...]:
     """The bindings of a bracketed list that begins at column start + 1."""
-    if not text[1:-1].strip():
+    if not text[1:-1].strip(_SPACE):
         return ()
     out = {}
     start += 1
     for part in text[1:-1].split(","):
         if ":=" not in part:
-            raise ParseError(f"bad binding {part.strip()!r}", lineno,
-                             start + 1 + len(part) - len(part.lstrip()))
+            raise ParseError(f"bad binding {part.strip(_SPACE)!r}", lineno,
+                             start + 1 + len(part) - len(part.lstrip(_SPACE)))
         name, value = part.split(":=", 1)
-        key, at = name.strip(), start + part.index(":=") + 2
+        key, at = name.strip(_SPACE), start + part.index(":=") + 2
         if key in out or not _ROLE_RE.fullmatch(key):   # named like a role
             raise ParseError(f"{key} is bound twice" if key in out else
                              f"bad metavariable name {key!r}", lineno,
-                             start + 1 + len(name) - len(name.lstrip()))
+                             start + 1 + len(name) - len(name.lstrip(_SPACE)))
         if key != "R":
             out[key] = _parse_line(parse_concept, value, lineno, at)
-        elif _ROLE_RE.fullmatch(value.strip()):
-            out[key] = value.strip()
+        elif _ROLE_RE.fullmatch(value.strip(_SPACE)):
+            out[key] = value.strip(_SPACE)
         else:
-            raise ParseError(f"R needs one role name, not {value.strip()!r}", lineno,
-                             at + 1 + len(value) - len(value.lstrip()))
+            raise ParseError(f"R needs one role name, not {value.strip(_SPACE)!r}", lineno,
+                             at + 1 + len(value) - len(value.lstrip(_SPACE)))
         start += len(part) + 1
     return tuple(out.items())
 
 
 def parse_hilbert_proof(text: str) -> HilbertProof:
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         code = raw.split("#", 1)[0]
-        if not code.strip():
+        if not code.strip(_SPACE):
             continue
         if ";" not in code:
             raise ParseError("expected '<concept> ; <justification>'", lineno, 1)
         concept_text, just_code = code.split(";", 1)
         concept = _parse_line(parse_concept, concept_text, lineno)
-        just_text = just_code.strip()
-        just_at = len(concept_text) + 1 + len(just_code) - len(just_code.lstrip())
+        just_text = just_code.strip(_SPACE)
+        just_at = len(concept_text) + 1 + len(just_code) - len(just_code.lstrip(_SPACE))
         if m := _MP_RE.match(just_text):
             just = ModusPonens(int(m.group(1)), int(m.group(2)))
         elif m := _NEC_RE.match(just_text):

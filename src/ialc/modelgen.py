@@ -13,8 +13,8 @@ copies under a renaming of worlds and are generated by one world and
 the nominals' worlds.  The countermodel search evaluates only these.
 
 A relation on n worlds is a bitmask over its n*n pairs, row by row, so
-the mask splits directly into the bit rows of the semantics kernel, the
-only stored form of a model.  Preorders and up-closed sets are filtered
+the mask splits directly into the bit rows of the semantics kernel, one
+per frame.  Preorders and up-closed sets are filtered
 by the fault generator that validation uses.  Frame-compatible relations
 are built class by class from F1 and F2, the rows of a class found once
 per choice of the rows above it.  All are cached per preorder, and
@@ -144,24 +144,22 @@ def count_models(sig: Signature) -> int:
 def enumerate_models(sig: Signature) -> Iterator[Interpretation]:
     """Every interpretation over 1..max_worlds entities, in a fixed order.
 
-    Models that differ only in their nominals share one bit-row kernel
-    built from the per-preorder and per-relation tables; the kernels of
-    one world count share its world index.
+    The models of one frame (preorder and role vector) share one bit-row
+    kernel, and those of one preorder and atom vector one atom dict, built
+    from the per-preorder and per-relation tables.
     """
     for n in range(1, sig.max_worlds + 1):
         worlds = tuple(range(n))
-        index = {w: w for w in worlds}
         assignments = [dict(zip(sig.nominals, v))
                        for v in product(worlds, repeat=len(sig.nominals))]
         for up in _preorders(n):
-            role_choices = _frame_relations(n, up.rows)
-            atom_choices = _upclosed_sets(n, up.rows)
-            for role_vec in product(role_choices, repeat=len(sig.roles)):
-                roles = dict(zip(sig.roles, role_vec))
-                for atom_vec in product(atom_choices, repeat=len(sig.atoms)):
-                    kernel = _Kernel(worlds, up, roles, dict(zip(sig.atoms, atom_vec)), index)
+            atom_dicts = [dict(zip(sig.atoms, v))
+                          for v in product(_upclosed_sets(n, up.rows), repeat=len(sig.atoms))]
+            for role_vec in product(_frame_relations(n, up.rows), repeat=len(sig.roles)):
+                kernel = _Kernel(worlds, up, dict(zip(sig.roles, role_vec)))
+                for atoms in atom_dicts:
                     for nominals in assignments:
-                        yield Interpretation(kernel, nominals.copy())
+                        yield Interpretation(kernel, atoms, nominals.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -219,24 +217,26 @@ def candidates(models: Iterable[Interpretation], sig: Signature) -> Iterator[Int
     Truth does not change under renaming worlds, and the stream is in
     lexicographic order of (world count, preorder mask, role masks, atom
     masks, nominal vector), so that model comes first among its renamed
-    copies: checked down a stabiliser chain, per frame, kernel and model.
+    copies: checked down a stabiliser chain, once per kernel (the frame),
+    once per atom dict and once per model.
     Truth at a world depends only on the submodel it generates under
     refinement and every role, and that submodel is a model, enumerated
     at a lower world count if smaller: so one world and the nominals'
     worlds generate that model.
     """
-    up = roles = kernel = None
+    kernel = atoms = None
     for I in models:
-        k = I._k
-        if k.up is not up or k.roles is not roles:
-            up, roles, sets = k.up, k.roles, _set_images(len(k.worlds))
-            rels = [up.rows, *(roles[r].rows for r in sig.roles)]
+        if I._k is not kernel:
+            kernel, atoms, sets = I._k, None, _set_images(len(I._k.worlds))
+            rels = [kernel.up.rows, *(kernel.roles[r].rows for r in sig.roles)]
             generated = _generated(tuple(reduce(or_, c) for c in zip(*rels)), bool(sig.nominals))
             # the relabellings, by index, that fix the preorder and the roles
             frame = generated and _fixers(range(len(sets[0])), [*map(_relation_images, rels)])
-        if k is not kernel:
-            kernel = k
-            group = frame and _fixers(frame, [(m, sets[m]) for m in map(k.atoms.get, sig.atoms)])
+        if frame is None:
+            continue
+        if I._atoms is not atoms:
+            atoms = I._atoms
+            group = _fixers(frame, [(m, sets[m]) for m in map(atoms.get, sig.atoms)])
         if group is None:
             continue
         bits = [1 << I.nominals[x] for x in sig.nominals]    # world w as {w}: same order
@@ -275,4 +275,4 @@ def random_model(sig: Signature, seed: int, max_retries: int = 200) -> Interpret
     atoms = {a: _image(up, sum(1 << w for w in worlds if rng.random() < _ATOM_P))
              for a in sig.atoms}
     nominals = {x: rng.choice(worlds) for x in sig.nominals}
-    return Interpretation(_Kernel(worlds, _Rows(up), roles, atoms), nominals)
+    return Interpretation(_Kernel(worlds, _Rows(up), roles), atoms, nominals)

@@ -21,11 +21,13 @@ may optionally be read globally (the theory reading).
 Bit rows are the only stored form of an interpretation: world i of
 ``worlds`` is bit i, and up-sets, role successor rows, atom and concept
 extensions are ints; the pair and set fields are views computed from
-them.  One fault generator holds the frame laws for validation, model
-loading and model generation (a failing model's report lists its faults
-in the order ``validate_interpretation`` states), beside one Warshall
-closure; a sequent is compiled once into a bottom-up program, keyed on
-the hash-consed syntax nodes (one entry per distinct subconcept), and
+them.  A model is the kernel of its frame (worlds, preorder and role
+rows), shared by every model on the frame, plus atom masks and nominals.
+One fault generator holds the frame laws for validation, model loading
+and model generation (a failing model's report lists its faults in the
+order ``validate_interpretation`` states), beside one Warshall closure;
+a sequent is compiled once into a bottom-up program, keyed on the
+hash-consed syntax nodes (one entry per distinct subconcept), and
 evaluated on each model by row operations.
 """
 
@@ -84,21 +86,24 @@ def _none(rows, m: int) -> int:
     return sum(1 << i for i, r in enumerate(rows) if not r & m)
 
 
-class _Rows:
-    """A relation as bit rows; ``none`` is a table lookup on small frames, built on first use."""
-    __slots__ = ("rows", "none")
+class _Missing(dict):
+    """``_none`` of the rows by mask, each entry computed on first lookup.  It
+    refers to no ``_Rows``, so a dropped relation is freed without the collector."""
+    __slots__ = ("rows",)
 
     def __init__(self, rows: tuple):
         self.rows = rows
-        self.none = partial(_none, rows) if len(rows) > 4 else self._first_none
 
-    def _first_none(self, m: int) -> int:
-        rows, n = self.rows, len(self.rows)
-        table = [(1 << n) - 1] * (1 << n)   # rows missing k: missing its lowest bit and the rest
-        for k in range(1, 1 << n):
-            table[k] = table[k & -k] & table[k & k - 1] if k & k - 1 else _none(rows, k)
-        self.none = table.__getitem__
-        return table[m]
+    def __missing__(self, m: int) -> int:
+        return self.setdefault(m, _none(self.rows, m))
+
+
+class _Rows:
+    """A relation as bit rows, with ``none`` looked up in its own table."""
+    __slots__ = ("rows", "none")
+
+    def __init__(self, rows: tuple):
+        self.rows, self.none = rows, _Missing(rows).__getitem__
 
     def __eq__(self, other) -> bool:
         return self.rows == other.rows
@@ -150,14 +155,14 @@ def _faults(up, atoms: Mapping = {}, roles: Mapping = {}):
 
 
 class _Kernel:
-    """Bit rows of one frame and its atoms.  Models that differ only in
-    their nominals share one kernel, which memoises the last program's
-    values."""
-    __slots__ = ("worlds", "index", "full", "up", "roles", "atoms", "memo")
+    """Bit rows of one frame: its worlds, preorder and roles.  Every model
+    on the frame shares its kernel, which memoises the last program's
+    values on one atom dict."""
+    __slots__ = ("worlds", "index", "full", "up", "roles", "memo")
 
-    def __init__(self, worlds: tuple, up: _Rows, roles: dict, atoms: dict, index=None):
-        self.worlds, self.up, self.roles, self.atoms = worlds, up, roles, atoms
-        self.index = index or {w: i for i, w in enumerate(worlds)}
+    def __init__(self, worlds: tuple, up: _Rows, roles: dict):
+        self.worlds, self.up, self.roles = worlds, up, roles
+        self.index = {w: i for i, w in enumerate(worlds)}
         self.full = (1 << len(worlds)) - 1
         self.memo = None
 
@@ -180,12 +185,12 @@ class _Kernel:
 
 
 class Interpretation:
-    """A finite interpretation: its kernel's bit rows and an assignment of
-    nominals to entities.  The pair and set fields are views of the rows."""
-    __slots__ = ("_k", "nominals")
+    """A finite interpretation: its frame's kernel, atom masks and nominals'
+    entities.  The pair and set fields are views of the rows and masks."""
+    __slots__ = ("_k", "_atoms", "nominals")
 
-    def __init__(self, kernel: _Kernel, nominals: Mapping[str, World]):
-        self._k, self.nominals = kernel, nominals
+    def __init__(self, kernel: _Kernel, atoms: Mapping[str, int], nominals: Mapping[str, World]):
+        self._k, self._atoms, self.nominals = kernel, atoms, nominals
 
     @staticmethod
     def make(worlds: Iterable[World],
@@ -195,30 +200,8 @@ class Interpretation:
              nominals: Mapping[str, World] | None = None) -> "Interpretation":
         """Normalize and sanity-check field shapes (not the frame laws),
         and build the bit rows."""
-        ws = tuple(worlds)
-        if not ws:
-            raise ValueError("interpretation needs a nonempty entity set")
-        index = {w: i for i, w in enumerate(ws)}
-        if len(index) < len(ws):
-            raise ValueError(f"entity set lists equal entities twice: {list(ws)!r}")
-
-        def rows(pairs, what: str) -> _Rows:
-            out = [0] * len(ws)
-            for (a, b) in pairs:
-                if a not in index or b not in index:
-                    raise ValueError(f"{what} {(a, b)!r} outside the entity set")
-                out[index[a]] |= 1 << index[b]
-            return _Rows(tuple(out))
-
-        up = rows(leq, "refinement pair")
-        role_rows = {r: rows(rel, f"role {r}: pair") for r, rel in (roles or {}).items()}
-        masks = {}
-        for a, ext in (atoms or {}).items():
-            ext = set(ext)
-            if not ext <= index.keys():
-                raise ValueError(f"atom {a}: extension outside the entity set")
-            masks[a] = sum(1 << index[w] for w in ext)
-        return Interpretation(_Kernel(ws, up, role_rows, masks), dict(nominals or {}))
+        ws, up, role_rows, masks = _shapes(worlds, leq, roles or {}, atoms or {})
+        return Interpretation(_Kernel(ws, _Rows(up), role_rows), masks, dict(nominals or {}))
 
     @property
     def worlds(self) -> tuple[World, ...]:
@@ -235,20 +218,48 @@ class Interpretation:
 
     @property
     def atoms(self) -> Mapping[str, frozenset]:
-        return {a: frozenset(self._k.members(m)) for a, m in self._k.atoms.items()}
+        return {a: frozenset(self._k.members(m)) for a, m in self._atoms.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Interpretation):
             return NotImplemented
         k, o = self._k, other._k
-        return ((k.worlds, k.up, k.roles, k.atoms, self.nominals)
-                == (o.worlds, o.up, o.roles, o.atoms, other.nominals))
+        return ((k.worlds, k.up, k.roles, self._atoms, self.nominals)
+                == (o.worlds, o.up, o.roles, other._atoms, other.nominals))
 
     def entity_of(self, nominal: str) -> World:
         try:
             return self.nominals[nominal]
         except KeyError:
             raise UnassignedNominalError(nominal) from None
+
+
+def _shapes(worlds: Iterable[World], leq, roles: Mapping, atoms: Mapping) -> tuple:
+    """The worlds, refinement rows, role ``_Rows`` and atom masks of the fields."""
+    ws = tuple(worlds)
+    if not ws:
+        raise ValueError("interpretation needs a nonempty entity set")
+    index = {w: i for i, w in enumerate(ws)}
+    if len(index) < len(ws):
+        raise ValueError(f"entity set lists equal entities twice: {list(ws)!r}")
+
+    def rows(pairs, what: str) -> tuple:
+        out = [0] * len(ws)
+        for (a, b) in pairs:
+            if a not in index or b not in index:
+                raise ValueError(f"{what} {(a, b)!r} outside the entity set")
+            out[index[a]] |= 1 << index[b]
+        return tuple(out)
+
+    up = rows(leq, "refinement pair")
+    role_rows = {r: _Rows(rows(rel, f"role {r}: pair")) for r, rel in roles.items()}
+    masks = {}
+    for a, ext in atoms.items():
+        ext = set(ext)
+        if not ext <= index.keys():
+            raise ValueError(f"atom {a}: extension outside the entity set")
+        masks[a] = sum(1 << index[w] for w in ext)
+    return ws, up, role_rows, masks
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +303,7 @@ def validate_interpretation(I: Interpretation) -> ValidationReport:
     (a <= b, b <= d; w <= v; w <= w2, w R v; v <= v2, w R v); dangling
     nominals last, by name."""
     k, ws = I._k, I.worlds
-    faults = partial(_faults, k.up.rows, k.atoms, {r: rel.rows for r, rel in k.roles.items()})
+    faults = partial(_faults, k.up.rows, I._atoms, {r: rel.rows for r, rel in k.roles.items()})
     # equality-based scan: stays total even for malformed targets
     dangling = tuple(Violation("dangling-nominal", (x, t)) for x, t in sorted(I.nominals.items())
                      if not any(t == w for w in ws))
@@ -313,19 +324,19 @@ def validate_interpretation(I: Interpretation) -> ValidationReport:
 # Compiled concepts and formulas
 # ---------------------------------------------------------------------------
 
-# one clause per constructor, on the kernel k and the values v of the
-# program so far; a and b are child indices, or a name for Atom and roles
+# one clause per constructor, on the kernel k, atom masks t and values v of
+# the program so far; a and b are child indices, or a name for Atom and roles
 _CLAUSES = {
-    And: lambda k, v, a, b: v[a] & v[b],
-    Or: lambda k, v, a, b: v[a] | v[b],
-    Subs: lambda k, v, a, b: k.up.none(v[a] & ~v[b]),
-    Not: lambda k, v, a, b: k.up.none(v[a]),
-    Atom: lambda k, v, a, b: k.atoms.get(a, 0),
-    Exists: lambda k, v, a, b: k.full & ~k.rel(a).none(v[b]),
+    And: lambda k, t, v, a, b: v[a] & v[b],
+    Or: lambda k, t, v, a, b: v[a] | v[b],
+    Subs: lambda k, t, v, a, b: k.up.none(v[a] & ~v[b]),
+    Not: lambda k, t, v, a, b: k.up.none(v[a]),
+    Atom: lambda k, t, v, a, b: t.get(a, 0),
+    Exists: lambda k, t, v, a, b: k.full & ~k.rel(a).none(v[b]),
     # no refinement may reach a world with a successor outside the body
-    Forall: lambda k, v, a, b: k.up.none(k.full & ~k.rel(a).none(k.full & ~v[b])),
-    Top: lambda k, v, a, b: k.full,
-    Bot: lambda k, v, a, b: 0,
+    Forall: lambda k, t, v, a, b: k.up.none(k.full & ~k.rel(a).none(k.full & ~v[b])),
+    Top: lambda k, t, v, a, b: k.full,
+    Bot: lambda k, t, v, a, b: 0,
 }
 
 
@@ -341,14 +352,15 @@ def _intern(c: Concept, ids: dict) -> int:
     return op[0]
 
 
-def _values(k: _Kernel, ops: tuple) -> list[int]:
-    """Extension masks of a compiled program, bottom-up."""
-    if k.memo is not None and k.memo[0] is ops:
-        return k.memo[1]
+def _values(I: Interpretation, ops: tuple) -> list[int]:
+    """Extension masks of a compiled program on I, bottom-up, memoised on its kernel."""
+    k, atoms = I._k, I._atoms
+    if k.memo is not None and k.memo[0] is ops and k.memo[1] is atoms:
+        return k.memo[2]
     v: list[int] = []
     for _, clause, a, b in ops:
-        v.append(clause(k, v, a, b))
-    k.memo = (ops, v)
+        v.append(clause(k, atoms, v, a, b))
+    k.memo = (ops, atoms, v)
     return v
 
 
@@ -378,8 +390,8 @@ def satisfies(I: Interpretation, f: Formula) -> bool:
 def extension(I: Interpretation, c: Concept) -> frozenset:
     """The set of entities satisfying c, per the constructive clauses."""
     ids: dict = {}
-    top, k = _intern(c, ids), I._k
-    return frozenset(k.members(_values(k, tuple(ids.values()))[top]))
+    top = _intern(c, ids)
+    return frozenset(I._k.members(_values(I, tuple(ids.values()))[top]))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +437,7 @@ class _Goal:
         self.ids, self.ops = ids, tuple(ids.values())
 
     def holds(self, I: Interpretation) -> bool:
-        k = I._k
-        v = _values(k, self.ops)
+        k, v = I._k, _values(I, self.ops)
         choices = {x: k.up.rows[k.pos(I.entity_of(x))] for x in self.outers}
         choices[None] = k.full
         for x, c in self.at:
@@ -504,18 +515,16 @@ def model_from_dict(doc: dict, raw: bool = False) -> tuple[Interpretation, list[
                  for r, rel in _shaped(doc.get("roles", {}), dict, "roles").items()}
         atoms = {a: _shaped(ext, list, f"atom {a}")
                  for a, ext in _shaped(doc.get("atoms", {}), dict, "atoms").items()}
-        nominals = _shaped(doc.get("nominals", {}), dict, "nominals")
-        I = Interpretation.make(worlds, leq, roles, atoms, nominals)
+        nominals = dict(_shaped(doc.get("nominals", {}), dict, "nominals"))
+        ws, up, role_rows, masks = _shapes(worlds, leq, roles, atoms)
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
         raise ModelFileError(f"malformed model document: {e}") from None
-    k = I._k
-    k.up = _Rows(_closed_rows(k.up.rows))
-    closed = {a: _image(k.up.rows, m) for a, m in k.atoms.items()}
-    for a, m in k.atoms.items():
-        if closed[a] != m:
+    k = _Kernel(ws, _Rows(_closed_rows(up)), role_rows)
+    I = Interpretation(k, {a: _image(k.up.rows, m) for a, m in masks.items()}, nominals)
+    for a, m in masks.items():
+        if I._atoms[a] != m:
             warnings.append(f"atom {a}: extension closed under refinement "
-                            f"(added {sorted(k.members(closed[a] & ~m), key=repr)})")
-    k.atoms = closed
+                            f"(added {sorted(k.members(I._atoms[a] & ~m), key=repr)})")
     if not raw:
         report = validate_interpretation(I)
         if not report.ok:

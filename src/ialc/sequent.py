@@ -581,9 +581,13 @@ def prove(s: Sequent, max_depth: int = 24, max_visited: int = 100_000) -> ProveR
     return ProveResult(tree, search.visited, search.cache_hits, search.loop_prunes, budget)
 
 
-def _counted(models: Iterator[Interpretation], tally: Counter) -> Iterator[Interpretation]:
+def _counted(models: Iterator[Interpretation], tally: Counter,
+             frames: Counter) -> Iterator[Interpretation]:
+    kernel = None
     for I in models:
         tally[len(I.worlds)] += 1
+        frames[len(I.worlds)] += I._k is not kernel
+        kernel = I._k
         yield I
 
 
@@ -592,11 +596,13 @@ def find_countermodel(s: Sequent, sig: Signature, tbox_global: bool = True,
     """First enumerated model on which s fails, None if all satisfy it;
     s is evaluated only on ``modelgen.candidates``, and sig must assign
     every nominal of s.  A stats dict gets Counters of the models
-    ``enumerated`` and ``evaluated`` per world count."""
+    ``enumerated`` and ``evaluated`` and of the ``frames`` (kernels)
+    enumerated, per world count."""
     models = enumerate_models(sig)
     if stats is not None:
-        models = _counted(models, stats.setdefault("enumerated", Counter()))
+        models = _counted(models, stats.setdefault("enumerated", Counter()),
+                          stats.setdefault("frames", Counter()))
     models = candidates(models, sig)
     if stats is not None:
-        models = _counted(models, stats.setdefault("evaluated", Counter()))
+        models = _counted(models, stats.setdefault("evaluated", Counter()), Counter())
     return entails(models, s, tbox_global)

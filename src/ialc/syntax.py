@@ -345,23 +345,16 @@ class _Parser:
         elif _PREFIX[t] is Not:
             c = Not(self.unary())
         else:
-            role = self.expect_role()
+            role = self.expect_name(_UPPER, "role name (uppercase)")
             self.expect(".", "'.'")
             c = _PREFIX[t](role, self.unary())
         self.depth -= 1     # the item is closed: a chain around it counts no deeper
         return c
 
-    def expect_role(self) -> str:
+    def expect_name(self, initials: frozenset, what: str) -> str:
         t = self.toks[self.i]
-        if t[:1] not in _UPPER:
-            raise self.error({"role name (uppercase)"})
-        self.i += 1
-        return t
-
-    def expect_nominal(self) -> str:
-        t = self.toks[self.i]
-        if t[:1] not in _LOWER or t in _KEYWORDS:
-            raise self.error({"nominal (lowercase)"})
+        if t[:1] not in initials or t in _KEYWORDS:
+            raise self.error({what})
         self.i += 1
         return t
 
@@ -376,16 +369,16 @@ class _Parser:
         return ConceptF(self.concept())
 
     def role_assertion(self) -> RoleAssertion:
-        role = self.expect_role()
+        role = self.expect_name(_UPPER, "role name (uppercase)")
         self.expect("(", "'('")
-        x = self.expect_nominal()
+        x = self.expect_name(_LOWER, "nominal (lowercase)")
         self.expect(",", "','")
-        y = self.expect_nominal()
+        y = self.expect_name(_LOWER, "nominal (lowercase)")
         self.expect(")", "')'")
         return RoleAssertion(x, role, y)
 
     def nominal_assertion(self) -> NominalAssertion:
-        name = self.expect_nominal()
+        name = self.expect_name(_LOWER, "nominal (lowercase)")
         self.expect(":", "':'")
         # a parenthesized nested assertion, e.g. x : (y : C)
         toks, i = self.toks, self.i
@@ -507,12 +500,12 @@ def parse_problem(text: str) -> Problem:
     """Parse a problem file with ``theory:``/``assume:``/``goal:`` sections."""
     sections: dict[str, list[Formula]] = {name: [] for name in _SECTIONS}
     current: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):     # the lexer's line ends only
         code = raw.split("#", 1)[0]
-        line = code.strip()
+        line = code.strip(_SPACE)
         if not line:
             continue
-        header = line[:-1].strip() if line.endswith(":") else None
+        header = line[:-1].strip(_SPACE) if line.endswith(":") else None
         if header in _SECTIONS:
             current = header
             continue
@@ -526,17 +519,17 @@ def parse_problem(text: str) -> Problem:
     goals = sections["goal"]
     if len(goals) != 1:
         raise ParseError(f"expected exactly one goal formula, found {len(goals)}",
-                         len(text.splitlines()) or 1, 1)
+                         text[:-1].count("\n") + 1, 1)
     return Problem(tuple(sections["theory"]), tuple(sections["assume"]), goals[0])
 
 
 def _parse_line(parse, code: str, lineno: int, start: int = 0):
-    """parse(code.strip()) for a piece of line lineno that begins at column
-    start + 1; an error is placed on that line, the end of input at the end
-    of the piece."""
-    text = code.strip()
+    """parse(code) stripped of the lexer's whitespace, for a piece of line
+    lineno that begins at column start + 1; an error is placed on that line,
+    the end of input at the end of the piece."""
+    text = code.strip(_SPACE)
     try:
         return parse(text)
     except ParseError as e:
-        col = e.col + len(code) - len(code.lstrip()) if e.col <= len(text) else len(code) + 1
+        col = e.col + len(code) - len(code.lstrip(_SPACE)) if e.col <= len(text) else len(code) + 1
         raise ParseError(e.args[0], lineno, start + col, e.expected) from None

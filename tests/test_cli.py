@@ -119,17 +119,19 @@ def test_countermodel_none_found(capsys, tmp_path):
     assert rc == 0 and out.startswith("no countermodel")
 
 
-@pytest.mark.parametrize("name,enumerated,evaluated", [
-    ("lem", {"1": 2, "2": 6}, {"1": 2, "2": 2}),
-    ("axiom4", {"1": 8, "2": 900}, {"1": 8, "2": 450}),
+@pytest.mark.parametrize("name,enumerated,evaluated,frames", [
+    ("lem", {"1": 2, "2": 6}, {"1": 2, "2": 2}, {"1": 1, "2": 2}),
+    ("axiom4", {"1": 8, "2": 900}, {"1": 8, "2": 450}, {"1": 2, "2": 42}),
 ])
-def test_countermodel_stats_go_to_stderr_only(capsys, golden_dir, name, enumerated, evaluated):
+def test_countermodel_stats_go_to_stderr_only(capsys, golden_dir, name, enumerated, evaluated,
+                                              frames):
     argv = ["countermodel", str(golden_dir / f"{name}.ialc"), "--max-worlds", "2"]
     rc, out, err = invoke(capsys, *argv, "--stats")
     assert (rc, out, "") == invoke(capsys, *argv)
     stats = json.loads(err)
-    assert set(stats) == {"enumerated", "evaluated", "elapsed_s"}
+    assert set(stats) == {"enumerated", "evaluated", "frames", "elapsed_s"}
     assert (stats["enumerated"], stats["evaluated"]) == (enumerated, evaluated)
+    assert stats["frames"] == frames
     assert stats["elapsed_s"] >= 0 and err.count("\n") == 1
 
 
@@ -229,6 +231,25 @@ def test_input_errors_exit_3(capsys, tmp_path, golden_dir):
                    for flag in ("--atoms", "--roles", "--nominals"))):
         rc, out, err = invoke(capsys, *argv)
         assert rc == 3 and not out and "nonnegative" in err, argv
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("nbsp.ialc", "goal:\n  A -> A\xa0\n", "2:9: unexpected character '\\xa0'"),
+    ("form_feed.ialc", "goal:\n  A\x0c -> A\n", "2:4: unexpected character '\\x0c'"),
+    ("nbsp.hpf", "some R.bot -> bot\xa0; ik 4 [R := R]\n", "1:18: unexpected character '\\xa0'"),
+])
+def test_only_the_lexers_whitespace_is_skipped(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    commands = ([["check", str(path)]] if name.endswith(".hpf") else
+                [["prove", str(path)], ["countermodel", str(path), "--max-worlds", "2"]])
+    for argv in commands:
+        rc, out, err = invoke(capsys, *argv)
+        assert (rc, out, err) == (3, "", f"error: {message}\n"), argv
+    # the same texts with CRLF line ends and ordinary spaces are read as before
+    path.write_bytes(text.replace("\xa0", " ").replace("\x0c", " ").replace("\n", "\r\n").encode())
+    for argv in commands:
+        assert invoke(capsys, *argv)[0] == 0, argv
 
 
 def test_adversarial_inputs_never_crash(capsys, tmp_path, golden_dir):

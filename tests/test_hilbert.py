@@ -135,6 +135,13 @@ def test_file_parse_examples():
     # a binding's name is a metavariable name: an uppercase identifier
     ("A -> A ; ipl a1 [C := A, D := B,  := top]\n", 1, 35),
     ("A -> A ; ipl a1 [C := A, d x := B]\n", 1, 26),
+    # lines end at newlines only, and only the lexer's whitespace is stripped
+    ("some R.bot -> bot\xa0; ik 4 [R := R]\n", 1, 18),
+    ("some R.bot -> bot ; ik 4 [R := R]\n  A\x0c -> A ; mp 1 1\n", 2, 4),
+    ("some R.bot -> bot ; ik 4 [R := R\xa0]\n", 1, 32),
+    ("some R.bot -> bot ; ik\xa04 [R := R]\n", 1, 21),
+    ("A -> A ; mp 1\u20032\n", 1, 10),
+    ("A -> A ; nec \u0661 R\n", 1, 10),
 ])
 def test_file_errors_report_raw_line_columns(text, line, col):
     with pytest.raises(ParseError) as exc:

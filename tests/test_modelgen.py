@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ialc.modelgen import (
-    GenerationBudgetError, Signature, _frame_relations, _preorders, _split,
+    GenerationBudgetError, Signature, _frame_relations, _preorders, _split, _upclosed_sets,
     count_models, enumerate_models, random_model, signature_for,
 )
-from ialc.semantics import _faults, model_from_dict, validate_interpretation
+from ialc.semantics import (
+    _faults, _Goal, _values, model_from_dict, model_to_dict,
+    validate_interpretation,
+)
 from ialc.syntax import parse_sequent
 
 
@@ -154,6 +157,48 @@ def test_enumeration_is_monotone_in_max_worlds():
     small = list(enumerate_models(sig1))
     prefix = [m for m in enumerate_models(sig2) if len(m.worlds) == 1]
     assert prefix == small
+
+
+# every signature with at most two atoms, one role and one nominal, to 3 worlds
+SMALL_SIGNATURES = [Signature(("A", "B")[:a], ("R",)[:r], ("x",)[:x], 3)
+                    for a in range(3) for r in range(2) for x in range(2)]
+
+
+def sig_id(sig: Signature) -> str:
+    return f"{len(sig.atoms)}a{len(sig.roles)}r{len(sig.nominals)}x"
+
+
+@pytest.mark.parametrize("sig", SMALL_SIGNATURES, ids=sig_id)
+def test_models_share_one_kernel_per_frame_and_one_atom_dict_per_atom_vector(sig):
+    kernels, atom_dicts = {}, {}
+    for I in enumerate_models(sig):
+        # the values keep each object alive, so no id is reused
+        kernels.setdefault(id(I._k), I._k)
+        atom_dicts.setdefault(id(I._atoms), (I._k.up, I._atoms))
+    preorders = [(n, up) for n in range(1, 4) for up in _preorders(n)]
+    assert len(kernels) == sum(len(_frame_relations(n, up.rows)) ** len(sig.roles)
+                               for n, up in preorders)
+    assert len(atom_dicts) == sum(len(_upclosed_sets(n, up.rows)) ** len(sig.atoms)
+                                  for n, up in preorders)
+    # the kernels are distinct frames, the atom dicts distinct (preorder, atom vector)
+    assert len({(id(k.up), *map(id, k.roles.values())) for k in kernels.values()}) == len(kernels)
+    assert len({(id(up), *t.values()) for up, t in atom_dicts.values()}) == len(atom_dicts)
+
+
+def test_a_kept_model_is_unchanged_by_the_rest_of_the_stream():
+    # every model evaluates one program, so each kernel's memo turns over
+    # between the atom dicts and frames that share it
+    ops = _Goal(parse_sequent("x : (A -> some R.B) ; all R.A |- x : not B | some R.top"),
+                True).ops
+    kept = []
+    for i, I in enumerate(enumerate_models(Signature(("A", "B"), ("R",), ("x",), 2))):
+        values = list(_values(I, ops))
+        if i % 7 == 0:
+            kept.append((I, model_to_dict(I), values))
+    for I, doc, values in kept:
+        # a model loaded from the kept one's document has a kernel of its own
+        assert model_to_dict(I) == doc
+        assert _values(I, ops) == values == _values(model_from_dict(doc)[0], ops)
 
 
 def test_three_world_enumeration_samples_validate():

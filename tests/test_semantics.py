@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import json
 import random
 from itertools import product
 
@@ -363,6 +365,28 @@ def test_model_load_applies_closures():
     assert len(warnings) == 1 and "A" in warnings[0]
 
 
+def test_loaded_models_are_freed_without_the_collector(golden_dir):
+    # relation tables are filled on first use, and no model holds a cycle
+    docs = [json.loads(p.read_text()) for p in sorted(golden_dir.glob("*.model"))]
+    docs.append({"worlds": ["a", "b", "c"], "leq": [["a", "b"]], "atoms": {"A": ["b"]},
+                 "roles": {"R": [["a", "c"], ["b", "c"]], "S": []}, "nominals": {"x": "a"}})
+    queries = [parse_formula(t).concept for t in ("all R.A -> some S.A", "some T.A | not A")]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            for doc in docs:
+                I, _ = model_from_dict(doc)
+                for c in queries:
+                    extension(I, c)
+            for doc in docs:
+                model_from_dict(doc)
+            del I
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_model_load_rejects_frame_violations_unless_raw():
     doc = {
         "worlds": ["w", "w2", "v"],
@@ -639,9 +663,8 @@ def test_relation_tables_are_built_on_first_use():
         for rows in product(range(1 << n), repeat=n) if n < 3 else [
                 tuple(random.Random(n + i).randrange(1 << n) for _ in range(n)) for i in range(50)]:
             r = _Rows(rows)
-            if n <= 4:     # the small-frame table is built by the first call
-                assert r.none == r._first_none
-                assert r.none(1) == _none(rows, 1) and r.none.__self__ is not r
+            table = r.none.__self__     # filled mask by mask, on first lookup
+            assert not table and r.none(1) == _none(rows, 1) and set(table) == {1}
             assert [r.none(m) for m in range(1 << n)] == [_none(rows, m) for m in range(1 << n)]
             assert r == _Rows(rows)
 

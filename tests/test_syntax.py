@@ -379,11 +379,30 @@ def test_problem_reports_formula_line():
     ("goal:\n\t  A @ B\n", 2, 6),
     ("theory:\n  A -> B\ngoal:\n  x : (A -> \n", 4, 13),
     ("goal:\n  " + "not " * 101 + "A\n", 2, 407),
+    # lines end at newlines only, and only the lexer's whitespace is stripped
+    ("goal:\n  A -> A\xa0\n", 2, 9),
+    ("goal:\n  A\x0c -> A\n", 2, 4),
+    ("goal:\n  A\x0b -> A\u2028\n", 2, 4),
 ])
 def test_problem_errors_report_raw_line_columns(text, line, col):
     with pytest.raises(ParseError) as exc:
         parse_problem(text)
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_problem_lines_end_at_newlines_only():
+    with pytest.raises(ParseError) as exc:
+        parse_problem("goal:\n  A -> A\xa0\n")
+    assert str(exc.value) == "2:9: unexpected character '\\xa0'"
+    with pytest.raises(ParseError) as exc:
+        parse_problem("goal:\n  A\x0c -> A\n")
+    assert str(exc.value) == "2:4: unexpected character '\\x0c'"
+    # CRLF line ends still parse, and a missing goal is placed on the last line
+    assert parse_problem(PROBLEM.replace("\n", "\r\n")) == parse_problem(PROBLEM)
+    for text, line in (("assume:\n  A\n", 2), ("assume:\r\n  A", 2), ("", 1), ("\n\n", 2)):
+        with pytest.raises(ParseError) as exc:
+            parse_problem(text)
+        assert exc.value.line == line, text
 
 
 # ---------------------------------------------------------------------------
