@@ -20,10 +20,7 @@ from .semantics import (
     ModelFileError, UnassignedNominalError, extension, load_model,
     model_to_dict, satisfies, save_model, sequent_valid,
 )
-from .sequent import (
-    ProofFileError, check_proof, find_countermodel, parse_proof, prove,
-    save_proof,
-)
+from .sequent import ProofFileError, check_proof, find_countermodel, parse_proof, prove, save_proof
 from .syntax import (
     _SPACE, ConceptF, ParseError, parse_formula, parse_problem, parse_sequent, render,
 )

@@ -28,11 +28,9 @@ from .syntax import (
 )
 
 __all__ = [
-    "IPL_SCHEMATA", "IK_SCHEMATA", "SchemaError",
-    "ipl_instance", "axiom_instance",
-    "IplAx", "IkAx", "ModusPonens", "Necessitation",
-    "ProofLine", "HilbertProof", "CheckResult", "check_hilbert_proof",
-    "parse_hilbert_proof", "render_hilbert_proof", "identity_proof",
+    "IPL_SCHEMATA", "IK_SCHEMATA", "SchemaError", "ipl_instance", "axiom_instance", "IplAx",
+    "IkAx", "ModusPonens", "Necessitation", "ProofLine", "HilbertProof", "CheckResult",
+    "check_hilbert_proof", "parse_hilbert_proof", "render_hilbert_proof",
 ]
 
 
@@ -239,16 +237,3 @@ def render_hilbert_proof(p: HilbertProof) -> str:
             jtext = f"nec {j.i} {j.role}"
         out.append(f"{render(line.concept)} ; {jtext}")
     return "\n".join(out) + "\n"
-
-
-def identity_proof(c: Concept, role: str) -> HilbertProof:
-    """Machine-built derivation of ``all role.(c -> c)`` from a1/a2 via
-    modus ponens, closed by necessitation."""
-    cc = Subs(c, c)
-    axioms = (("a1", {"C": c, "D": c}), ("a1", {"C": c, "D": cc}),
-              ("a2", {"C": c, "D": cc, "E": c}))
-    return HilbertProof((
-        *(ProofLine(ipl_instance(a, b), IplAx(a, tuple(b.items()))) for a, b in axioms),
-        ProofLine(Subs(Subs(c, cc), cc), ModusPonens(2, 3)),
-        ProofLine(cc, ModusPonens(1, 4)),
-        ProofLine(Forall(role, cc), Necessitation(5, role))))

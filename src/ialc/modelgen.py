@@ -9,17 +9,18 @@ so both paths emit models that pass validation.
 
 ``candidates`` filters the enumeration down to the models that can be
 the first on which a sequent fails: those that come first among their
-copies under a renaming of worlds and are generated by one world and
-the nominals' worlds.  The countermodel search evaluates only these.
+copies under a renaming of worlds, checked once per preorder, per frame,
+per atom dict and per model, and are generated by one world and the
+nominals' worlds.  The countermodel search evaluates only these.
 
 A relation on n worlds is a bitmask over its n*n pairs, row by row, so
 the mask splits directly into the bit rows of the semantics kernel, one
-per frame.  Preorders and up-closed sets are filtered
-by the fault generator that validation uses.  Frame-compatible relations
-are built class by class from F1 and F2, the rows of a class found once
-per choice of the rows above it.  All are cached per preorder, and
-``count_models`` counts the stream from their sizes alone, building no
-role table for a signature without roles.
+per frame.  Preorders and up-closed sets are filtered by the fault
+generator that validation uses.  Frame-compatible relations are built
+class by class from F1 and F2, the rows of a class found once per choice
+of the rows above it.  All, atom dicts included, are cached per preorder
+for the process; ``count_models`` counts the stream from their sizes
+alone, building no role table for a signature without roles.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from itertools import permutations, product
 from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple
 
-from .semantics import (
-    Interpretation, _bits, _closed_rows, _faults, _image, _Kernel, _none, _Rows,
-)
+from .semantics import Interpretation, _bits, _closed_rows, _faults, _image, _Kernel, _none, _Rows
 from .syntax import Sequent, atoms_of, nominals_of, roles_of
 
 __all__ = [
@@ -71,12 +70,8 @@ class GenerationBudgetError(RuntimeError):
 
 def signature_for(s: Sequent, max_worlds: int) -> Signature:
     """Smallest signature covering the symbols of a sequent."""
-    return Signature(
-        atoms=tuple(sorted(atoms_of(s))),
-        roles=tuple(sorted(roles_of(s))),
-        nominals=tuple(sorted(nominals_of(s))),
-        max_worlds=max_worlds,
-    )
+    return Signature(atoms=tuple(sorted(atoms_of(s))), roles=tuple(sorted(roles_of(s))),
+                     nominals=tuple(sorted(nominals_of(s))), max_worlds=max_worlds)
 
 
 def _split(mask: int, n: int) -> tuple[int, ...]:
@@ -133,6 +128,12 @@ def _upclosed_sets(n: int, up: tuple) -> tuple[int, ...]:
     return tuple(m for m in range(1 << n) if not any(_faults(up, {"": m})))
 
 
+@lru_cache(maxsize=None)
+def _atom_dicts(n: int, up: tuple, names: tuple) -> tuple[dict, ...]:
+    """One atom dict per vector of up-closed sets, shared by every enumeration."""
+    return tuple(dict(zip(names, v)) for v in product(_upclosed_sets(n, up), repeat=len(names)))
+
+
 def count_models(sig: Signature) -> int:
     """The length of ``enumerate_models(sig)``, from the tables' sizes: no
     model is built, and no role table for a signature without roles."""
@@ -145,16 +146,15 @@ def enumerate_models(sig: Signature) -> Iterator[Interpretation]:
     """Every interpretation over 1..max_worlds entities, in a fixed order.
 
     The models of one frame (preorder and role vector) share one bit-row
-    kernel, and those of one preorder and atom vector one atom dict, built
-    from the per-preorder and per-relation tables.
+    kernel, built per call, and those of one preorder and atom vector one
+    atom dict, kept for the process, from the per-preorder tables.
     """
     for n in range(1, sig.max_worlds + 1):
         worlds = tuple(range(n))
         assignments = [dict(zip(sig.nominals, v))
                        for v in product(worlds, repeat=len(sig.nominals))]
         for up in _preorders(n):
-            atom_dicts = [dict(zip(sig.atoms, v))
-                          for v in product(_upclosed_sets(n, up.rows), repeat=len(sig.atoms))]
+            atom_dicts = _atom_dicts(n, up.rows, sig.atoms)
             for role_vec in product(_frame_relations(n, up.rows), repeat=len(sig.roles)):
                 kernel = _Kernel(worlds, up, dict(zip(sig.roles, role_vec)))
                 for atoms in atom_dicts:
@@ -217,21 +217,25 @@ def candidates(models: Iterable[Interpretation], sig: Signature) -> Iterator[Int
     Truth does not change under renaming worlds, and the stream is in
     lexicographic order of (world count, preorder mask, role masks, atom
     masks, nominal vector), so that model comes first among its renamed
-    copies: checked down a stabiliser chain, once per kernel (the frame),
-    once per atom dict and once per model.
+    copies: checked down a stabiliser chain once per preorder, per frame
+    (the kernel), per atom dict (kept per process) and per model.
     Truth at a world depends only on the submodel it generates under
     refinement and every role, and that submodel is a model, enumerated
     at a lower world count if smaller: so one world and the nominals'
     worlds generate that model.
     """
-    kernel = atoms = None
+    kernel = up = atoms = None
     for I in models:
         if I._k is not kernel:
-            kernel, atoms, sets = I._k, None, _set_images(len(I._k.worlds))
-            rels = [kernel.up.rows, *(kernel.roles[r].rows for r in sig.roles)]
-            generated = _generated(tuple(reduce(or_, c) for c in zip(*rels)), bool(sig.nominals))
-            # the relabellings, by index, that fix the preorder and the roles
-            frame = generated and _fixers(range(len(sets[0])), [*map(_relation_images, rels)])
+            kernel, atoms, frame = I._k, None, None
+            if kernel.up is not up:
+                # the relabellings, by index, that fix the preorder, then also the roles
+                up, sets = kernel.up, _set_images(len(kernel.worlds))
+                order = _fixers(range(len(sets[0])), [_relation_images(up.rows)])
+            if order is not None:
+                rels = [up.rows, *(kernel.roles[r].rows for r in sig.roles)]
+                generated = _generated(tuple(reduce(or_, c) for c in zip(*rels)), bool(sig.nominals))
+                frame = generated and _fixers(order, [*map(_relation_images, rels[1:])])
         if frame is None:
             continue
         if I._atoms is not atoms:

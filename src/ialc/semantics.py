@@ -38,16 +38,14 @@ from functools import lru_cache, partial
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .syntax import (
-    And, Atom, Bot, Concept, ConceptF, Exists, Forall, Formula,
-    NominalAssertion, Not, Or, RoleAssertion, Sequent, Subs, Top,
-    _walk, outer_nominal,
+    And, Atom, Bot, Concept, ConceptF, Exists, Forall, Formula, NominalAssertion, Not, Or,
+    RoleAssertion, Sequent, Subs, Top, _walk, outer_nominal,
 )
 
 __all__ = [
-    "Interpretation", "Violation", "ValidationReport", "UnassignedNominalError",
-    "ModelFileError", "validate_interpretation", "extension", "satisfies",
-    "sequent_valid", "entails", "load_model", "save_model", "model_to_dict",
-    "model_from_dict",
+    "Interpretation", "Violation", "ValidationReport", "UnassignedNominalError", "ModelFileError",
+    "validate_interpretation", "extension", "satisfies", "sequent_valid", "entails", "load_model",
+    "save_model", "model_to_dict", "model_from_dict",
 ]
 
 World = Union[int, str]
@@ -99,14 +97,32 @@ class _Missing(dict):
 
 
 class _Rows:
-    """A relation as bit rows, with ``none`` looked up in its own table."""
+    """A relation as bit rows, with ``none`` looked up in its own table.
+    ``_Rows(rows)`` is an ``_Unread``, which makes the table on the first
+    lookup and then becomes a plain ``_Rows``: a ``__getattr__`` here would
+    slow every attribute read, read relations' too."""
     __slots__ = ("rows", "none")
 
-    def __init__(self, rows: tuple):
-        self.rows, self.none = rows, _Missing(rows).__getitem__
+    def __new__(cls, rows: tuple):
+        self = object.__new__(_Unread)
+        self.rows = rows
+        return self
 
     def __eq__(self, other) -> bool:
         return self.rows == other.rows
+
+
+class _Unread(_Rows):
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "none":
+            raise AttributeError(name)
+        self.__class__, self.none = _Rows, _Missing(self.rows).__getitem__
+        return self.none
+
+
+_empty = lru_cache(maxsize=None)(lambda n: _Rows((0,) * n))
 
 
 def _closed_rows(rows) -> tuple[int, ...]:
@@ -173,9 +189,9 @@ class _Kernel:
             raise ValueError(f"entity {w!r} is not in the domain") from None
 
     def rel(self, role: str) -> _Rows:
-        """The rows of role; an undeclared role is empty, and stays undeclared."""
-        rows = self.roles.get(role)
-        return rows if rows is not None else _Rows((0,) * len(self.worlds))
+        """The rows of role; an undeclared role is the empty relation, one per
+        world count, and stays undeclared."""
+        return self.roles.get(role) or _empty(len(self.worlds))
 
     def members(self, m: int) -> tuple:
         return tuple(w for i, w in enumerate(self.worlds) if m >> i & 1)

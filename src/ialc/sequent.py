@@ -44,16 +44,14 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .modelgen import Signature, candidates, enumerate_models
 from .semantics import Interpretation, entails
 from .syntax import (
-    And, Bot, ConceptF, Exists, Forall, Formula, NominalAssertion,
-    Or, RoleAssertion, Sequent, Subs, _text, _walk, nominals_of, parse_formula,
-    parse_sequent, render, substitute,
+    And, Bot, ConceptF, Exists, Forall, Formula, NominalAssertion, Or, RoleAssertion, Sequent,
+    Subs, _text, _walk, nominals_of, parse_formula, parse_sequent, render, substitute,
 )
 
 __all__ = [
-    "RuleParams", "ProofTree", "CheckResult", "RULE_ARITY", "RULE_LABELS",
-    "check_step", "check_proof", "prove", "ProveResult", "find_countermodel",
-    "weaken_tree", "tree_to_dict", "tree_from_dict", "parse_proof", "load_proof",
-    "save_proof", "ProofFileError",
+    "RuleParams", "ProofTree", "CheckResult", "RULE_ARITY", "RULE_LABELS", "check_step",
+    "check_proof", "prove", "ProveResult", "find_countermodel", "weaken_tree", "tree_to_dict",
+    "tree_from_dict", "parse_proof", "load_proof", "save_proof", "ProofFileError",
 ]
 
 RULE_ARITY = {

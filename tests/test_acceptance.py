@@ -11,10 +11,7 @@ import pytest
 from ialc.cli import run
 from ialc.corpus import random_concept, schema_instance_corpus
 from ialc.golden import AXIOM_ROOTS
-from ialc.hilbert import (
-    HilbertProof, ProofLine, axiom_instance, check_hilbert_proof,
-    identity_proof,
-)
+from ialc.hilbert import HilbertProof, ProofLine, axiom_instance, check_hilbert_proof
 from ialc.modelgen import Signature, random_model
 from ialc.semantics import extension, load_model, sequent_valid
 from ialc.sequent import (
@@ -24,6 +21,7 @@ from ialc.syntax import (
     Atom, BOT, ConceptF, Exists, NominalAssertion, Not, Or, ParseError,
     RoleAssertion, Subs, TOP, parse_formula, parse_sequent, render,
 )
+from test_hilbert import identity_proof
 
 
 def _paths(tree, path=()):

@@ -7,7 +7,7 @@ from ialc.corpus import random_concept
 from ialc.hilbert import (
     HilbertProof, IK_SCHEMATA, IkAx, IplAx, IPL_SCHEMATA, ModusPonens, Necessitation,
     ProofLine, SchemaError, axiom_instance, check_hilbert_proof,
-    identity_proof, ipl_instance, parse_hilbert_proof, render_hilbert_proof,
+    ipl_instance, parse_hilbert_proof, render_hilbert_proof,
 )
 from ialc.semantics import extension
 from ialc.syntax import (
@@ -15,6 +15,19 @@ from ialc.syntax import (
 )
 
 A, B = Atom("A"), Atom("B")
+
+
+def identity_proof(c: Concept, role: str) -> HilbertProof:
+    """Machine-built derivation of ``all role.(c -> c)`` from a1/a2 via
+    modus ponens, closed by necessitation."""
+    cc = Subs(c, c)
+    axioms = (("a1", {"C": c, "D": c}), ("a1", {"C": c, "D": cc}),
+              ("a2", {"C": c, "D": cc, "E": c}))
+    return HilbertProof((
+        *(ProofLine(ipl_instance(a, b), IplAx(a, tuple(b.items()))) for a, b in axioms),
+        ProofLine(Subs(Subs(c, cc), cc), ModusPonens(2, 3)),
+        ProofLine(cc, ModusPonens(1, 4)),
+        ProofLine(Forall(role, cc), Necessitation(5, role))))
 
 
 # ---------------------------------------------------------------------------

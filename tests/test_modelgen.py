@@ -201,6 +201,28 @@ def test_a_kept_model_is_unchanged_by_the_rest_of_the_stream():
         assert _values(I, ops) == values == _values(model_from_dict(doc)[0], ops)
 
 
+def test_enumerations_share_atom_dicts_but_not_kernels():
+    sig = Signature(("A", "B"), ("R",), ("x",), 2)
+    first, second = list(enumerate_models(sig)), list(enumerate_models(sig))
+    assert first == second
+    assert all(I._atoms is J._atoms and I._k is not J._k for I, J in zip(first, second))
+
+
+def test_a_kept_model_is_unchanged_by_a_later_enumeration():
+    # the later stream shares the kept models' atom dicts and evaluates
+    # another program on each of its own kernels
+    sig = Signature(("A", "B"), ("R",), ("x",), 2)
+    goals = [_Goal(parse_sequent(t), True).ops for t in (
+        "x : (A -> some R.B) ; all R.A |- x : not B | some R.top", "A ; all R.B |- some R.(A & B)")]
+    kept = [(I, model_to_dict(I), list(_values(I, goals[0])))
+            for I in islice(enumerate_models(sig), 0, None, 5)]
+    for J in enumerate_models(sig):
+        _values(J, goals[1])
+    for I, doc, values in kept:
+        assert model_to_dict(I) == doc
+        assert _values(I, goals[0]) == values == _values(model_from_dict(doc)[0], goals[0])
+
+
 def test_three_world_enumeration_samples_validate():
     sig = Signature(atoms=("A",), roles=("R",), max_worlds=3)
     for m in islice(enumerate_models(sig), 0, 4000, 97):

@@ -176,6 +176,10 @@ def test_an_undeclared_role_leaves_shared_frames_unchanged(golden_dir):
             sequent_valid(I, Sequent(frozenset(), NominalAssertion("x", ConceptF(c))))
     assert "S" not in loaded.roles
     assert [(I.roles, model_to_dict(I)) for I in models] == before
+    # one empty relation per world count serves every undeclared role
+    assert loaded._k.rel("S") is loaded._k.rel("T") is siblings[-1]._k.rel("S")
+    assert loaded._k.rel("S").rows == (0, 0)
+    assert extension(loaded, Or(Exists("S", A), Forall("S", A))) == frozenset(loaded.worlds)
 
 
 def test_extension_order_independent(chain):
@@ -663,8 +667,11 @@ def test_relation_tables_are_built_on_first_use():
         for rows in product(range(1 << n), repeat=n) if n < 3 else [
                 tuple(random.Random(n + i).randrange(1 << n) for _ in range(n)) for i in range(50)]:
             r = _Rows(rows)
+            with pytest.raises(AttributeError):     # no table before the first lookup
+                _Rows.none.__get__(r)
             table = r.none.__self__     # filled mask by mask, on first lookup
             assert not table and r.none(1) == _none(rows, 1) and set(table) == {1}
+            assert type(r) is _Rows     # and a plain relation from then on
             assert [r.none(m) for m in range(1 << n)] == [_none(rows, m) for m in range(1 << n)]
             assert r == _Rows(rows)
 
