@@ -11,9 +11,10 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from ialc.corpus import schema_instance_corpus
+from corpus import schema_instance_corpus
 from ialc.modelgen import Signature, enumerate_models, random_model
 from ialc.semantics import sequent_valid
 from ialc.sequent import check_proof, prove

@@ -22,7 +22,7 @@ from .semantics import (
 )
 from .sequent import ProofFileError, check_proof, find_countermodel, parse_proof, prove, save_proof
 from .syntax import (
-    _SPACE, ConceptF, ParseError, parse_formula, parse_problem, parse_sequent, render,
+    _SPACE, ConceptF, ParseError, Subs, parse_formula, parse_problem, parse_sequent, render,
 )
 
 __all__ = ["run", "main"]
@@ -102,6 +102,8 @@ def _cmd_prove(args) -> int:
     result = prove(goal, max_depth=args.depth, max_visited=args.visited)
     if not result.proved:
         stop = f"{result.budget} budget ran out" if result.budget else "search space exhausted"
+        if any(isinstance(getattr(f, "concept", None), Subs) for f in goal.antecedent):
+            stop += " under the local reading of the antecedent's subsumptions"
         print(f"unknown, {stop} (depth {args.depth}, visited {result.visited}): {render(goal)}")
         return EXIT_UNKNOWN
     print(f"proved (visited {result.visited}): {render(goal)}")

@@ -5,7 +5,7 @@ The base consists of nine standard intuitionistic propositional schemata
 negation to ``C -> bot`` (a10, a11).  On top sit five modal axiom
 schemata (ik1..ik5) and the rules modus ponens and necessitation.
 
-Proof files carry one step per line::
+Proof files, which are read here but never written, carry one step per line::
 
     <concept> ; ipl a1 [C := A, D := B]
     <concept> ; ik 4 [R := S]
@@ -30,7 +30,7 @@ from .syntax import (
 __all__ = [
     "IPL_SCHEMATA", "IK_SCHEMATA", "SchemaError", "ipl_instance", "axiom_instance", "IplAx",
     "IkAx", "ModusPonens", "Necessitation", "ProofLine", "HilbertProof", "CheckResult",
-    "check_hilbert_proof", "parse_hilbert_proof", "render_hilbert_proof",
+    "check_hilbert_proof", "parse_hilbert_proof",
 ]
 
 
@@ -221,19 +221,3 @@ def parse_hilbert_proof(text: str) -> HilbertProof:
     if not lines:
         raise ParseError("no proof lines", 1, 1)
     return HilbertProof(tuple(lines))
-
-
-def render_hilbert_proof(p: HilbertProof) -> str:
-    out = []
-    for line in p.lines:
-        j = line.justification
-        if isinstance(j, (IplAx, IkAx)):
-            binds = [f"{k} := {v if isinstance(v, str) else render(v)}" for k, v in j.subst]
-            jtext = (f"ipl {j.schema}" if isinstance(j, IplAx) else f"ik {j.axiom}") + (
-                f" [{', '.join(binds)}]" if binds else "")
-        elif isinstance(j, ModusPonens):
-            jtext = f"mp {j.i} {j.j}"
-        else:
-            jtext = f"nec {j.i} {j.role}"
-        out.append(f"{render(line.concept)} ; {jtext}")
-    return "\n".join(out) + "\n"

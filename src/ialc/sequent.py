@@ -1,8 +1,8 @@
 """Sequent calculus: one rule table, proof trees, bounded backward search.
 
 Antecedents are sets, so exchange and contraction are invisible;
-weakening is an explicit rule node and cut is checkable but never used
-by the search.  Rule labels:
+weakening and cut are explicit rule nodes that are checkable but never
+built by the search.  Rule labels:
 
     axiom, bot-l                      initial sequents
     forall-r, forall-l                role quantification, universal
@@ -50,8 +50,8 @@ from .syntax import (
 
 __all__ = [
     "RuleParams", "ProofTree", "CheckResult", "RULE_ARITY", "RULE_LABELS", "check_step",
-    "check_proof", "prove", "ProveResult", "find_countermodel", "weaken_tree", "tree_to_dict",
-    "tree_from_dict", "parse_proof", "load_proof", "save_proof", "ProofFileError",
+    "check_proof", "prove", "ProveResult", "find_countermodel", "tree_to_dict", "tree_from_dict",
+    "parse_proof", "load_proof", "save_proof", "ProofFileError",
 ]
 
 RULE_ARITY = {
@@ -356,22 +356,6 @@ def check_proof(t: ProofTree) -> CheckResult:
     return CheckResult(True)
 
 
-def weaken_tree(t: ProofTree, extra: Formula) -> ProofTree:
-    """A proof of the conclusion weakened by one antecedent formula.
-
-    Context-preserving rules absorb the extra formula; initial sequents,
-    promotions, and cut get an explicit weaken node instead (promotions
-    rewrite their whole context, so the extra formula cannot be pushed
-    through them unchanged).
-    """
-    target = Sequent(t.conclusion.antecedent | {extra}, t.conclusion.succedent)
-    base = _base_rule(t.rule)
-    if RULE_ARITY[base] == 0 or base in ("p-exists", "p-forall", "p-nom", "cut"):
-        return ProofTree(target, "weaken", _NO_PARAMS, (t,))
-    return ProofTree(target, t.rule, t.params,
-                     tuple(weaken_tree(c, extra) for c in t.premises))
-
-
 # ---------------------------------------------------------------------------
 # Proof files
 # ---------------------------------------------------------------------------
@@ -496,8 +480,6 @@ class _Search:
               ancestors: frozenset) -> tuple[Optional[ProofTree], Optional[frozenset]]:
         """(tree, None) on success, (None, culprits) on failure, and
         (None, None) once the visited cap is spent."""
-        if self.exhausted:
-            return None, None
         members = sorted(seq.antecedent, key=_text)
         key = self.normalize(seq, members)
         if key in ancestors:

@@ -1,5 +1,7 @@
-"""Sequent corpora for soundness sweeps: the axiom roots, written once as
-``golden.AXIOM_ROOTS``, and random instances of them by ``syntax.substitute``."""
+"""Sequent corpora for the tests and ``scripts/soundness_sweep.py``: the axiom
+roots, written once as ``ialc.golden.AXIOM_ROOTS``, and random instances of
+them by ``ialc.syntax.substitute``.  Only tests and scripts use it, so it
+lives beside ``ref_sequent.py`` rather than in the package."""
 
 from __future__ import annotations
 
@@ -7,8 +9,8 @@ import random
 from functools import partial
 from typing import Sequence
 
-from .golden import AXIOM_ROOTS
-from .syntax import (
+from ialc.golden import AXIOM_ROOTS
+from ialc.syntax import (
     And, Atom, BOT, Concept, Exists, Forall, Not, Or, Sequent, Subs, TOP,
     parse_sequent, substitute,
 )

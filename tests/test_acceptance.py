@@ -9,7 +9,6 @@ import time
 import pytest
 
 from ialc.cli import run
-from ialc.corpus import random_concept, schema_instance_corpus
 from ialc.golden import AXIOM_ROOTS
 from ialc.hilbert import HilbertProof, ProofLine, axiom_instance, check_hilbert_proof
 from ialc.modelgen import Signature, random_model
@@ -21,6 +20,7 @@ from ialc.syntax import (
     Atom, BOT, ConceptF, Exists, NominalAssertion, Not, Or, ParseError,
     RoleAssertion, Subs, TOP, parse_formula, parse_sequent, render,
 )
+from corpus import random_concept, schema_instance_corpus
 from test_hilbert import identity_proof
 
 

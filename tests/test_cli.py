@@ -64,6 +64,20 @@ def test_prove_unknown_names_the_budget(capsys, golden_dir, problem, flags, stop
     assert re.search(r"visited \d+\)", out)
 
 
+def test_prove_unknown_says_subsumptions_were_read_locally(capsys, tmp_path):
+    # countermodel and eval read A -> B at every world, the search only where it is assumed
+    prob = tmp_path / "tbox.ialc"
+    prob.write_text("assume:\n  A -> B\ngoal:\n  some R.A -> some R.B\n")
+    rc, out, _ = invoke(capsys, "prove", str(prob))
+    assert (rc, out) == (2, "unknown, search space exhausted under the local reading of the "
+                            "antecedent's subsumptions (depth 24, visited 4): "
+                            "A -> B |- some R.A -> some R.B\n")
+    rc, out, _ = invoke(capsys, "countermodel", str(prob), "--max-worlds", "3")
+    assert rc == 0 and out.startswith("no countermodel with up to 3 worlds")
+    rc, out, _ = invoke(capsys, "countermodel", str(prob), "--max-worlds", "3", "--tbox-local")
+    assert rc == 1 and out.startswith("countermodel with 2 worlds")
+
+
 def test_prove_then_check_accepts_merged_p_exists(tmp_path, capsys):
     # the search's p-exists premise merges the box body A with the diamond body A
     prob = tmp_path / "merge.ialc"
@@ -94,6 +108,12 @@ def test_check_hilbert_file(capsys, golden_dir, tmp_path):
     bad.write_text(text)
     rc, out, _ = invoke(capsys, "check", str(bad))
     assert rc == 1 and "rejected at line" in out
+    # an unknown schema and an empty binding list are rejected lines, not input errors
+    for line, reason in [("A -> A ; ipl a99 [C := A]", "unknown propositional schema 'a99'"),
+                         ("A -> (A -> A) ; ipl a1 []", "missing binding for metavariable C")]:
+        bad.write_text(line + "\n")
+        rc, out, _ = invoke(capsys, "check", str(bad))
+        assert (rc, out) == (1, f"rejected at line 1: {reason}\n"), line
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +239,10 @@ def test_input_errors_exit_3(capsys, tmp_path, golden_dir):
         empty.write_text(text)
         rc, out, err = invoke(capsys, "check", str(empty))
         assert rc == 3 and not out and "no proof lines" in err
+    # a Hilbert line without its justification
+    empty.write_text("A -> A\n")
+    rc, out, err = invoke(capsys, "check", str(empty))
+    assert (rc, out, err) == (3, "", "error: 1:1: expected '<concept> ; <justification>'\n")
     # a member with whitespace the lexer does not skip fails as in `ialc eval`
     form_feed = tmp_path / "form_feed.prf"
     form_feed.write_text('{"rule": "axiom", "conclusion": "\\u000cA |- A", "premises": []}')

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from ialc.corpus import axiom_root_sequent, random_concept, schema_instance_corpus
 from ialc.golden import AXIOM_ROOTS, axiom_trees
 from ialc.sequent import (
     ProofTree, RULE_LABELS, check_proof, load_proof, tree_to_dict,
@@ -11,6 +10,7 @@ from ialc.sequent import (
 from ialc.syntax import (
     Atom, BOT, ConceptF, Exists, Forall, NominalAssertion, Or, Sequent, Subs, parse_sequent,
 )
+from corpus import axiom_root_sequent, random_concept, schema_instance_corpus
 
 
 @pytest.fixture(scope="module")

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from ialc.cli import run
-from ialc.corpus import random_concept
 from ialc.hilbert import (
     HilbertProof, IK_SCHEMATA, IkAx, IplAx, IPL_SCHEMATA, ModusPonens, Necessitation,
     ProofLine, SchemaError, axiom_instance, check_hilbert_proof,
-    ipl_instance, parse_hilbert_proof, render_hilbert_proof,
+    ipl_instance, parse_hilbert_proof,
 )
 from ialc.semantics import extension
 from ialc.syntax import (
     And, Atom, BOT, Concept, Exists, Forall, Not, Or, ParseError, Subs, parse_concept,
 )
+from corpus import random_concept
 
 A, B = Atom("A"), Atom("B")
 
@@ -113,10 +113,10 @@ def test_single_line_mutations_rejected_at_or_before():
         assert not r.ok and r.line <= k + 1
 
 
-def test_file_roundtrip():
-    p = identity_proof(parse_concept("A & not B"), "S")
-    text = render_hilbert_proof(p)
-    assert parse_hilbert_proof(text) == p
+def test_golden_file_parses_to_the_built_proof(golden_dir):
+    # ipl bindings, modus ponens and necessitation, each read from the file
+    text = (golden_dir / "identity.hpf").read_text()
+    assert parse_hilbert_proof(text) == identity_proof(A, "R")
 
 
 def test_file_parse_examples():

@@ -5,7 +5,6 @@ from itertools import count
 
 import pytest
 
-from ialc.corpus import random_concept, schema_instance_corpus
 from ialc.golden import AXIOM_ROOTS
 from ialc.modelgen import Signature, enumerate_models, signature_for
 from ialc.semantics import sequent_valid
@@ -16,6 +15,7 @@ from ialc.syntax import (
     Bot, ConceptF, Exists, Forall, NominalAssertion, RoleAssertion, Sequent,
     nominals_of, parse_sequent, render,
 )
+from corpus import random_concept, schema_instance_corpus
 from ref_sequent import (
     _ENGINE_NOMINAL, _NO_PARAMS, _binary_candidates, _exists_l, _exists_r,
     _forall_l, _forall_r, _nom_concept, _nominals_in_order, _quantified,

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from ialc.corpus import random_concept, schema_instance_corpus
 from ialc.golden import axiom_trees
 from ialc.modelgen import Signature, enumerate_models
 from ialc.semantics import entails
@@ -16,6 +15,7 @@ from ialc.syntax import (
     And, ConceptF, Exists, Forall, NominalAssertion, Or, RoleAssertion,
     Sequent, Subs, nominals_of, render,
 )
+from corpus import random_concept, schema_instance_corpus
 from ref_sequent import ref_check_step
 from test_prover import _random_sequent
 

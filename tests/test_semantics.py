@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ialc.corpus import random_concept
 from ialc.modelgen import (
     GenerationBudgetError, Signature, enumerate_models, random_model,
 )
@@ -22,6 +21,7 @@ from ialc.syntax import (
     RoleAssertion, Sequent, Subs, TOP, Top, outer_nominal, parse_formula,
     parse_sequent,
 )
+from corpus import random_concept
 
 A, B = Atom("A"), Atom("B")
 
@@ -235,10 +235,24 @@ def test_satisfies_concept_is_global(chain):
     assert not satisfies(chain, parse_formula("A"))
 
 
-def test_satisfies_nested_assertion_reanchors(chain):
+def test_satisfies_nested_assertion_reanchors(chain, golden_dir):
     # inner assertion anchors at y regardless of the outer quantification
     assert satisfies(chain, parse_formula("x : (y : A)"))
     assert not satisfies(chain, parse_formula("y : (x : A)"))
+    # every level re-anchors at x, so only the innermost x : A decides; in a
+    # sequent a nested assertion is read at no chosen world, unlike x : A
+    nested, double = parse_formula("x : (x : (x : A))"), parse_formula("x : (x : A)")
+    flat = parse_formula("x : A")
+    models = [load_model(str(golden_dir / "chain.model"))[0]]
+    sig = Signature(atoms=("A",), roles=("R",), nominals=("x",), max_worlds=3)
+    models += [random_model(sig, seed) for seed in range(100)]
+    for I in models:
+        assert satisfies(I, nested) == satisfies(I, flat)
+        assert sequent_valid(I, Sequent(frozenset({nested}), flat))
+        assert sequent_valid(I, Sequent(frozenset({double}), nested))
+        assert sequent_valid(I, Sequent(frozenset({nested}), double))
+    assert not satisfies(models[0], nested)
+    assert {satisfies(I, flat) for I in models} == {False, True}
 
 
 def test_role_clause_quantifies_both_refinement_cones():

@@ -2,7 +2,7 @@ import pytest
 
 from ialc.sequent import (
     CheckResult, ProofTree, RuleParams, check_proof, check_step,
-    load_proof, save_proof, tree_from_dict, tree_to_dict, weaken_tree,
+    load_proof, save_proof, tree_from_dict, tree_to_dict,
 )
 from ialc.golden import axiom_trees
 from ialc.syntax import ParseError, parse_formula, parse_sequent
@@ -260,15 +260,6 @@ def test_cut_node_checks_inside_a_proof():
     ax2 = ProofTree(S("A |- A"), "axiom")
     t = ProofTree(S("A |- A"), "cut", RuleParams(cut_formula=F("A")), (ax1, ax2))
     assert check_proof(t).ok
-
-
-def test_weaken_tree_is_accepted_for_all_axiom_trees():
-    extra = F("Wfresh")
-    for i, tree in axiom_trees().items():
-        fat = weaken_tree(tree, extra)
-        assert fat.conclusion.antecedent == tree.conclusion.antecedent | {extra}
-        assert fat.conclusion.succedent == tree.conclusion.succedent
-        assert check_proof(fat).ok, i
 
 
 def test_proof_file_roundtrip(tmp_path):
