@@ -21,8 +21,10 @@ may optionally be read globally (the theory reading).
 Bit rows are the only stored form of an interpretation: world i of
 ``worlds`` is bit i, and up-sets, role successor rows, atom and concept
 extensions are ints; the pair and set fields are views computed from
-them.  A model is the kernel of its frame (worlds, preorder and role
-rows), shared by every model on the frame, plus atom masks and nominals.
+them.  A relation is its bit rows plus its ``none`` table, filled on
+first lookup: the worlds none of whose successors meet a mask.  A model
+is the kernel of its frame (worlds, preorder and role rows), shared by
+every model on the frame, plus atom masks and nominals.
 One fault generator holds the frame laws for validation, model loading
 and model generation (a failing model's report lists its faults in the
 order ``validate_interpretation`` states), beside one Warshall closure;
@@ -84,9 +86,11 @@ def _none(rows, m: int) -> int:
     return sum(1 << i for i, r in enumerate(rows) if not r & m)
 
 
-class _Missing(dict):
-    """``_none`` of the rows by mask, each entry computed on first lookup.  It
-    refers to no ``_Rows``, so a dropped relation is freed without the collector."""
+class _Rows(dict):
+    """A relation: its bit rows plus its ``none`` table, ``r[m] ==
+    _none(r.rows, m)``, each entry filled on first lookup.  It holds only
+    ints, so a dropped relation is freed without the collector.  An unread
+    table is empty and falsy: test a relation against None, not for truth."""
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple):
@@ -95,31 +99,11 @@ class _Missing(dict):
     def __missing__(self, m: int) -> int:
         return self.setdefault(m, _none(self.rows, m))
 
+    def __eq__(self, other):
+        return self.rows == other.rows if isinstance(other, _Rows) else NotImplemented
 
-class _Rows:
-    """A relation as bit rows, with ``none`` looked up in its own table.
-    ``_Rows(rows)`` is an ``_Unread``, which makes the table on the first
-    lookup and then becomes a plain ``_Rows``: a ``__getattr__`` here would
-    slow every attribute read, read relations' too."""
-    __slots__ = ("rows", "none")
-
-    def __new__(cls, rows: tuple):
-        self = object.__new__(_Unread)
-        self.rows = rows
-        return self
-
-    def __eq__(self, other) -> bool:
-        return self.rows == other.rows
-
-
-class _Unread(_Rows):
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        if name != "none":
-            raise AttributeError(name)
-        self.__class__, self.none = _Rows, _Missing(self.rows).__getitem__
-        return self.none
+    def __ne__(self, other):
+        return self.rows != other.rows if isinstance(other, _Rows) else NotImplemented
 
 
 _empty = lru_cache(maxsize=None)(lambda n: _Rows((0,) * n))
@@ -171,9 +155,9 @@ def _faults(up, atoms: Mapping = {}, roles: Mapping = {}):
 
 
 class _Kernel:
-    """Bit rows of one frame: its worlds, preorder and roles.  Every model
-    on the frame shares its kernel, which memoises the last program's
-    values on one atom dict."""
+    """Bit rows of one frame: its worlds, and its preorder and roles as
+    relations.  Every model on the frame shares its kernel, which
+    memoises the last program's values on one atom dict."""
     __slots__ = ("worlds", "index", "full", "up", "roles", "memo")
 
     def __init__(self, worlds: tuple, up: _Rows, roles: dict):
@@ -191,7 +175,7 @@ class _Kernel:
     def rel(self, role: str) -> _Rows:
         """The rows of role; an undeclared role is the empty relation, one per
         world count, and stays undeclared."""
-        return self.roles.get(role) or _empty(len(self.worlds))
+        return self.roles[role] if role in self.roles else _empty(len(self.worlds))
 
     def members(self, m: int) -> tuple:
         return tuple(w for i, w in enumerate(self.worlds) if m >> i & 1)
@@ -345,12 +329,12 @@ def validate_interpretation(I: Interpretation) -> ValidationReport:
 _CLAUSES = {
     And: lambda k, t, v, a, b: v[a] & v[b],
     Or: lambda k, t, v, a, b: v[a] | v[b],
-    Subs: lambda k, t, v, a, b: k.up.none(v[a] & ~v[b]),
-    Not: lambda k, t, v, a, b: k.up.none(v[a]),
+    Subs: lambda k, t, v, a, b: k.up[v[a] & ~v[b]],
+    Not: lambda k, t, v, a, b: k.up[v[a]],
     Atom: lambda k, t, v, a, b: t.get(a, 0),
-    Exists: lambda k, t, v, a, b: k.full & ~k.rel(a).none(v[b]),
+    Exists: lambda k, t, v, a, b: k.full & ~k.rel(a)[v[b]],
     # no refinement may reach a world with a successor outside the body
-    Forall: lambda k, t, v, a, b: k.up.none(k.full & ~k.rel(a).none(k.full & ~v[b])),
+    Forall: lambda k, t, v, a, b: k.up[k.full & ~k.rel(a)[k.full & ~v[b]]],
     Top: lambda k, t, v, a, b: k.full,
     Bot: lambda k, t, v, a, b: 0,
 }
