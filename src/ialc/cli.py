@@ -22,7 +22,8 @@ from .semantics import (
 )
 from .sequent import ProofFileError, check_proof, find_countermodel, parse_proof, prove, save_proof
 from .syntax import (
-    _SPACE, ConceptF, ParseError, Subs, parse_formula, parse_problem, parse_sequent, render,
+    _SPACE, ConceptF, ParseError, Subs, _code_lines, parse_formula, parse_problem, parse_sequent,
+    render,
 )
 
 __all__ = ["run", "main"]
@@ -116,8 +117,8 @@ def _cmd_prove(args) -> int:
 def _cmd_check(args) -> int:
     with open(args.prooffile, "r", encoding="utf-8") as fh:
         text = fh.read()
-    lines = (s.strip(_SPACE) for s in text.split("\n"))     # a sequent proof tree is JSON
-    if next((s for s in lines if s and not s.startswith("#")), "").startswith("{"):
+    # a sequent proof tree is JSON
+    if next((code.strip(_SPACE) for _, code in _code_lines(text)), "").startswith("{"):
         result = check_proof(parse_proof(text, args.prooffile))
     else:
         result = hilbert.check_hilbert_proof(hilbert.parse_hilbert_proof(text))
@@ -171,10 +172,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    from . import golden        # only this command builds the derivation trees
+    from . import golden        # only this command reads the axiom roots
     os.makedirs(args.out, exist_ok=True)
     status = EXIT_OK
-    for i, tree in sorted(golden.axiom_trees().items()):
+    for i, root in sorted(golden.AXIOM_ROOTS.items()):
+        tree = prove(parse_sequent(root)).tree
         result = check_proof(tree)
         path = os.path.join(args.out, f"axiom{i}.prf")
         save_proof(tree, path)

@@ -24,7 +24,8 @@ from typing import Mapping, NamedTuple, Union
 
 from .syntax import (
     Atom, BOT, Concept, Exists, Forall, Not, And, Or, Subs,
-    ParseError, _SPACE, _parse_line, _walk, atoms_of, parse_concept, render, roles_of, substitute,
+    ParseError, _SPACE, _code_lines, _parse_line, _walk, atoms_of, parse_concept, render, roles_of,
+    substitute,
 )
 
 __all__ = [
@@ -197,10 +198,7 @@ def _parse_subst(text: str, lineno: int, start: int) -> tuple[tuple[str, Union[C
 
 def parse_hilbert_proof(text: str) -> HilbertProof:
     lines = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        code = raw.split("#", 1)[0]
-        if not code.strip(_SPACE):
-            continue
+    for lineno, code in _code_lines(text):
         if ";" not in code:
             raise ParseError("expected '<concept> ; <justification>'", lineno, 1)
         concept_text, just_code = code.split(";", 1)

@@ -63,17 +63,11 @@ RULE_ARITY = {
     "cut": 2, "weaken": 1,
 }
 
-_NOMINAL_VARIANTS = {"sub-r", "sub-l", "and-r", "and-l", "or1-r", "or2-r", "or-l"}
+# every label, to the rule it instantiates: the propositional rules have a nominal variant
+_RULE_OF = {r: r for r in RULE_ARITY} | {
+    "n-" + r: r for r in ("sub-r", "sub-l", "and-r", "and-l", "or1-r", "or2-r", "or-l")}
 
-RULE_LABELS = tuple(sorted(RULE_ARITY) + sorted("n-" + r for r in _NOMINAL_VARIANTS))
-
-
-def _base_rule(label: str) -> Optional[str]:
-    if label in RULE_ARITY:
-        return label
-    if label.startswith("n-") and label[2:] in _NOMINAL_VARIANTS:
-        return label[2:]
-    return None
+RULE_LABELS = tuple(sorted(RULE_ARITY) + sorted(_RULE_OF.keys() - RULE_ARITY))
 
 
 class RuleParams(NamedTuple):
@@ -304,34 +298,40 @@ def _agrees(stated: RuleParams, made: RuleParams) -> bool:
     return True
 
 
-def check_step(rule: str, params: Optional[RuleParams],
-               premises: Sequence[Sequent], conclusion: Sequent) -> bool:
-    """True iff the stated label, params and premises are one of the
+def _fault(rule: str, params: Optional[RuleParams],
+           premises: Sequence[Sequent], conclusion: Sequent) -> Optional[str]:
+    """None iff the stated label, params and premises are one of the
     rule's instances on the conclusion (cut and weaken are checked
-    directly).  Params narrow the instances when given."""
-    base = _base_rule(rule)
-    if base is None or len(premises) != RULE_ARITY[base]:
-        return False
+    directly), else why not.  Params narrow the instances when given."""
+    base = _RULE_OF.get(rule)
+    if base is None:
+        return f"unknown rule {rule!r}"
+    if len(premises) != RULE_ARITY[base]:
+        return f"{rule} needs {RULE_ARITY[base]} premises, got {len(premises)}"
     p = params or _NO_PARAMS
     ant, succ = conclusion.antecedent, conclusion.succedent
 
     if base == "weaken":
         (prem,) = premises
-        return prem.succedent == succ and prem.antecedent <= ant
-
-    if base == "cut":
+        ok = prem.succedent == succ and prem.antecedent <= ant
+    elif base == "cut":
         p1, p2 = premises
         gamma = p1.succedent
-        if p.cut_formula is not None and p.cut_formula != gamma:
-            return False
-        return (gamma in p2.antecedent and p2.succedent == succ
-                and p1.antecedent | (p2.antecedent - {gamma}) == ant)
+        ok = (p.cut_formula in (None, gamma) and gamma in p2.antecedent
+              and p2.succedent == succ and p1.antecedent | (p2.antecedent - {gamma}) == ant)
+    else:
+        # initial sequents leave nothing to choose, and principal-free rules read no shapes
+        premises = _Premises(premises) if premises else ()
+        principal, instances = _RULES[base]
+        ok = any(label == rule and prem == premises and _agrees(p, made) for label, made, prem
+                 in instances(conclusion, principal and [_shape(m) for m in ant], premises))
+    return None if ok else f"{rule} does not derive {render(conclusion)}"
 
-    # initial sequents leave nothing to choose, and principal-free rules read no shapes
-    premises = _Premises(premises) if premises else ()
-    principal, instances = _RULES[base]
-    return any(label == rule and prem == premises and _agrees(p, made) for label, made, prem
-               in instances(conclusion, principal and [_shape(m) for m in ant], premises))
+
+def check_step(rule: str, params: Optional[RuleParams],
+               premises: Sequence[Sequent], conclusion: Sequent) -> bool:
+    """True iff the step is one of the rule's instances (see ``_fault``)."""
+    return _fault(rule, params, premises, conclusion) is None
 
 
 def check_proof(t: ProofTree) -> CheckResult:
@@ -340,17 +340,10 @@ def check_proof(t: ProofTree) -> CheckResult:
     stack: list[tuple[ProofTree, tuple[int, ...]]] = [(t, ())]
     while stack:
         node, path = stack.pop()
-        base = _base_rule(node.rule)
-        if base is None:
-            return CheckResult(False, path, f"unknown rule {node.rule!r}")
-        got = len(node.premises)
-        if got != RULE_ARITY[base]:
-            return CheckResult(False, path,
-                               f"{node.rule} needs {RULE_ARITY[base]} premises, got {got}")
-        if not check_step(node.rule, node.params,
-                          [c.conclusion for c in node.premises], node.conclusion):
-            return CheckResult(False, path,
-                               f"{node.rule} does not derive {render(node.conclusion)}")
+        fault = _fault(node.rule, node.params, [c.conclusion for c in node.premises],
+                       node.conclusion)
+        if fault is not None:
+            return CheckResult(False, path, fault)
         for i in range(len(node.premises) - 1, -1, -1):
             stack.append((node.premises[i], path + (i,)))
     return CheckResult(True)

@@ -44,7 +44,7 @@ instances and the instances of the axiom roots written once in
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 __all__ = [
     "Atom", "Top", "Bot", "Not", "And", "Or", "Subs", "Exists", "Forall",
@@ -496,15 +496,21 @@ def render(obj: Union[Concept, Formula, Sequent]) -> str:
 _SECTIONS = ("theory", "assume", "goal")
 
 
+def _code_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, code before any '#') of each line of text that has
+    code; lines end at the lexer's line ends only."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        code = raw.split("#", 1)[0]
+        if code.strip(_SPACE):
+            yield lineno, code
+
+
 def parse_problem(text: str) -> Problem:
     """Parse a problem file with ``theory:``/``assume:``/``goal:`` sections."""
     sections: dict[str, list[Formula]] = {name: [] for name in _SECTIONS}
     current: Optional[str] = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):     # the lexer's line ends only
-        code = raw.split("#", 1)[0]
+    for lineno, code in _code_lines(text):
         line = code.strip(_SPACE)
-        if not line:
-            continue
         header = line[:-1].strip(_SPACE) if line.endswith(":") else None
         if header in _SECTIONS:
             current = header

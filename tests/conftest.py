@@ -7,6 +7,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from ialc.modelgen import Signature, enumerate_models  # noqa: E402
+from ialc.sequent import load_proof  # noqa: E402
 
 GOLDEN_DIR = ROOT / "golden"
 
@@ -14,6 +15,12 @@ GOLDEN_DIR = ROOT / "golden"
 @pytest.fixture(scope="session")
 def golden_dir() -> Path:
     return GOLDEN_DIR
+
+
+@pytest.fixture(scope="session")
+def golden_trees() -> dict:
+    """The committed hand-written axiom derivations golden/axiom1..5.prf, keyed 1..5."""
+    return {i: load_proof(str(GOLDEN_DIR / f"axiom{i}.prf")) for i in range(1, 6)}
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,8 @@ import pytest
 
 from ialc import cli
 from ialc.cli import run
-from ialc.sequent import check_proof, load_proof
+from ialc.golden import AXIOM_ROOTS
+from ialc.sequent import check_proof, load_proof, prove
 from ialc.semantics import load_model, sequent_valid
 from ialc.syntax import parse_sequent
 
@@ -193,15 +194,15 @@ def test_eval_raw_loads_frame_violations(tmp_path, capsys):
 # axioms / models
 # ---------------------------------------------------------------------------
 
-def test_axioms_writes_and_verifies(tmp_path, capsys, golden_dir):
+def test_axioms_writes_and_verifies(tmp_path, capsys):
     rc, out, _ = invoke(capsys, "axioms", "--out", str(tmp_path))
     assert rc == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 5
-    for i in range(1, 6):
-        assert check_proof(load_proof(str(tmp_path / f"axiom{i}.prf"))).ok
-        written = (tmp_path / f"axiom{i}.prf").read_bytes()
-        assert written == (golden_dir / f"axiom{i}.prf").read_bytes(), f"axiom{i}.prf"
+    assert out.splitlines() == [f"axiom{i}: accepted -> {tmp_path / f'axiom{i}.prf'}"
+                                for i in range(1, 6)]
+    for i, root in AXIOM_ROOTS.items():
+        written = load_proof(str(tmp_path / f"axiom{i}.prf"))
+        assert written == prove(parse_sequent(root)).tree, f"axiom{i}.prf"
+        assert check_proof(written).ok
 
 
 def test_models_count_matches_stream(capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ialc.golden import AXIOM_ROOTS, axiom_trees
+from ialc.golden import AXIOM_ROOTS
 from ialc.sequent import (
     ProofTree, RULE_LABELS, check_proof, load_proof, tree_to_dict,
 )
@@ -13,33 +13,28 @@ from ialc.syntax import (
 from corpus import axiom_root_sequent, random_concept, schema_instance_corpus
 
 
-@pytest.fixture(scope="module")
-def trees():
-    return axiom_trees()
-
-
-def test_all_five_trees_accepted(trees):
-    for i, t in trees.items():
+def test_all_five_trees_accepted(golden_trees):
+    for i, t in golden_trees.items():
         assert check_proof(t).ok, i
 
 
-def test_roots_are_the_published_sequents(trees):
-    for i, t in trees.items():
+def test_roots_are_the_published_sequents(golden_trees):
+    for i, t in golden_trees.items():
         assert t.conclusion == parse_sequent(AXIOM_ROOTS[i])
 
 
-def test_tree_shapes(trees):
+def test_tree_shapes(golden_trees):
     def rules_of(t):
         yield t.rule
         for c in t.premises:
             yield from rules_of(c)
-    assert list(rules_of(trees[1])) == ["sub-r", "p-exists", "sub-l",
-                                        "axiom", "axiom"]
-    assert list(rules_of(trees[2])) == ["sub-r", "p-forall", "sub-l",
-                                        "axiom", "axiom"]
-    assert list(rules_of(trees[3])) == ["n-sub-r", "exists-l", "bot-l"]
-    assert "n-or-l" in set(rules_of(trees[4]))
-    assert list(rules_of(trees[5])) == [
+    assert list(rules_of(golden_trees[1])) == ["sub-r", "p-exists", "sub-l",
+                                               "axiom", "axiom"]
+    assert list(rules_of(golden_trees[2])) == ["sub-r", "p-forall", "sub-l",
+                                               "axiom", "axiom"]
+    assert list(rules_of(golden_trees[3])) == ["n-sub-r", "exists-l", "bot-l"]
+    assert "n-or-l" in set(rules_of(golden_trees[4]))
+    assert list(rules_of(golden_trees[5])) == [
         "n-sub-r", "forall-r", "n-sub-r", "n-sub-l",
         "exists-r", "axiom", "axiom", "forall-l", "axiom"]
 
@@ -64,8 +59,8 @@ def _rule_at(tree, path):
     return tree.rule
 
 
-def test_every_single_label_mutation_rejected(trees):
-    for i, tree in trees.items():
+def test_every_single_label_mutation_rejected(golden_trees):
+    for i, tree in golden_trees.items():
         for path in _paths(tree):
             original = _rule_at(tree, path)
             for label in RULE_LABELS:
@@ -75,7 +70,7 @@ def test_every_single_label_mutation_rejected(trees):
                 assert not check_proof(mutated).ok, (i, path, label)
 
 
-def test_steps_check_without_params_too(trees):
+def test_steps_check_without_params_too(golden_trees):
     # params only narrow the instantiation search; inference alone must
     # validate every golden node
     from ialc.sequent import check_step
@@ -85,19 +80,20 @@ def test_steps_check_without_params_too(trees):
         for c in t.premises:
             yield from walk(c)
 
-    for i, tree in trees.items():
+    for i, tree in golden_trees.items():
         for node in walk(tree):
             assert check_step(node.rule, None,
                               [c.conclusion for c in node.premises],
                               node.conclusion), (i, node.rule)
 
 
-def test_repository_files_match_generated_trees(trees, golden_dir):
-    for i, tree in trees.items():
+def test_repository_files_match_generated_trees(golden_dir):
+    # each committed file is in the canonical form save_proof writes
+    for i in range(1, 6):
         path = golden_dir / f"axiom{i}.prf"
-        on_disk = json.loads(path.read_text())
-        assert on_disk == tree_to_dict(tree), path
-        assert check_proof(load_proof(str(path))).ok
+        tree = load_proof(str(path))
+        assert json.loads(path.read_text()) == tree_to_dict(tree), path
+        assert check_proof(tree).ok
 
 
 # ---------------------------------------------------------------------------

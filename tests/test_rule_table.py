@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from ialc.golden import axiom_trees
 from ialc.modelgen import Signature, enumerate_models
 from ialc.semantics import entails
 from ialc.sequent import (
@@ -54,8 +53,8 @@ def assert_agrees_with_reference(rule, params, premises, conclusion) -> bool:
     return new
 
 
-def test_checker_matches_reference_on_golden_nodes_and_their_relabellings():
-    for tree in axiom_trees().values():
+def test_checker_matches_reference_on_golden_nodes_and_their_relabellings(golden_trees):
+    for tree in golden_trees.values():
         for node in _walk(tree):
             premises = [c.conclusion for c in node.premises]
             accepted = [label for label in RULE_LABELS

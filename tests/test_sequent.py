@@ -4,7 +4,6 @@ from ialc.sequent import (
     CheckResult, ProofTree, RuleParams, check_proof, check_step,
     load_proof, save_proof, tree_from_dict, tree_to_dict,
 )
-from ialc.golden import axiom_trees
 from ialc.syntax import ParseError, parse_formula, parse_sequent
 from ref_sequent import ref_check_step
 
@@ -243,8 +242,8 @@ def test_unknown_rule_rejected():
 # Whole proofs
 # ---------------------------------------------------------------------------
 
-def test_check_proof_reports_first_bad_node_path():
-    good = axiom_trees()[1]
+def test_check_proof_reports_first_bad_node_path(golden_trees):
+    good = golden_trees[1]
     assert check_proof(good) == CheckResult(True)
     # swapping the promotion for its universal sibling must be caught
     bad = ProofTree(good.conclusion, good.rule, good.params,
@@ -262,15 +261,15 @@ def test_cut_node_checks_inside_a_proof():
     assert check_proof(t).ok
 
 
-def test_proof_file_roundtrip(tmp_path):
-    for i, tree in axiom_trees().items():
+def test_proof_file_roundtrip(tmp_path, golden_trees):
+    for i, tree in golden_trees.items():
         path = tmp_path / f"t{i}.prf"
         save_proof(tree, str(path))
         assert load_proof(str(path)) == tree
 
 
-def test_tree_dict_roundtrip():
-    for tree in axiom_trees().values():
+def test_tree_dict_roundtrip(golden_trees):
+    for tree in golden_trees.values():
         assert tree_from_dict(tree_to_dict(tree)) == tree
 
 
