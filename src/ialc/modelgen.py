@@ -7,20 +7,19 @@ satisfy the frame conditions and only refinement-closed atom extensions.
 Random generation rejection-samples roles against the frame conditions,
 so both paths emit models that pass validation.
 
-``candidates`` filters the enumeration down to the models that can be
-the first on which a sequent fails: those that come first among their
-copies under a renaming of worlds, checked once per preorder, per frame,
-per atom dict and per model, and are generated by one world and the
-nominals' worlds.  The countermodel search evaluates only these.
+``candidate`` keeps the frames that can hold the first model on which
+a sequent fails: first among their copies under a renaming of worlds,
+and generated.  ``_lanes`` lays the models of a frame out as lanes, in
+stream order, so the countermodel search evaluates a kept frame once.
 
 A relation on n worlds is a bitmask over its n*n pairs, row by row, so
 the mask splits directly into the bit rows of the semantics kernel, one
 per frame.  Preorders and up-closed sets are filtered by the fault
 generator that validation uses.  Frame-compatible relations are built
 class by class from F1 and F2, the rows of a class found once per choice
-of the rows above it.  All, atom dicts included, are cached per preorder
-for the process; ``count_models`` counts the stream from their sizes
-alone, building no role table for a signature without roles.
+of the rows above it.  All, atom dicts and lanes included, are cached
+per preorder; ``count_models`` counts the stream from their sizes, and
+neither builds a role table for a signature without roles.
 """
 
 from __future__ import annotations
@@ -29,13 +28,14 @@ import random
 from functools import lru_cache, reduce
 from itertools import permutations, product
 from operator import and_, or_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
-from .semantics import Interpretation, _bits, _closed_rows, _faults, _image, _Kernel, _none, _Rows
+from .semantics import (Interpretation, _bits, _closed_rows, _faults, _image, _Kernel, _Lanes,
+                        _none, _Rows)
 from .syntax import Sequent, atoms_of, nominals_of, roles_of
 
 __all__ = [
-    "Signature", "GenerationBudgetError", "count_models", "enumerate_models", "candidates",
+    "Signature", "GenerationBudgetError", "count_models", "enumerate_models", "candidate",
     "random_model", "signature_for",
 ]
 
@@ -155,7 +155,8 @@ def enumerate_models(sig: Signature) -> Iterator[Interpretation]:
                        for v in product(worlds, repeat=len(sig.nominals))]
         for up in _preorders(n):
             atom_dicts = _atom_dicts(n, up.rows, sig.atoms)
-            for role_vec in product(_frame_relations(n, up.rows), repeat=len(sig.roles)):
+            tables = _frame_relations(n, up.rows) if sig.roles else ()
+            for role_vec in product(tables, repeat=len(sig.roles)):
                 kernel = _Kernel(worlds, up, dict(zip(sig.roles, role_vec)))
                 for atoms in atom_dicts:
                     for nominals in assignments:
@@ -163,90 +164,66 @@ def enumerate_models(sig: Signature) -> Iterator[Interpretation]:
 
 
 # ---------------------------------------------------------------------------
-# The models that can be the first countermodel
+# The frames that can hold the first countermodel, and their lanes
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _set_images(n: int) -> tuple:
-    """For each set of n worlds, its image under each relabelling: each
-    permutation of the worlds but the identity."""
-    perms = [p for p in permutations(range(n)) if p != tuple(range(n))]
-    return tuple(tuple(_image([1 << q for q in p], m) for p in perms) for m in range(1 << n))
+    """For each set of n worlds, its image under each relabelling of the worlds."""
+    return tuple(tuple(_image([1 << q for q in p], m) for p in permutations(range(n)))
+                 for m in range(1 << n))
 
 
 @lru_cache(maxsize=None)
 def _relation_images(rows: tuple) -> tuple:
-    """A relation's mask and its mask under each relabelling (which takes
+    """A relation's mask under each relabelling, the identity first (it takes
     world i to the one world of the image of {i})."""
     n, sets = len(rows), _set_images(len(rows))
-    return (sum(r << n * i for i, r in enumerate(rows)),
-            tuple(sum(sets[r][g] << n * (sets[1 << i][g].bit_length() - 1)
-                      for i, r in enumerate(rows)) for g in range(len(sets[0]))))
-
-
-def _fixers(group, values: list):
-    """The relabellings in group that fix every (value, its images), or
-    None when one maps the values to a lexicographically smaller vector."""
-    kept = []
-    for g in group:
-        for v, images in values:
-            if images[g] != v:
-                if images[g] < v:
-                    return None
-                break
-        else:
-            kept.append(g)
-    return kept
+    return tuple(sum(sets[r][g] << n * (sets[1 << i][g].bit_length() - 1)
+                     for i, r in enumerate(rows)) for g in range(len(sets[0])))
 
 
 @lru_cache(maxsize=None)
-def _generated(edges: tuple, nominals: bool):
-    """For each set of nominal worlds (only the empty one without
-    nominals), whether it and one more world generate the frame along
-    edges; None when none does."""
-    reach = _closed_rows(edges)
-    table = tuple(any(r | _image(reach, m) == (1 << len(reach)) - 1 for r in reach)
-                  for m in range(1 << len(reach) if nominals else 1))
-    return table if any(table) else None
+def _generated(edges: tuple) -> bool:
+    """Whether one world generates the frame along edges."""
+    return (1 << len(edges)) - 1 in _closed_rows(edges)
 
 
-def candidates(models: Iterable[Interpretation], sig: Signature) -> Iterator[Interpretation]:
-    """The models of ``enumerate_models(sig)`` that can be the first on
-    which a sequent over sig fails; the rest are pulled and dropped.
+@lru_cache(maxsize=None)
+def _fixers(up: tuple) -> list:
+    """The relabellings (by index, identity first) fixing the preorder up; none if one lowers it."""
+    key = _relation_images(up)
+    return [g for g, m in enumerate(key) if m == key[0]] if min(key) == key[0] else []
 
-    Truth does not change under renaming worlds, and the stream is in
-    lexicographic order of (world count, preorder mask, role masks, atom
-    masks, nominal vector), so that model comes first among its renamed
-    copies: checked down a stabiliser chain once per preorder, per frame
-    (the kernel), per atom dict (kept per process) and per model.
-    Truth at a world depends only on the submodel it generates under
-    refinement and every role, and that submodel is a model, enumerated
-    at a lower world count if smaller: so one world and the nominals'
-    worlds generate that model.
-    """
-    kernel = up = atoms = None
-    for I in models:
-        if I._k is not kernel:
-            kernel, atoms, frame = I._k, None, None
-            if kernel.up is not up:
-                # the relabellings, by index, that fix the preorder, then also the roles
-                up, sets = kernel.up, _set_images(len(kernel.worlds))
-                order = _fixers(range(len(sets[0])), [_relation_images(up.rows)])
-            if order is not None:
-                rels = [up.rows, *(kernel.roles[r].rows for r in sig.roles)]
-                generated = _generated(tuple(reduce(or_, c) for c in zip(*rels)), bool(sig.nominals))
-                frame = generated and _fixers(order, [*map(_relation_images, rels[1:])])
-        if frame is None:
-            continue
-        if I._atoms is not atoms:
-            atoms = I._atoms
-            group = _fixers(frame, [(m, sets[m]) for m in map(atoms.get, sig.atoms)])
-        if group is None:
-            continue
-        bits = [1 << I.nominals[x] for x in sig.nominals]    # world w as {w}: same order
-        if generated[reduce(or_, bits, 0)] and (
-                not group or _fixers(group, [(b, sets[b]) for b in bits]) is not None):
-            yield I
+
+def candidate(kernel: _Kernel, sig: Signature) -> bool:
+    """Whether a frame (kernel) of ``enumerate_models(sig)`` can hold the
+    first model on which a sequent over sig fails.  Truth does not change
+    under renaming worlds, and the stream is in lexicographic order of
+    (world count, preorder, roles, atoms, nominals): that frame comes first
+    among its renamed copies.  Truth at a world depends only on the
+    submodel it generates under refinement and every role, enumerated at a
+    lower world count if smaller: without nominals, one world's."""
+    fixers = _fixers(kernel.up.rows)
+    if not fixers:
+        return False
+    rels = [kernel.roles[r].rows for r in sig.roles]
+    keys = [_relation_images(r) for r in rels] if fixers[1:] else ()
+    return ((bool(sig.nominals)
+             or _generated(tuple(reduce(or_, c) for c in zip(kernel.up.rows, *rels))))
+            and all([m[g] for m in keys] >= [m[0] for m in keys] for g in fixers))
+
+
+@lru_cache(maxsize=None)
+def _lanes(up: tuple, atoms: tuple, nominals: tuple, roles: int) -> tuple[int, Optional[_Lanes]]:
+    """How many models a search takes at once on the preorder up, for these atoms,
+    nominals and role count, and its frames' lanes; all, and None, if none is a candidate."""
+    n = len(up)
+    models = [(t, dict(zip(nominals, v))) for t in _atom_dicts(n, up, atoms)
+              for v in product(range(n), repeat=len(nominals))]
+    if not _fixers(up):
+        return len(models) * (len(_frame_relations(n, up)) ** roles if roles else 1), None
+    return len(models), _Lanes.of(up, models)
 
 
 _EDGE_P = 0.3      # off-diagonal refinement edges

@@ -27,10 +27,11 @@ is the kernel of its frame (worlds, preorder and role rows), shared by
 every model on the frame, plus atom masks and nominals.
 One fault generator holds the frame laws for validation, model loading
 and model generation (a failing model's report lists its faults in the
-order ``validate_interpretation`` states), beside one Warshall closure;
-a sequent is compiled once into a bottom-up program, keyed on the
-hash-consed syntax nodes (one entry per distinct subconcept), and
-evaluated on each model by row operations.
+order ``validate_interpretation`` states), beside one Warshall closure.
+A sequent is compiled once into a bottom-up program, keyed on the
+hash-consed syntax nodes (one entry per distinct subconcept); one rule
+gives the lanes of a view on which it fails: a kernel views one model,
+``_Lanes`` a frame's models, a byte each (bitslicing: Biham, FSE 1997).
 """
 
 from __future__ import annotations
@@ -107,6 +108,7 @@ class _Rows(dict):
 
 
 _empty = lru_cache(maxsize=None)(lambda n: _Rows((0,) * n))
+_total = lru_cache(maxsize=None)(lambda n: _Rows(((1 << n) - 1,) * n))
 
 
 def _closed_rows(rows) -> tuple[int, ...]:
@@ -156,15 +158,15 @@ def _faults(up, atoms: Mapping = {}, roles: Mapping = {}):
 
 class _Kernel:
     """Bit rows of one frame: its worlds, and its preorder and roles as
-    relations.  Every model on the frame shares its kernel, which
-    memoises the last program's values on one atom dict."""
-    __slots__ = ("worlds", "index", "full", "up", "roles", "memo")
+    relations.  The frame's models share it, the view of one for evaluation;
+    as on ``_Lanes``, ``void[m]`` is full on the lanes where m is empty."""
+    __slots__ = ("worlds", "index", "full", "up", "roles")
+    void = property(lambda k: _total(len(k.worlds)))
 
     def __init__(self, worlds: tuple, up: _Rows, roles: dict):
         self.worlds, self.up, self.roles = worlds, up, roles
         self.index = {w: i for i, w in enumerate(worlds)}
         self.full = (1 << len(worlds)) - 1
-        self.memo = None
 
     def pos(self, w: World) -> int:
         try:
@@ -176,6 +178,10 @@ class _Kernel:
         """The rows of role; an undeclared role is the empty relation, one per
         world count, and stays undeclared."""
         return self.roles[role] if role in self.roles else _empty(len(self.worlds))
+
+    def cover(self, role: str) -> _Rows:
+        """``cover(r)[m]``: the worlds whose role successors include m."""
+        return _Rows(tuple(self.full & ~r for r in self.rel(role).rows))
 
     def members(self, m: int) -> tuple:
         return tuple(w for i, w in enumerate(self.worlds) if m >> i & 1)
@@ -324,8 +330,8 @@ def validate_interpretation(I: Interpretation) -> ValidationReport:
 # Compiled concepts and formulas
 # ---------------------------------------------------------------------------
 
-# one clause per constructor, on the kernel k, atom masks t and values v of
-# the program so far; a and b are child indices, or a name for Atom and roles
+# one clause per constructor, on a view k (a kernel or lanes), atom masks t and values
+# v of the program so far; a and b are child indices, or a name for Atom and roles
 _CLAUSES = {
     And: lambda k, t, v, a, b: v[a] & v[b],
     Or: lambda k, t, v, a, b: v[a] | v[b],
@@ -352,32 +358,75 @@ def _intern(c: Concept, ids: dict) -> int:
     return op[0]
 
 
-def _values(I: Interpretation, ops: tuple) -> list[int]:
-    """Extension masks of a compiled program on I, bottom-up, memoised on its kernel."""
-    k, atoms = I._k, I._atoms
-    if k.memo is not None and k.memo[0] is ops and k.memo[1] is atoms:
-        return k.memo[2]
+def _values(k, t: Mapping, ops: tuple) -> list[int]:
+    """Extension masks of a compiled program on the view k with atom masks t, bottom-up."""
     v: list[int] = []
     for _, clause, a, b in ops:
-        v.append(clause(k, atoms, v, a, b))
-    k.memo = (ops, atoms, v)
+        v.append(clause(k, t, v, a, b))
     return v
 
 
-def _holds(I: Interpretation, k: _Kernel, v: list, ids: dict, f: Formula) -> bool:
-    """Hybrid satisfaction of a role or nominal assertion whose concepts are
-    in the program ids: assertions hold hereditarily above their anchors."""
-    up = k.up.rows
+class _Bytewise:
+    """``t[m]``: the ``none`` table of rows on at most 8 worlds applied to each
+    of the size bytes of m (none of m is none of its lowest bit and the rest)."""
+    __slots__ = ("table", "size")
+
+    def __init__(self, rows: tuple, size: int):
+        t = bytearray(256)
+        for m in range(1 << len(rows)):
+            low = m & -m
+            t[m] = _none(rows, m) if m == low else t[low] & t[m ^ low]
+        self.table, self.size = bytes(t), size
+
+    def __getitem__(self, m: int) -> int:
+        return int.from_bytes(m.to_bytes(self.size, "little").translate(self.table), "little")
+
+
+class _Lanes(NamedTuple):
+    """The view of every model of the frame k at once: lane i is its i-th
+    model, byte i of a mask its world mask there.  The frames on a preorder
+    share the other fields (``none`` tables of up and the total relation)."""
+    size: int
+    full: int
+    up: _Bytewise
+    void: _Bytewise
+    atoms: dict
+    anchors: dict
+    k: Optional[_Kernel] = None
+
+    @classmethod
+    def of(cls, up: tuple, models: list) -> _Lanes:
+        """Lane i the i-th of models, (atom masks, nominal -> world) pairs on up (<= 8 worlds)."""
+        full, size, n = (1 << len(up)) - 1, len(models), len(up)
+        pack = lambda lanes: int.from_bytes(bytes(lanes), "little")
+        return cls(size, pack([full] * size), _Bytewise(up, size), _Bytewise((full,) * n, size),
+                   {a: pack(t[a] for t, _ in models) for a in models[0][0]},
+                   {x: pack(up[w[x]] for _, w in models) for x in models[0][1]})
+
+    def rel(self, role: str) -> _Bytewise:
+        return _Bytewise(self.k.rel(role).rows, self.size)
+
+    def cover(self, role: str) -> _Bytewise:
+        return _Bytewise(self.k.cover(role).rows, self.size)
+
+    def first(self, goal: _Goal, k: _Kernel) -> Optional[int]:
+        """The first lane of the frame k on which goal fails, None if it holds on all."""
+        failing = goal.failing(self._replace(k=k), self.atoms, self.anchors.__getitem__)
+        return (failing & -failing).bit_length() - 1 >> 3 if failing else None
+
+
+def _holds(k, v: list, ids: dict, anchor, f: Formula) -> int:
+    """The lanes of the view k where a role or nominal assertion holds (above its anchors)."""
     if isinstance(f, RoleAssertion):
         # all refinement pairs above the two anchors are related
-        zx, zy = (up[k.pos(I.entity_of(x))] for x in (f.subject, f.object))
-        succ = k.rel(f.role).rows
-        return all(succ[a] & zy == zy for a in _bits(zx))
-    anchor, body = up[k.pos(I.entity_of(f.nominal))], f.body
+        zx, zy = anchor(f.subject), anchor(f.object)
+        return k.void[zx & ~k.cover(f.role)[zy]]
+    z, body = anchor(f.nominal), f.body
     if isinstance(body, ConceptF):
-        return not anchor & ~v[ids[body.concept][0]]
+        return k.void[z & ~v[ids[body.concept][0]]]
     # a nested assertion re-anchors at its own nominal
-    return not anchor or _holds(I, k, v, ids, body)
+    unanchored = k.void[z]
+    return unanchored if unanchored == k.full else unanchored | _holds(k, v, ids, anchor, body)
 
 
 def satisfies(I: Interpretation, f: Formula) -> bool:
@@ -391,7 +440,7 @@ def extension(I: Interpretation, c: Concept) -> frozenset:
     """The set of entities satisfying c, per the constructive clauses."""
     ids: dict = {}
     top = _intern(c, ids)
-    return frozenset(I._k.members(_values(I, tuple(ids.values()))[top]))
+    return frozenset(I._k.members(_values(I._k, I._atoms, tuple(ids.values()))[top]))
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +485,31 @@ class _Goal:
         self.succ = _member(s.succedent, ids)
         self.ids, self.ops = ids, tuple(ids.values())
 
-    def holds(self, I: Interpretation) -> bool:
-        k, v = I._k, _values(I, self.ops)
-        choices = {x: k.up.rows[k.pos(I.entity_of(x))] for x in self.outers}
-        choices[None] = k.full
+    def failing(self, k, t: Mapping, anchor) -> int:
+        """The lanes of the view k, with atom masks t and the up-sets of
+        the nominals' entities from anchor, on which the sequent fails."""
+        v, ids = _values(k, t, self.ops), self.ids
+        choices = {None: k.full, **{x: anchor(x) for x in self.outers}}
         for x, c in self.at:
             choices[x] &= v[c]
-        if (not all(choices.values()) or any(v[c] != k.full for c in self.tbox)
-                or not all(_holds(I, k, v, self.ids, g) for g in self.fixed)):
-            return True
+        lanes = k.full
+        for m in choices.values():
+            lanes &= ~k.void[m]
+        for c in self.tbox:
+            lanes &= k.void[k.full & ~v[c]]
+        for g in self.fixed:
+            if lanes:
+                lanes &= _holds(k, v, ids, anchor, g)
+        if not lanes:
+            return 0
         if len(self.succ) == 1:
-            return _holds(I, k, v, self.ids, self.succ[0])
+            return lanes & ~_holds(k, v, ids, anchor, self.succ[0])
         x, c = self.succ
-        return not choices[x] & ~v[c]
+        return lanes & ~k.void[choices[x] & ~v[c]]
+
+    def holds(self, I: Interpretation) -> bool:
+        k = I._k
+        return not self.failing(k, I._atoms, lambda x: k.up.rows[k.pos(I.entity_of(x))])
 
 
 # compiled sequents, kept for callers that check one sequent on many models

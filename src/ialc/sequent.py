@@ -28,21 +28,21 @@ context, and the p-nom premise may have any antecedent that lifts to the
 conclusion's.  A stated param is compared only with the fields the
 instance sets, so a ``role`` contradicting the quantifier is rejected.
 
-``find_countermodel`` evaluates a sequent only on the enumerated models
-that can be the first to fail it (``modelgen.candidates``: first among
-their renamed copies, generated), so it reports the first failing model.
+``find_countermodel`` evaluates a sequent once on each enumerated frame
+that can hold the first model to fail it (``modelgen.candidate``), for
+all the frame's models at once, and reports the first failing model.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections import Counter
-from itertools import count
+from collections import Counter, deque
+from itertools import count, islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .modelgen import Signature, candidates, enumerate_models
-from .semantics import Interpretation, entails
+from .modelgen import Signature, _lanes, candidate, enumerate_models
+from .semantics import Interpretation, UnassignedNominalError, _Goal
 from .syntax import (
     And, Bot, ConceptF, Exists, Forall, Formula, NominalAssertion, Or, RoleAssertion, Sequent,
     Subs, _text, _walk, nominals_of, parse_formula, parse_sequent, render, substitute,
@@ -566,16 +566,28 @@ def _counted(models: Iterator[Interpretation], tally: Counter,
 
 def find_countermodel(s: Sequent, sig: Signature, tbox_global: bool = True,
                       stats: Optional[dict] = None) -> Optional[Interpretation]:
-    """First enumerated model on which s fails, None if all satisfy it;
-    s is evaluated only on ``modelgen.candidates``, and sig must assign
-    every nominal of s.  A stats dict gets Counters of the models
-    ``enumerated`` and ``evaluated`` and of the ``frames`` (kernels)
-    enumerated, per world count."""
-    models = enumerate_models(sig)
+    """First enumerated model on which s fails, None if all satisfy it; sig
+    must assign every nominal of s.  Each frame ``modelgen.candidate`` keeps
+    is evaluated once, a lane per model.  A stats dict gets Counters of the
+    models ``enumerated`` and ``evaluated`` (lanes up to the countermodel)
+    and of the ``frames`` (kernels) enumerated, per world count."""
+    if not nominals_of(s) <= set(sig.nominals):
+        raise UnassignedNominalError(min(nominals_of(s) - set(sig.nominals)))
+    models, evaluated = enumerate_models(sig), Counter()
     if stats is not None:
         models = _counted(models, stats.setdefault("enumerated", Counter()),
                           stats.setdefault("frames", Counter()))
-    models = candidates(models, sig)
-    if stats is not None:
-        models = _counted(models, stats.setdefault("evaluated", Counter()), Counter())
-    return entails(models, s, tbox_global)
+        evaluated = stats.setdefault("evaluated", Counter())
+    goal, up = _Goal(s, tbox_global), None
+    for I in models:            # a frame's first model (a preorder's, if none is kept)
+        k = I._k
+        if k.up is not up:
+            up = k.up
+            size, layout = _lanes(up.rows, sig.atoms, sig.nominals, len(sig.roles))
+        if candidate(k, sig):
+            lane = layout.first(goal, k)
+            evaluated[len(k.worlds)] += size if lane is None else lane + 1
+            if lane is not None:
+                return next(islice(models, lane - 1, None)) if lane else I
+        deque(islice(models, size - 1), maxlen=0)
+    return None

@@ -241,6 +241,7 @@ _BINARY = (("->", Subs, True), ("|", Or, False), ("&", And, False))
 _PREFIX = {"not": Not, "some": Exists, "all": Forall}
 _CONSTANTS = {"top": TOP, "bot": BOT}
 _UNARY = len(_BINARY)
+_LEVELS = {token: (level, make, right) for level, (token, make, right) in enumerate(_BINARY)}
 _INFIX = {make: (level, f" {token} ", right) for level, (token, make, right) in enumerate(_BINARY)}
 _WORDS = {m: w for w, m in _PREFIX.items()} | {type(c): w for w, c in _CONSTANTS.items()}
 
@@ -311,19 +312,18 @@ class _Parser:
     # -- concepts ----------------------------------------------------------
 
     def concept(self, level: int = 0) -> Concept:
-        """A chain of the operator at ``level`` of _BINARY; the right operand
-        of a right-associative one is the rest of the chain."""
-        if level == _UNARY:
-            return self.unary()
-        token, make, right = _BINARY[level]
-        c = self.concept(level + 1)
-        if self.toks[self.i] != token:
-            return c
-        saved = self.depth
-        while self.toks[self.i] == token:
+        """Operators of ``level`` of _BINARY or tighter, by precedence
+        climbing: the right operand of a right-associative operator is read
+        at its own level, of the others one tighter.  Each operator of a
+        chain nests one deeper, and a chain's count ends with the chain."""
+        c, saved, chain = self.unary(), self.depth, None
+        while (op := _LEVELS.get(self.toks[self.i])) and op[0] >= level:
+            at, make, right = op
+            if at != chain:         # a looser operator closes the tighter chain
+                self.depth, chain = saved, at
             self.i += 1
-            self.deeper()       # each operator nests the tree one deeper
-            c = make(c, self.concept(level if right else level + 1))
+            self.deeper()
+            c = make(c, self.concept(at if right else at + 1))
         self.depth = saved
         return c
 

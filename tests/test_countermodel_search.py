@@ -1,14 +1,18 @@
-"""The countermodel search evaluates only the models that can be the first
-countermodel: one per isomorphism class, generated ones only.
+"""The countermodel search evaluates only the frames that can hold the
+first countermodel: one per isomorphism class, generated ones only, each
+once for all its models.
 
 Three checks pin it:
 - the lemma it rests on, on every model of at most three worlds over A, R
   and x: a model falsifying a sequent has a falsifying generated submodel;
-- ``modelgen.candidates`` yields exactly the models that come first among
-  their relabellings and are generated by one world plus the nominals'
-  worlds, against a brute-force oracle over the public views;
+- ``modelgen.candidate`` keeps exactly the frames that come first among
+  their relabellings and, without nominals, are generated by one world,
+  and so every frame that holds a model that comes first among its
+  relabellings and is generated by one world plus the nominals' worlds,
+  against brute-force oracles over the public views;
 - ``find_countermodel`` reports what the plain loop over the stream
-  reports, on the countermodel pool and on seeded random sequents.
+  reports, and pulls as many models from the stream, on the countermodel
+  pool and on seeded random sequents.
 """
 
 import json
@@ -19,13 +23,16 @@ from pathlib import Path
 import pytest
 
 from ialc.modelgen import (
-    Signature, candidates, enumerate_models, random_model, signature_for,
+    Signature, candidate, enumerate_models, random_model, signature_for,
 )
-from ialc.semantics import Interpretation, entails, model_to_dict, sequent_valid
+from ialc import sequent
+from ialc.semantics import (
+    Interpretation, UnassignedNominalError, entails, model_to_dict, sequent_valid,
+)
 from ialc.sequent import find_countermodel
 from ialc.syntax import (
     BOT, TOP, And, Atom, ConceptF, Exists, Forall, NominalAssertion, Not, Or,
-    RoleAssertion, Sequent, Subs, nominals_of, parse_problem, render, roles_of,
+    RoleAssertion, Sequent, Subs, nominals_of, parse_problem, parse_sequent, render, roles_of,
 )
 
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool" / "countermodel.json"
@@ -130,27 +137,36 @@ def test_failure_survives_in_a_generated_submodel():
 
 
 # ---------------------------------------------------------------------------
-# The candidates are exactly the orbit-first generated models
+# The candidates are the orbit-first generated frames
 # ---------------------------------------------------------------------------
 
-def _is_candidate(I: Interpretation, sig: Signature) -> bool:
-    """Brute force: I's enumeration key is the least over every relabelling
-    of its worlds, and one world with the nominals' worlds generates it."""
+def _key(I: Interpretation, sig: Signature, p, models: bool) -> tuple:
+    """I's enumeration key under the relabelling p of its worlds: of its
+    frame, or with models, of the whole model."""
     n = len(I.worlds)
-    leq, roles, atoms = I.leq, I.roles, I.atoms
 
-    def key(p):
-        def rel(pairs):
-            return sum(1 << p[a] * n + p[b] for a, b in pairs)
-        return (rel(leq), *(rel(roles[r]) for r in sig.roles),
-                *(sum(1 << p[w] for w in atoms[a]) for a in sig.atoms),
-                tuple(p[I.nominals[x]] for x in sig.nominals))
+    def rel(pairs):
+        return sum(1 << p[a] * n + p[b] for a, b in pairs)
 
-    own = key(range(n))
-    if any(key(p) < own for p in permutations(range(n))):
+    key = (rel(I.leq), *(rel(I.roles[r]) for r in sig.roles))
+    if not models:
+        return key
+    return (*key, *(sum(1 << p[w] for w in I.atoms[a]) for a in sig.atoms),
+            tuple(p[I.nominals[x]] for x in sig.nominals))
+
+
+def _is_candidate(I: Interpretation, sig: Signature, models: bool = True) -> bool:
+    """Brute force: I's key is the least over every relabelling of its
+    worlds, and one world with the nominals' worlds generates it.  Of
+    its frame, without models: the key of the frame, and without
+    nominals, one world generates it."""
+    n = len(I.worlds)
+    own = _key(I, sig, range(n), models)
+    if any(_key(I, sig, p, models) < own for p in permutations(range(n))):
         return False
-    edges, nominal_worlds = _edges(I), set(I.nominals.values())
-    return any(len(_closure(nominal_worlds | {w}, edges)) == n for w in I.worlds)
+    edges = _edges(I)
+    roots = set(I.nominals.values()) if models else set(I.worlds) if sig.nominals else set()
+    return any(len(_closure(roots | {w}, edges)) == n for w in I.worlds)
 
 
 @pytest.mark.parametrize("sig", [
@@ -160,13 +176,37 @@ def _is_candidate(I: Interpretation, sig: Signature) -> bool:
 ], ids=str)
 def test_candidates_are_the_orbit_first_generated_models(sig):
     models = list(enumerate_models(sig))
-    chosen = {id(I) for I in candidates(iter(models), sig)}
-    assert [id(I) in chosen for I in models] == [_is_candidate(I, sig) for I in models]
+    first = {I._k: I for I in reversed(models)}
+    kept = {k: candidate(k, sig) for k in first}
+    assert kept == {k: _is_candidate(I, sig, models=False) for k, I in first.items()}
+    assert all(kept[I._k] for I in models if _is_candidate(I, sig))
+    assert 0 < sum(kept.values()) < len(kept)
 
 
 # ---------------------------------------------------------------------------
 # Differential: find_countermodel against the plain loop
 # ---------------------------------------------------------------------------
+
+def _counting(models, pulled: list):
+    for I in models:
+        pulled[0] += 1
+        yield I
+
+
+@pytest.fixture
+def pulled(monkeypatch) -> list:
+    """The count of the models find_countermodel pulls from the stream."""
+    pulled = [0]
+    monkeypatch.setattr(sequent, "enumerate_models",
+                        lambda sig: _counting(enumerate_models(sig), pulled))
+    return pulled
+
+
+def _plain(s, sig: Signature, tbox_global: bool) -> tuple:
+    """The plain loop's first countermodel and how many models it pulled."""
+    plain = [0]
+    return entails(_counting(enumerate_models(sig), plain), s, tbox_global), plain[0]
+
 
 def _pool_cases():
     with open(POOL, "r", encoding="utf-8") as fh:
@@ -174,7 +214,7 @@ def _pool_cases():
     return [e for e in pool if e["cost_s"] < 1]
 
 
-def test_pool_countermodels_match_the_plain_loop():
+def test_pool_countermodels_match_the_plain_loop(pulled):
     cases = _pool_cases()
     assert len(cases) == 721
     found = 0
@@ -182,13 +222,15 @@ def test_pool_countermodels_match_the_plain_loop():
         s = parse_problem(e["text"]).sequent()
         sig = signature_for(s, e["max_worlds"])
         for tbox_global in (True, False):
-            expected = entails(enumerate_models(sig), s, tbox_global)
+            expected, count = _plain(s, sig, tbox_global)
+            pulled[0] = 0
             assert _same(find_countermodel(s, sig, tbox_global), expected), (e["id"], tbox_global)
+            assert pulled[0] == count, (e["id"], tbox_global)
             found += expected is not None
     assert found > 900
 
 
-def test_random_countermodels_match_the_plain_loop():
+def test_random_countermodels_match_the_plain_loop(pulled):
     """600 seeded random sequents with roles and nominals at three worlds,
     under both readings, drawn among those a random three-world model
     falsifies: a valid sequent would only time the plain loop's sweep, as
@@ -204,7 +246,17 @@ def test_random_countermodels_match_the_plain_loop():
     worlds = []
     for s, sig in drawn:
         for tbox_global in (True, False):
-            expected = entails(enumerate_models(sig), s, tbox_global)
+            expected, count = _plain(s, sig, tbox_global)
+            pulled[0] = 0
             assert _same(find_countermodel(s, sig, tbox_global), expected), (render(s), tbox_global)
+            assert pulled[0] == count, (render(s), tbox_global)
             worlds.append(len(expected.worlds))
     assert sum(n > 1 for n in worlds) > 50
+
+
+def test_a_nominal_the_signature_misses_is_reported_up_front():
+    s = parse_sequent("x : A |- y : A")
+    sig = signature_for(s, 1)._replace(nominals=("x",))
+    with pytest.raises(UnassignedNominalError) as e:
+        find_countermodel(s, sig)
+    assert e.value.nominal == "y"

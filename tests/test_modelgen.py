@@ -127,6 +127,12 @@ def test_count_models_without_roles_builds_no_role_table():
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
+def test_enumeration_without_roles_builds_no_role_table():
+    before = _frame_relations.cache_info()
+    assert sum(1 for _ in enumerate_models(Signature(atoms=("A",), max_worlds=3))) == 144
+    assert _frame_relations.cache_info() == before
+
+
 def test_four_world_frame_relations_are_lawful_and_complete_on_samples():
     rng = random.Random(4)
     for up in rng.sample(_preorders(4), 2):
@@ -185,20 +191,23 @@ def test_models_share_one_kernel_per_frame_and_one_atom_dict_per_atom_vector(sig
     assert len({(id(up), *t.values()) for up, t in atom_dicts.values()}) == len(atom_dicts)
 
 
+def values(I, ops: tuple) -> list:
+    return _values(I._k, I._atoms, ops)
+
+
 def test_a_kept_model_is_unchanged_by_the_rest_of_the_stream():
-    # every model evaluates one program, so each kernel's memo turns over
-    # between the atom dicts and frames that share it
+    # every model evaluates one program on the kernel and atom dict it
+    # shares with other models of the stream
     ops = _Goal(parse_sequent("x : (A -> some R.B) ; all R.A |- x : not B | some R.top"),
                 True).ops
     kept = []
     for i, I in enumerate(enumerate_models(Signature(("A", "B"), ("R",), ("x",), 2))):
-        values = list(_values(I, ops))
         if i % 7 == 0:
-            kept.append((I, model_to_dict(I), values))
-    for I, doc, values in kept:
+            kept.append((I, model_to_dict(I), values(I, ops)))
+    for I, doc, vs in kept:
         # a model loaded from the kept one's document has a kernel of its own
         assert model_to_dict(I) == doc
-        assert _values(I, ops) == values == _values(model_from_dict(doc)[0], ops)
+        assert values(I, ops) == vs == values(model_from_dict(doc)[0], ops)
 
 
 def test_enumerations_share_atom_dicts_but_not_kernels():
@@ -214,13 +223,13 @@ def test_a_kept_model_is_unchanged_by_a_later_enumeration():
     sig = Signature(("A", "B"), ("R",), ("x",), 2)
     goals = [_Goal(parse_sequent(t), True).ops for t in (
         "x : (A -> some R.B) ; all R.A |- x : not B | some R.top", "A ; all R.B |- some R.(A & B)")]
-    kept = [(I, model_to_dict(I), list(_values(I, goals[0])))
+    kept = [(I, model_to_dict(I), values(I, goals[0]))
             for I in islice(enumerate_models(sig), 0, None, 5)]
     for J in enumerate_models(sig):
-        _values(J, goals[1])
-    for I, doc, values in kept:
+        values(J, goals[1])
+    for I, doc, vs in kept:
         assert model_to_dict(I) == doc
-        assert _values(I, goals[0]) == values == _values(model_from_dict(doc)[0], goals[0])
+        assert values(I, goals[0]) == vs == values(model_from_dict(doc)[0], goals[0])
 
 
 def test_three_world_enumeration_samples_validate():
