@@ -17,7 +17,7 @@ from typing import Optional
 from . import hilbert
 from .modelgen import Signature, count_models, enumerate_models, signature_for
 from .semantics import (
-    ModelFileError, UnassignedNominalError, extension, load_model,
+    ModelFileError, UnassignedNominalError, _json, extension, load_model,
     model_to_dict, satisfies, save_model, sequent_valid,
 )
 from .sequent import ProofFileError, check_proof, find_countermodel, parse_proof, prove, save_proof
@@ -143,7 +143,7 @@ def _cmd_countermodel(args) -> int:
         save_model(model, args.emit_model)
         print(f"model written to {args.emit_model}")
     else:
-        print(json.dumps(model_to_dict(model), indent=2))
+        print(_json(model_to_dict(model)))
     return EXIT_REFUTED
 
 

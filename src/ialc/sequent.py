@@ -42,7 +42,7 @@ from itertools import count, islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .modelgen import Signature, _lanes, candidate, enumerate_models
-from .semantics import Interpretation, UnassignedNominalError, _Goal
+from .semantics import Interpretation, UnassignedNominalError, _Goal, _save_json
 from .syntax import (
     And, Bot, ConceptF, Exists, Forall, Formula, NominalAssertion, Or, RoleAssertion, Sequent,
     Subs, _text, _walk, nominals_of, parse_formula, parse_sequent, render, substitute,
@@ -397,8 +397,12 @@ def load_proof(path: str) -> ProofTree:
 
 
 def save_proof(t: ProofTree, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(tree_to_dict(t), indent=2) + "\n")
+    """Write ``tree_to_dict(t)`` at path, by ``semantics._save_json``: over
+    an existing file in place.  A write that fails partway leaves the new
+    text's start followed by the old file's tail (where truncating first
+    would leave the start alone), and its error reaches the caller, so
+    ``ialc prove --emit-proof`` exits 3."""
+    _save_json(tree_to_dict(t), path)
 
 
 # ---------------------------------------------------------------------------

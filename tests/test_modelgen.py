@@ -217,6 +217,21 @@ def test_enumerations_share_atom_dicts_but_not_kernels():
     assert all(I._atoms is J._atoms and I._k is not J._k for I, J in zip(first, second))
 
 
+def test_kernels_on_the_same_worlds_share_one_index():
+    sig = Signature(("A",), ("R",), ("x",), 3)
+    kernels = {}
+    for I in enumerate_models(sig):
+        kernels.setdefault(len(I.worlds), {})[id(I._k)] = I._k
+    for n, ks in kernels.items():
+        first, *rest = ks.values()
+        assert rest and all(k.index is first.index for k in rest)
+        assert first.index == {w: i for i, w in enumerate(range(n))}
+        assert [first.pos(w) for w in range(n)] == list(range(n))
+        for foreign in (n, -1, "0", [0]):
+            with pytest.raises(ValueError, match="not in the domain"):
+                first.pos(foreign)
+
+
 def test_a_kept_model_is_unchanged_by_a_later_enumeration():
     # the later stream shares the kept models' atom dicts and evaluates
     # another program on each of its own kernels
