@@ -20,7 +20,10 @@ from .semantics import (
     ModelFileError, UnassignedNominalError, _json, extension, load_model,
     model_to_dict, satisfies, save_model, sequent_valid,
 )
-from .sequent import ProofFileError, check_proof, find_countermodel, parse_proof, prove, save_proof
+from .sequent import (
+    DEFAULT_DEPTH, DEFAULT_VISITED, ProofFileError, check_proof, find_countermodel, parse_proof,
+    prove, save_proof,
+)
 from .syntax import (
     _SPACE, ConceptF, ParseError, Subs, _code_lines, parse_formula, parse_problem, parse_sequent,
     render,
@@ -32,9 +35,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
-
-DEFAULT_DEPTH = 24
-DEFAULT_VISITED = 100_000
 
 
 class _CliError(Exception):
@@ -58,7 +58,8 @@ def _build_parser() -> _Parser:
     p.add_argument("problem")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--visited", type=int, default=DEFAULT_VISITED)
-    p.add_argument("--emit-proof", metavar="F")
+    p.add_argument("--emit-proof", metavar="F", help="write the proof to F; if none is found, "
+                   "a regular file at F is removed, so no earlier proof stays there")
 
     p = sub.add_parser("check", help="check a sequent proof tree or an axiomatic proof file")
     p.add_argument("prooffile")
@@ -106,6 +107,8 @@ def _cmd_prove(args) -> int:
         if any(isinstance(getattr(f, "concept", None), Subs) for f in goal.antecedent):
             stop += " under the local reading of the antecedent's subsumptions"
         print(f"unknown, {stop} (depth {args.depth}, visited {result.visited}): {render(goal)}")
+        if args.emit_proof and os.path.isfile(args.emit_proof):
+            os.remove(args.emit_proof)
         return EXIT_UNKNOWN
     print(f"proved (visited {result.visited}): {render(goal)}")
     if args.emit_proof:
@@ -172,10 +175,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    from . import golden        # only this command reads the axiom roots
     os.makedirs(args.out, exist_ok=True)
     status = EXIT_OK
-    for i, root in sorted(golden.AXIOM_ROOTS.items()):
+    for i, root in sorted(hilbert.AXIOM_ROOTS.items()):
         tree = prove(parse_sequent(root)).tree
         result = check_proof(tree)
         path = os.path.join(args.out, f"axiom{i}.prf")

@@ -1,9 +1,10 @@
-"""Axiomatic (Hilbert-style) proofs: schemata, instantiation, checking.
+"""Axiomatic (Hilbert-style) proofs: the axiom system, instantiation, checking.
 
-The base consists of nine standard intuitionistic propositional schemata
-(a1..a9) over the subsumption arrow, plus two schemata relating primitive
-negation to ``C -> bot`` (a10, a11).  On top sit five modal axiom
-schemata (ik1..ik5) and the rules modus ponens and necessitation.
+``SCHEMATA`` is the one table of axiom schemata, keyed by the name a proof
+file writes: nine standard intuitionistic propositional schemata (ipl
+a1..a9) over the subsumption arrow, two relating primitive negation to
+``C -> bot`` (ipl a10, a11), and five modal schemata (ik 1..ik 5) over a
+role metavariable R.  The rules are modus ponens and necessitation.
 
 Proof files, which are read here but never written, carry one step per line::
 
@@ -14,7 +15,7 @@ Proof files, which are read here but never written, carry one step per line::
 
 Line references are 1-based and must point at earlier lines.  A line may
 bind only its schema's metavariables; the instance is ``syntax.substitute``
-of the bindings, as for the axiom roots written once in ``golden.AXIOM_ROOTS``.
+of the bindings.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .syntax import (
 )
 
 __all__ = [
-    "IPL_SCHEMATA", "IK_SCHEMATA", "SchemaError", "ipl_instance", "axiom_instance", "IplAx",
-    "IkAx", "ModusPonens", "Necessitation", "ProofLine", "HilbertProof", "CheckResult",
-    "check_hilbert_proof", "parse_hilbert_proof",
+    "SCHEMATA", "AXIOM_ROOTS", "SchemaError", "instance", "Axiom", "ModusPonens",
+    "Necessitation", "ProofLine", "HilbertProof", "CheckResult", "check_hilbert_proof",
+    "parse_hilbert_proof",
 ]
 
 
@@ -41,34 +42,41 @@ class SchemaError(Exception):
 
 _C, _D, _E = Atom("C"), Atom("D"), Atom("E")
 
-# a1..a9: the usual implicational/lattice base; a10/a11: not C = C -> bot
-IPL_SCHEMATA: dict[str, Concept] = {
-    "a1": Subs(_C, Subs(_D, _C)),
-    "a2": Subs(Subs(_C, Subs(_D, _E)), Subs(Subs(_C, _D), Subs(_C, _E))),
-    "a3": Subs(And(_C, _D), _C),
-    "a4": Subs(And(_C, _D), _D),
-    "a5": Subs(_C, Subs(_D, And(_C, _D))),
-    "a6": Subs(_C, Or(_C, _D)),
-    "a7": Subs(_D, Or(_C, _D)),
-    "a8": Subs(Subs(_C, _E), Subs(Subs(_D, _E), Subs(Or(_C, _D), _E))),
-    "a9": Subs(BOT, _C),
-    "a10": Subs(Not(_C), Subs(_C, BOT)),
-    "a11": Subs(Subs(_C, BOT), Not(_C)),
+SCHEMATA: dict[str, Concept] = {
+    "ipl a1": Subs(_C, Subs(_D, _C)),
+    "ipl a2": Subs(Subs(_C, Subs(_D, _E)), Subs(Subs(_C, _D), Subs(_C, _E))),
+    "ipl a3": Subs(And(_C, _D), _C),
+    "ipl a4": Subs(And(_C, _D), _D),
+    "ipl a5": Subs(_C, Subs(_D, And(_C, _D))),
+    "ipl a6": Subs(_C, Or(_C, _D)),
+    "ipl a7": Subs(_D, Or(_C, _D)),
+    "ipl a8": Subs(Subs(_C, _E), Subs(Subs(_D, _E), Subs(Or(_C, _D), _E))),
+    "ipl a9": Subs(BOT, _C),
+    "ipl a10": Subs(Not(_C), Subs(_C, BOT)),
+    "ipl a11": Subs(Subs(_C, BOT), Not(_C)),
+    "ik 1": Subs(Forall("R", Subs(_C, _D)), Subs(Forall("R", _C), Forall("R", _D))),
+    "ik 2": Subs(Forall("R", Subs(_C, _D)), Subs(Exists("R", _C), Exists("R", _D))),
+    "ik 3": Subs(Exists("R", Or(_C, _D)), Or(Exists("R", _C), Exists("R", _D))),
+    "ik 4": Subs(Exists("R", BOT), BOT),
+    "ik 5": Subs(Subs(Exists("R", _C), Forall("R", _D)), Forall("R", Subs(_C, _D))),
 }
 
-# modal schemata over a role metavariable R
-IK_SCHEMATA: dict[int, Concept] = {
-    1: Subs(Forall("R", Subs(_C, _D)), Subs(Forall("R", _C), Forall("R", _D))),
-    2: Subs(Forall("R", Subs(_C, _D)), Subs(Exists("R", _C), Exists("R", _D))),
-    3: Subs(Exists("R", Or(_C, _D)), Or(Exists("R", _C), Exists("R", _D))),
-    4: Subs(Exists("R", BOT), BOT),
-    5: Subs(Subs(Exists("R", _C), Forall("R", _D)), Forall("R", Subs(_C, _D))),
+# The roots ``ialc axioms`` proves and golden/axiom*.prf derive by hand.
+# Roots 1-5 are ik 2, 1, 4, 3, 5 with C := A, D := B.
+AXIOM_ROOTS = {
+    1: "all R.(A -> B) |- some R.A -> some R.B",
+    2: "all R.(A -> B) |- all R.A -> all R.B",
+    3: "|- x : (some R.bot -> bot)",
+    4: "x : some R.(A | B) |- x : (some R.A | some R.B)",
+    5: "|- x : ((some R.A -> all R.B) -> all R.(A -> B))",
 }
 
 
-def _instance(template: Concept, subst: Mapping[str, Union[Concept, str]]) -> Concept:
-    """template with its metavariables substituted, each checked, in walk
-    order, to be bound to a value of its kind; unused bindings are ignored."""
+def instance(name: str, subst: Mapping[str, Union[Concept, str]]) -> Concept:
+    """The named schema with its metavariables substituted, each checked, in
+    walk order, to be bound to a value of its kind; unused bindings are ignored."""
+    if (template := SCHEMATA.get(name)) is None:
+        raise SchemaError(f"unknown schema {name!r}")
     for node in _walk(template):
         if isinstance(node, Atom) and not isinstance(value := subst.get(node.name), Concept):
             raise SchemaError(f"missing binding for metavariable {node.name}"
@@ -81,34 +89,18 @@ def _instance(template: Concept, subst: Mapping[str, Union[Concept, str]]) -> Co
     return substitute(template, subst)
 
 
-def ipl_instance(schema: str, subst: Mapping[str, Union[Concept, str]]) -> Concept:
-    if schema not in IPL_SCHEMATA:
-        raise SchemaError(f"unknown propositional schema {schema!r}")
-    return _instance(IPL_SCHEMATA[schema], subst)
-
-
-def axiom_instance(axiom: int, subst: Mapping[str, Union[Concept, str]]) -> Concept:
-    if axiom not in IK_SCHEMATA:
-        raise SchemaError(f"unknown modal axiom {axiom!r}")
-    return _instance(IK_SCHEMATA[axiom], subst)
-
-
 # ---------------------------------------------------------------------------
 # Proof objects
 # ---------------------------------------------------------------------------
 
-# Justifications: an instance of a propositional schema or a modal axiom, modus
-# ponens from line i proving C and line j proving C -> D, necessitation of line i.
-class IplAx(NamedTuple): schema: str; subst: tuple[tuple[str, Union[Concept, str]], ...]
-class IkAx(NamedTuple): axiom: int; subst: tuple[tuple[str, Union[Concept, str]], ...]
+# Justifications: an instance of the named schema, modus ponens from line i
+# proving C and line j proving C -> D, necessitation of line i.
+class Axiom(NamedTuple): name: str; subst: tuple[tuple[str, Union[Concept, str]], ...]
 class ModusPonens(NamedTuple): i: int; j: int
 class Necessitation(NamedTuple): i: int; role: str
 
 
-Justification = Union[IplAx, IkAx, ModusPonens, Necessitation]
-
-
-class ProofLine(NamedTuple): concept: Concept; justification: Justification
+class ProofLine(NamedTuple): concept: Concept; justification: Axiom | ModusPonens | Necessitation
 class HilbertProof(NamedTuple): lines: tuple[ProofLine, ...]
 
 
@@ -126,15 +118,12 @@ def check_hilbert_proof(p: HilbertProof) -> CheckResult:
     application over strictly earlier lines."""
     for idx, line in enumerate(p.lines, start=1):
         j = line.justification
-        if isinstance(j, (IplAx, IkAx)):
-            ipl = isinstance(j, IplAx)
+        if isinstance(j, Axiom):
             try:
-                want = (ipl_instance(j.schema, dict(j.subst)) if ipl
-                        else axiom_instance(j.axiom, dict(j.subst)))
+                want = instance(j.name, dict(j.subst))
             except SchemaError as e:
                 return CheckResult(False, idx, str(e))
-            template = IPL_SCHEMATA[j.schema] if ipl else IK_SCHEMATA[j.axiom]
-            used = atoms_of(template) | roles_of(template)
+            used = atoms_of(SCHEMATA[j.name]) | roles_of(SCHEMATA[j.name])
             if unused := [k for k, _ in j.subst if k not in used]:
                 return CheckResult(False, idx, f"the schema has no metavariable {unused[0]}")
             if line.concept != want:
@@ -210,9 +199,8 @@ def parse_hilbert_proof(text: str) -> HilbertProof:
         elif m := _NEC_RE.match(just_text):
             just = Necessitation(int(m.group(1)), m.group(2))
         elif m := _AX_RE.match(just_text):
-            kind, key = m.group(1).split()
             subst = _parse_subst(m.group(2), lineno, just_at + m.start(2)) if m.group(2) else ()
-            just = IplAx(key, subst) if kind == "ipl" else IkAx(int(key), subst)
+            just = Axiom(" ".join(m.group(1).split()), subst)
         else:
             raise ParseError(f"bad justification {just_text!r}", lineno, just_at + 1)
         lines.append(ProofLine(concept, just))

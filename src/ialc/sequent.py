@@ -50,8 +50,8 @@ from .syntax import (
 
 __all__ = [
     "RuleParams", "ProofTree", "CheckResult", "RULE_ARITY", "RULE_LABELS", "check_step",
-    "check_proof", "prove", "ProveResult", "find_countermodel", "tree_to_dict", "tree_from_dict",
-    "parse_proof", "load_proof", "save_proof", "ProofFileError",
+    "check_proof", "prove", "DEFAULT_DEPTH", "DEFAULT_VISITED", "ProveResult", "find_countermodel",
+    "tree_to_dict", "tree_from_dict", "parse_proof", "load_proof", "save_proof", "ProofFileError",
 ]
 
 RULE_ARITY = {
@@ -543,7 +543,12 @@ class _Search:
                                       for m in seq.antecedent), g.body),)
 
 
-def prove(s: Sequent, max_depth: int = 24, max_visited: int = 100_000) -> ProveResult:
+# prove's budgets when none are given, and ialc prove's when no flag gives them
+DEFAULT_DEPTH, DEFAULT_VISITED = 24, 100_000
+
+
+def prove(s: Sequent, max_depth: int = DEFAULT_DEPTH,
+          max_visited: int = DEFAULT_VISITED) -> ProveResult:
     """Bounded, deterministic, cut-free backward search.
 
     Returns a tree whose root is s and which check_proof accepts, or no

@@ -38,7 +38,7 @@ text) to what the rule parsed: only successful parses fill it, never the
 printer, and like the node table it is process-global and never shrinks.
 ``substitute`` replaces atoms, roles and nominals at once; Hilbert schema
 instances and the instances of the axiom roots written once in
-``golden.AXIOM_ROOTS`` use it.
+``hilbert.AXIOM_ROOTS`` use it.
 """
 
 from __future__ import annotations

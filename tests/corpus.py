@@ -1,5 +1,5 @@
 """Sequent corpora for the tests and ``scripts/soundness_sweep.py``: the axiom
-roots, written once as ``ialc.golden.AXIOM_ROOTS``, and random instances of
+roots, written once as ``ialc.hilbert.AXIOM_ROOTS``, and random instances of
 them by ``ialc.syntax.substitute``.  Only tests and scripts use it, so it
 lives beside ``ref_sequent.py`` rather than in the package."""
 
@@ -9,7 +9,7 @@ import random
 from functools import partial
 from typing import Sequence
 
-from ialc.golden import AXIOM_ROOTS
+from ialc.hilbert import AXIOM_ROOTS
 from ialc.syntax import (
     And, Atom, BOT, Concept, Exists, Forall, Not, Or, Sequent, Subs, TOP,
     parse_sequent, substitute,

@@ -9,8 +9,7 @@ import time
 import pytest
 
 from ialc.cli import run
-from ialc.golden import AXIOM_ROOTS
-from ialc.hilbert import HilbertProof, ProofLine, axiom_instance, check_hilbert_proof
+from ialc.hilbert import AXIOM_ROOTS, HilbertProof, ProofLine, check_hilbert_proof, instance
 from ialc.modelgen import Signature, random_model
 from ialc.semantics import extension, load_model, sequent_valid
 from ialc.sequent import (
@@ -191,7 +190,7 @@ def test_criterion_7_hilbert_soundness(two_world_models):
     checks = 0
     for axiom in range(1, 6):
         for subst in pool:
-            inst = axiom_instance(axiom, subst)
+            inst = instance(f"ik {axiom}", subst)
             for I in two_world_models:
                 assert extension(I, inst) == frozenset(I.worlds), \
                     (axiom, render(inst))

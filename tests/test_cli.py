@@ -1,11 +1,12 @@
 import json
+import os
 import re
 
 import pytest
 
 from ialc import cli
 from ialc.cli import run
-from ialc.golden import AXIOM_ROOTS
+from ialc.hilbert import AXIOM_ROOTS
 from ialc.sequent import check_proof, load_proof, prove
 from ialc.semantics import load_model, sequent_valid
 from ialc.syntax import parse_sequent
@@ -52,6 +53,31 @@ def test_prove_with_theory_section(tmp_path, capsys):
 def test_prove_unknown_exit_code(capsys, golden_dir):
     rc, out, _ = invoke(capsys, "prove", str(golden_dir / "lem.ialc"))
     assert rc == 2 and out.startswith("unknown")
+
+
+def test_unproved_goal_removes_an_earlier_proof(tmp_path, capsys, golden_dir):
+    proof, lem = tmp_path / "f.prf", str(golden_dir / "lem.ialc")
+    rc, _, _ = invoke(capsys, "prove", str(golden_dir / "axiom1.ialc"), "--emit-proof", str(proof))
+    assert rc == 0 and proof.exists()
+    rc, out, _ = invoke(capsys, "prove", lem, "--emit-proof", str(proof))
+    assert (rc, out) == (2, invoke(capsys, "prove", lem)[1])
+    assert not proof.exists()
+    assert invoke(capsys, "check", str(proof))[0] == 3
+
+
+def test_unproved_goal_removes_only_a_regular_file(tmp_path, capsys, golden_dir):
+    # a device, a directory and a missing path stay as they are; a symlink to a
+    # regular file loses the link and keeps its target
+    target, link, folder = tmp_path / "target.prf", tmp_path / "link.prf", tmp_path / "dir"
+    target.write_text("kept\n")
+    link.symlink_to(target)
+    folder.mkdir()
+    for path in (os.devnull, folder, tmp_path / "missing.prf", link):
+        rc, _, _ = invoke(capsys, "prove", str(golden_dir / "lem.ialc"), "--emit-proof", str(path))
+        assert rc == 2, path
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull) and folder.is_dir()
+    assert not (tmp_path / "missing.prf").exists()
+    assert not os.path.lexists(link) and target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("problem,flags,stop", [
@@ -110,7 +136,7 @@ def test_check_hilbert_file(capsys, golden_dir, tmp_path):
     rc, out, _ = invoke(capsys, "check", str(bad))
     assert rc == 1 and "rejected at line" in out
     # an unknown schema and an empty binding list are rejected lines, not input errors
-    for line, reason in [("A -> A ; ipl a99 [C := A]", "unknown propositional schema 'a99'"),
+    for line, reason in [("A -> A ; ipl a99 [C := A]", "unknown schema 'ipl a99'"),
                          ("A -> (A -> A) ; ipl a1 []", "missing binding for metavariable C")]:
         bad.write_text(line + "\n")
         rc, out, _ = invoke(capsys, "check", str(bad))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ialc.golden import AXIOM_ROOTS
+from ialc.hilbert import AXIOM_ROOTS
 from ialc.sequent import (
     ProofTree, RULE_LABELS, check_proof, load_proof, tree_to_dict,
 )

@@ -1,18 +1,23 @@
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from ialc.cli import run
 from ialc.hilbert import (
-    HilbertProof, IK_SCHEMATA, IkAx, IplAx, IPL_SCHEMATA, ModusPonens, Necessitation,
-    ProofLine, SchemaError, axiom_instance, check_hilbert_proof,
-    ipl_instance, parse_hilbert_proof,
+    AXIOM_ROOTS, Axiom, HilbertProof, ModusPonens, Necessitation, ProofLine, SCHEMATA,
+    SchemaError, check_hilbert_proof, instance, parse_hilbert_proof,
 )
 from ialc.semantics import extension
 from ialc.syntax import (
-    And, Atom, BOT, Concept, Exists, Forall, Not, Or, ParseError, Subs, parse_concept,
+    And, Atom, BOT, Concept, ConceptF, Exists, Forall, NominalAssertion, Not, Or, ParseError,
+    Sequent, Subs, parse_concept, parse_sequent,
 )
 from corpus import random_concept
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool" / "hilbert.json"
 
 A, B = Atom("A"), Atom("B")
 
@@ -21,10 +26,10 @@ def identity_proof(c: Concept, role: str) -> HilbertProof:
     """Machine-built derivation of ``all role.(c -> c)`` from a1/a2 via
     modus ponens, closed by necessitation."""
     cc = Subs(c, c)
-    axioms = (("a1", {"C": c, "D": c}), ("a1", {"C": c, "D": cc}),
-              ("a2", {"C": c, "D": cc, "E": c}))
+    axioms = (("ipl a1", {"C": c, "D": c}), ("ipl a1", {"C": c, "D": cc}),
+              ("ipl a2", {"C": c, "D": cc, "E": c}))
     return HilbertProof((
-        *(ProofLine(ipl_instance(a, b), IplAx(a, tuple(b.items()))) for a, b in axioms),
+        *(ProofLine(instance(a, b), Axiom(a, tuple(b.items()))) for a, b in axioms),
         ProofLine(Subs(Subs(c, cc), cc), ModusPonens(2, 3)),
         ProofLine(cc, ModusPonens(1, 4)),
         ProofLine(Forall(role, cc), Necessitation(5, role))))
@@ -35,39 +40,38 @@ def identity_proof(c: Concept, role: str) -> HilbertProof:
 # ---------------------------------------------------------------------------
 
 def test_axiom_4_instance():
-    assert axiom_instance(4, {"R": "R"}) == Subs(Exists("R", BOT), BOT)
+    assert instance("ik 4", {"R": "R"}) == Subs(Exists("R", BOT), BOT)
 
 
 def test_axiom_5_instance():
-    got = axiom_instance(5, {"C": A, "D": B, "R": "R"})
+    got = instance("ik 5", {"C": A, "D": B, "R": "R"})
     assert got == parse_concept("(some R.A -> all R.B) -> all R.(A -> B)")
 
 
 def test_axiom_1_reflexive_instance():
-    got = axiom_instance(1, {"C": A, "D": A, "R": "R"})
+    got = instance("ik 1", {"C": A, "D": A, "R": "R"})
     assert got == Subs(Forall("R", Subs(A, A)),
                        Subs(Forall("R", A), Forall("R", A)))
 
 
 def test_axiom_2_uses_box_prefix():
-    got = axiom_instance(2, {"C": A, "D": B, "R": "R"})
+    got = instance("ik 2", {"C": A, "D": B, "R": "R"})
     assert got == parse_concept("all R.(A -> B) -> (some R.A -> some R.B)")
 
 
 def test_negation_schemata():
-    assert ipl_instance("a10", {"C": A}) == Subs(Not(A), Subs(A, BOT))
-    assert ipl_instance("a11", {"C": A}) == Subs(Subs(A, BOT), Not(A))
+    assert instance("ipl a10", {"C": A}) == Subs(Not(A), Subs(A, BOT))
+    assert instance("ipl a11", {"C": A}) == Subs(Subs(A, BOT), Not(A))
 
 
 def test_missing_binding_is_distinguished():
     with pytest.raises(SchemaError):
-        axiom_instance(1, {"C": A, "R": "R"})
+        instance("ik 1", {"C": A, "R": "R"})
     with pytest.raises(SchemaError):
-        axiom_instance(4, {"C": A})
-    with pytest.raises(SchemaError):
-        axiom_instance(9, {"R": "R"})
-    with pytest.raises(SchemaError):
-        ipl_instance("zz", {"C": A})
+        instance("ik 4", {"C": A})
+    for name in ("ik 9", "ipl zz", "ik 04", "a1", "ipl  a1"):
+        with pytest.raises(SchemaError, match=f"^unknown schema {name!r}$"):
+            instance(name, {"C": A, "R": "R"})
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +79,8 @@ def test_missing_binding_is_distinguished():
 # ---------------------------------------------------------------------------
 
 def test_two_line_nec_proof():
-    l1 = ProofLine(ipl_instance("a1", {"C": A, "D": B}),
-                   IplAx("a1", (("C", A), ("D", B))))
+    l1 = ProofLine(instance("ipl a1", {"C": A, "D": B}),
+                   Axiom("ipl a1", (("C", A), ("D", B))))
     l2 = ProofLine(Forall("R", l1.concept), Necessitation(1, "R"))
     assert check_hilbert_proof(HilbertProof((l1, l2))).ok
 
@@ -88,9 +92,9 @@ def test_identity_proof_accepted():
 
 
 def test_mp_must_match_implication():
-    l1 = ProofLine(ipl_instance("a1", {"C": A, "D": B}),
-                   IplAx("a1", (("C", A), ("D", B))))
-    l2 = ProofLine(ipl_instance("a9", {"C": A}), IplAx("a9", (("C", A),)))
+    l1 = ProofLine(instance("ipl a1", {"C": A, "D": B}),
+                   Axiom("ipl a1", (("C", A), ("D", B))))
+    l2 = ProofLine(instance("ipl a9", {"C": A}), Axiom("ipl a9", (("C", A),)))
     bad = ProofLine(B, ModusPonens(1, 2))
     r = check_hilbert_proof(HilbertProof((l1, l2, bad)))
     assert not r.ok and r.line == 3
@@ -113,6 +117,54 @@ def test_single_line_mutations_rejected_at_or_before():
         assert not r.ok and r.line <= k + 1
 
 
+def test_unknown_justification_is_rejected():
+    ok = ProofLine(instance("ipl a9", {"C": A}), Axiom("ipl a9", (("C", A),)))
+    r = check_hilbert_proof(HilbertProof((ok, ProofLine(A, ("lemma", 1)))))
+    assert (r.ok, r.line, r.reason) == (False, 2, "unknown justification ('lemma', 1)")
+
+
+def test_pool_answers_are_pinned(golden_dir):
+    """The checker's verdict, first bad line and reason on every proof file of
+    the benchmark's Hilbert pool and on golden/identity.hpf."""
+    cases = [(e["id"], e["text"], e["ref"]["accepted"]) for e in json.loads(POOL.read_text())]
+    cases.append(("identity.hpf", (golden_dir / "identity.hpf").read_text(), True))
+    rows = []
+    for name, text, accepted in cases:
+        r = check_hilbert_proof(parse_hilbert_proof(text))
+        assert r.ok == accepted, name
+        rows.append([name, r.ok, r.line, r.reason])
+    assert (len(rows), sum(ok for _, ok, _, _ in rows)) == (81, 41)
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "5f0be1d629bee503b4ef64c67c3ff5f37ab12a4cfaee71997f84a72191793431")
+
+
+@pytest.mark.parametrize("just,reason", [
+    ("ipl a99 [C := A]", "unknown schema 'ipl a99'"),
+    ("ik 04 [R := R]", "unknown schema 'ik 04'"),
+    ("ik 9", "unknown schema 'ik 9'"),
+    ("ipl  a1 \t[C := A, D := A]", None),     # the name's spaces collapse to one
+    ("ik\t4 [R := R]", "stated concept is not the schema instance some R.bot -> bot"),
+])
+def test_schema_names_in_files(just, reason):
+    r = check_hilbert_proof(parse_hilbert_proof(f"A -> (A -> A) ; {just}\n"))
+    assert (r.ok, r.reason) == (reason is None, reason)
+
+
+# root i of AXIOM_ROOTS is this schema's instance with C := A, D := B
+ROOT_SCHEMA = {1: "ik 2", 2: "ik 1", 3: "ik 4", 4: "ik 3", 5: "ik 5"}
+
+
+@pytest.mark.parametrize("i", sorted(AXIOM_ROOTS))
+def test_axiom_roots_are_schema_instances(i):
+    inst = instance(ROOT_SCHEMA[i], {"C": A, "D": B, "R": "R"})
+    if i in (3, 5):             # |- x : schema
+        want = Sequent.make([], NominalAssertion("x", ConceptF(inst)))
+    else:                       # split at the top-level ->; root 4 sits under x :
+        wrap = (lambda c: NominalAssertion("x", ConceptF(c))) if i == 4 else ConceptF
+        want = Sequent.make([wrap(inst.left)], wrap(inst.right))
+    assert parse_sequent(AXIOM_ROOTS[i]) == want
+
+
 def test_golden_file_parses_to_the_built_proof(golden_dir):
     # ipl bindings, modus ponens and necessitation, each read from the file
     text = (golden_dir / "identity.hpf").read_text()
@@ -127,7 +179,7 @@ def test_file_parse_examples():
     """
     p = parse_hilbert_proof(text)
     assert len(p.lines) == 2
-    assert p.lines[0].justification == IkAx(4, (("R", "R"),))
+    assert p.lines[0].justification == Axiom("ik 4", (("R", "R"),))
     assert check_hilbert_proof(p).ok
 
 
@@ -187,8 +239,9 @@ def test_binding_the_schema_does_not_use_is_rejected(text, name, tmp_path, capsy
 # Reference differential: schema instances against the tree walk that
 # instantiated them before syntax.substitute
 # ---------------------------------------------------------------------------
-# The three functions below are that implementation, kept verbatim but for
-# their names.  Equal instances and equal SchemaError messages are required.
+# _ref_instantiate below is that implementation, kept verbatim but for its
+# name; _ref_instance looks its template up by schema name.  Equal instances
+# and equal SchemaError messages are required.
 
 def _ref_instantiate(template, subst):
     if isinstance(template, Atom):
@@ -215,21 +268,15 @@ def _ref_instantiate(template, subst):
     return template           # top / bot
 
 
-def _ref_ipl_instance(schema, subst):
-    if schema not in IPL_SCHEMATA:
-        raise SchemaError(f"unknown propositional schema {schema!r}")
-    return _ref_instantiate(IPL_SCHEMATA[schema], subst)
+def _ref_instance(name, subst):
+    if name not in SCHEMATA:
+        raise SchemaError(f"unknown schema {name!r}")
+    return _ref_instantiate(SCHEMATA[name], subst)
 
 
-def _ref_axiom_instance(axiom, subst):
-    if axiom not in IK_SCHEMATA:
-        raise SchemaError(f"unknown modal axiom {axiom!r}")
-    return _ref_instantiate(IK_SCHEMATA[axiom], subst)
-
-
-def _outcome(instance, key, subst):
+def _outcome(fn, key, subst):
     try:
-        return instance(key, subst)
+        return fn(key, subst)
     except SchemaError as e:
         return f"SchemaError: {e}"
 
@@ -245,12 +292,11 @@ def _random_binding(rng):
 
 def test_schema_instances_match_the_reference_walk():
     rng = random.Random(2026)
-    schemata = [(ipl_instance, _ref_ipl_instance, k) for k in IPL_SCHEMATA]
-    schemata += [(axiom_instance, _ref_axiom_instance, k) for k in IK_SCHEMATA]
-    assert len(schemata) == 16
+    names = list(SCHEMATA)
+    assert len(names) == 16
     outcomes = []
     for n in range(2000):
-        instance, reference, key = schemata[n % 16]
+        key = names[n % 16]
         # each name is left out (missing), bound to a value of either kind
         # (mistyped or not), or bound but unused by the schema (extra)
         subst = {name: _random_binding(rng) for name in ("C", "D", "E", "R", "X")
@@ -258,7 +304,7 @@ def test_schema_instances_match_the_reference_walk():
         if rng.random() < 0.5:      # a well-typed binding of every metavariable
             subst.update({name: random_concept(rng, ("A", "C", "D"), ("R",), 2)
                           for name in "CDE"}, R=rng.choice("RS"))
-        want = _outcome(reference, key, subst)
+        want = _outcome(_ref_instance, key, subst)
         assert _outcome(instance, key, subst) == want, (key, subst)
         outcomes.append(want)
     errors = [o for o in outcomes if isinstance(o, str)]
@@ -268,7 +314,7 @@ def test_schema_instances_match_the_reference_walk():
         assert any(text in e for e in errors), text
     # a replacement is not substituted again
     dc = Subs(Atom("D"), Atom("C"))
-    assert ipl_instance("a1", {"C": dc, "D": A}) == Subs(dc, Subs(A, dc))
+    assert instance("ipl a1", {"C": dc, "D": A}) == Subs(dc, Subs(A, dc))
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +328,18 @@ def test_modal_schemata_valid_on_all_small_models(two_world_models):
             subst = {"C": random_concept(rng, ("A", "B"), ("R",), 2),
                      "D": random_concept(rng, ("A", "B"), ("R",), 2),
                      "R": "R"}
-            inst = axiom_instance(ik, subst)
+            inst = instance(f"ik {ik}", subst)
             for I in two_world_models[::3]:
                 assert extension(I, inst) == frozenset(I.worlds)
 
 
 def test_propositional_schemata_valid_on_all_small_models(two_world_models):
     rng = random.Random(4)
-    for schema in IPL_SCHEMATA:
+    for schema in [name for name in SCHEMATA if name.startswith("ipl ")]:
         for _ in range(4):
             subst = {"C": random_concept(rng, ("A", "B"), ("R",), 2),
                      "D": random_concept(rng, ("A", "B"), ("R",), 2),
                      "E": random_concept(rng, ("A", "B"), ("R",), 2)}
-            inst = ipl_instance(schema, subst)
+            inst = instance(schema, subst)
             for I in two_world_models[::3]:
                 assert extension(I, inst) == frozenset(I.worlds)

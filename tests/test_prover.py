@@ -5,7 +5,7 @@ from itertools import count
 
 import pytest
 
-from ialc.golden import AXIOM_ROOTS
+from ialc.hilbert import AXIOM_ROOTS
 from ialc.modelgen import Signature, enumerate_models, signature_for
 from ialc.semantics import sequent_valid
 from ialc.sequent import (

@@ -342,11 +342,11 @@ def test_monotone_strengthening(two_world_models_nominals):
                     assert sequent_valid(I, s.with_extra(extra))
 
 
-def test_entails_axiom_instances_valid(two_world_models):
-    from ialc.hilbert import axiom_instance
+def test_entails_modal_schema_instances_valid(two_world_models):
+    from ialc.hilbert import instance
     from ialc.syntax import ConceptF, Sequent
     for axiom in range(1, 6):
-        inst = axiom_instance(axiom, {"C": A, "D": B, "R": "R"})
+        inst = instance(f"ik {axiom}", {"C": A, "D": B, "R": "R"})
         assert entails(two_world_models, Sequent.make([], ConceptF(inst))) is None
 
 
