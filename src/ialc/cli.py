@@ -91,6 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--roles", type=int, default=0)
     p.add_argument("--nominals", type=int, default=0)
     p.add_argument("--count-only", action="store_true")
+    parser.commands = sub.choices       # subcommand name -> its parser
     return parser
 
 
@@ -210,9 +211,20 @@ _COMMANDS = {name[5:]: f for name, f in globals().items() if name.startswith("_c
 
 
 def run(argv: Optional[list[str]] = None) -> int:
+    """Run one op and return its exit code.  The parser of the subcommand
+    that argv[0] names reads the rest of argv directly, not after the
+    top-level parser has scanned all of it, with the same result; the
+    top-level parser reads only an argv that names no subcommand (empty,
+    ``-h``, an unknown word), for its help or its error."""
+    argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args = sub.parse_args(argv[1:])
+            args.command = argv[0]
         return _COMMANDS[args.command](args)
     except (_CliError, ParseError, ModelFileError, ProofFileError,
             UnassignedNominalError, hilbert.SchemaError, OSError,

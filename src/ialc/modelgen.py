@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .semantics import (Interpretation, _bits, _closed_rows, _faults, _image, _Kernel, _Lanes,
                         _none, _Rows)
-from .syntax import Sequent, atoms_of, nominals_of, roles_of
+from .syntax import Atom, Exists, Forall, NominalAssertion, RoleAssertion, Sequent, _walk
 
 __all__ = [
     "Signature", "GenerationBudgetError", "count_models", "enumerate_models", "candidate",
@@ -68,10 +68,20 @@ class GenerationBudgetError(RuntimeError):
     """Rejection sampling exhausted its retry budget."""
 
 
+# The node kinds that carry names: (field index, kind) per name, where kind
+# 0 is an atom, 1 a role and 2 a nominal.  Concepts hold no nominals.
+_NAMES = {Atom: ((0, 0),), Exists: ((0, 1),), Forall: ((0, 1),),
+          RoleAssertion: ((0, 2), (1, 1), (2, 2)), NominalAssertion: ((0, 2),)}
+
+
 def signature_for(s: Sequent, max_worlds: int) -> Signature:
-    """Smallest signature covering the symbols of a sequent."""
-    return Signature(atoms=tuple(sorted(atoms_of(s))), roles=tuple(sorted(roles_of(s))),
-                     nominals=tuple(sorted(nominals_of(s))), max_worlds=max_worlds)
+    """Smallest signature covering the symbols of a sequent, read in one walk."""
+    names: tuple[set, set, set] = (set(), set(), set())
+    for node in _walk(s):
+        for i, kind in _NAMES.get(type(node), ()):
+            names[kind].add(node.fields[i])
+    atoms, roles, nominals = (tuple(sorted(n)) for n in names)
+    return Signature(atoms, roles, nominals, max_worlds)
 
 
 def _split(mask: int, n: int) -> tuple[int, ...]:

@@ -617,13 +617,19 @@ def save_model(I: Interpretation, path: str) -> None:
 
 def _pieces(doc, out: list, pad: str) -> None:
     """Append to out the text of doc as ``json.dumps(doc, indent=2)`` writes
-    it at the nesting whose line break and indent is pad: strings through
-    json's C encoder, empty containers and other scalars through
-    ``json.dumps`` (its indented form runs the pure-Python encoder)."""
+    it (by the pure-Python encoder) at the nesting whose line break and
+    indent is pad.  Strings go through json's C encoder; an ``int`` (not a
+    ``bool``) is written as ``int.__repr__`` and an empty dict, list or
+    tuple as ``{}`` or ``[]``, as json writes them; other scalars (``bool``,
+    ``None``, floats) go through ``json.dumps``."""
     if isinstance(doc, str):
         out.append(_quote(doc))
-    elif not doc or not isinstance(doc, (dict, list, tuple)):
+    elif type(doc) is int:
+        out.append(int.__repr__(doc))
+    elif not isinstance(doc, (dict, list, tuple)):
         out.append(json.dumps(doc))
+    elif not doc:
+        out.append("{}" if isinstance(doc, dict) else "[]")
     elif isinstance(doc, dict):
         inner, sep = pad + "  ", "{"
         for k, v in doc.items():

@@ -167,18 +167,23 @@ def outer_nominal(f: Formula) -> Optional[str]:
     return f.nominal if isinstance(f, NominalAssertion) else None
 
 
-def _walk(obj, inner=(Concept, Formula)) -> Iterable[Union[Concept, Formula]]:
-    """The nodes of obj, parents first, descending only into ``inner`` ones."""
-    if isinstance(obj, Sequent):
-        for m in (*obj.antecedent, obj.succedent):
-            yield from _walk(m, inner)
-        return
-    if not isinstance(obj, (Concept, Formula)):
-        raise TypeError(f"cannot walk {obj!r}")
-    yield obj
-    for child in obj.fields:
-        if isinstance(child, inner):
-            yield from _walk(child, inner)
+def _walk(obj, inner=(Concept, Formula)) -> Iterator[Union[Concept, Formula]]:
+    """The nodes of obj (a sequent's members in turn), parents first,
+    descending only into ``inner`` ones.  One explicit stack of the nodes
+    still to visit, not a generator per level, so a node is yielded once
+    rather than passed up through its ancestors, and any depth walks: there
+    is no recursion limit."""
+    stack = [*obj.antecedent, obj.succedent][::-1] if isinstance(obj, Sequent) else [obj]
+    for root in stack:
+        if not isinstance(root, (Concept, Formula)):
+            raise TypeError(f"cannot walk {root!r}")
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        yield node
+        for child in reversed(node.fields):
+            if isinstance(child, inner):
+                push(child)
 
 
 def atoms_of(obj) -> frozenset[str]:

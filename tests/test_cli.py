@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import sys
 
 import pytest
 
@@ -369,6 +370,101 @@ def test_reports_are_byte_stable(capsys, golden_dir):
     assert a == b
 
 
+# argv lists per subcommand: every option, the --opt=value form, an
+# abbreviation, and the errors a user meets
+DISPATCH = {
+    "prove": [
+        ["prove", "p.ialc"],
+        ["prove", "p.ialc", "--depth", "3", "--visited", "10", "--emit-proof", "f.prf"],
+        ["prove", "--depth=3", "--visited=10", "--emit-proof=f.prf", "p.ialc"],
+        ["prove", "p.ialc", "--dep", "3", "--emit", "f.prf"],
+        ["prove", "p.ialc", "--depth", "-1"],
+        ["prove"],
+        ["prove", "p.ialc", "--depth", "x"],
+        ["prove", "p.ialc", "--tbox-local"],
+        ["prove", "p.ialc", "q.ialc"],
+    ],
+    "check": [
+        ["check", "f.prf"],
+        ["check", "--", "-f.prf"],
+        ["check"],
+        ["check", "f.prf", "--bogus"],
+    ],
+    "countermodel": [
+        ["countermodel", "p.ialc", "--max-worlds", "2", "--emit-model", "m.model",
+         "--tbox-local", "--stats"],
+        ["countermodel", "p.ialc", "--max-worlds=2", "--emit-model=m.model"],
+        ["countermodel", "p.ialc", "--max", "2"],
+        ["countermodel", "p.ialc"],
+        ["countermodel", "p.ialc", "--max-worlds"],
+        ["countermodel", "p.ialc", "--max-worlds", "2", "--nope"],
+    ],
+    "eval": [
+        ["eval", "--model", "m.model", "--formula", "A", "--tbox-local", "--raw"],
+        ["eval", "--model=m.model", "--sequent=A |- B"],
+        ["eval", "--sequent", "|- x : A", "--model", "m.model"],
+        ["eval", "--model", "m.model", "--formula", "A", "--sequent", "A |- A"],
+        ["eval", "--model", "m.model"],
+        ["eval", "--formula", "A"],
+        ["eval", "--model", "m.model", "--formula", "A", "--unknown"],
+    ],
+    "axioms": [
+        ["axioms"],
+        ["axioms", "--out", "d"],
+        ["axioms", "--out=d"],
+        ["axioms", "--o", "d"],
+        ["axioms", "extra"],
+    ],
+    "models": [
+        ["models", "--worlds", "2", "--atoms", "1", "--roles", "1", "--nominals", "1",
+         "--count-only"],
+        ["models", "--worlds=2", "--atoms=1", "--roles=0", "--nominals=2"],
+        ["models", "--w", "1", "--count"],
+        ["models"],
+        ["models", "--worlds", "1", "--bogus"],
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DISPATCH))
+def test_subcommand_parser_reads_argv_as_the_full_parser(command, capsys, monkeypatch):
+    """run hands argv past its first word to that subcommand's parser; each
+    argv must give the Namespace, or the error, of the whole parser."""
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(args) or 0)
+    errors = 0
+    for argv in DISPATCH[command]:
+        seen.clear()
+        try:
+            expected = cli._build_parser().parse_args(argv)
+        except cli._CliError as e:
+            errors += 1
+            assert invoke(capsys, *argv) == (3, "", f"error: {e}\n"), argv
+            assert not seen, argv
+        else:
+            assert invoke(capsys, *argv) == (0, "", ""), argv
+            assert seen == [expected] and seen[0].command == command, argv
+    assert 0 < errors < len(DISPATCH[command])
+
+
+def test_an_argv_naming_no_subcommand_goes_to_the_top_level_parser(capsys, monkeypatch):
+    assert invoke(capsys) == (3, "", "error: the following arguments are required: command\n")
+    rc, out, err = invoke(capsys, "bogus")
+    assert (rc, out) == (3, "") and err.startswith("error: argument command: invalid choice: "
+                                                   "'bogus' (choose from ")
+    for argv in (["-h"], ["countermodel", "--help"]):
+        with pytest.raises(SystemExit) as stop:
+            run(argv)
+        assert stop.value.code == 0
+        shown = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(argv)
+        assert capsys.readouterr().out == shown and shown.startswith("usage: ialc")
+    # with no argv, run reads the process's arguments
+    monkeypatch.setattr(sys, "argv", ["ialc", "models", "--worlds", "1", "--count-only"])
+    assert run() == 0 and capsys.readouterr().out == "1\n"
+
+
 def test_shared_parser_carries_no_option_over(tmp_path, capsys, monkeypatch, golden_dir):
     """One parser serves every run call; each call must behave as with a
     freshly built parser, whatever flags the previous call gave."""
@@ -392,8 +488,18 @@ def test_shared_parser_carries_no_option_over(tmp_path, capsys, monkeypatch, gol
     ]
     shared = [invoke(capsys, *argv) for argv in calls]
     assert cli._build_parser() is cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    built, build = [cli._build_parser()], cli._build_parser.__wrapped__
+
+    def fresh_parser():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", fresh_parser)
     fresh = [invoke(capsys, *argv) for argv in calls]
     assert shared == fresh
+    # each fresh call built subcommand parsers of its own
+    subparsers = [sub for parser in built for sub in parser.commands.values()]
+    assert len(built) == 1 + len(calls)
+    assert len({id(sub) for sub in subparsers}) == len(subparsers) == 6 * len(built)
     assert [rc for rc, _, _ in shared] == [1, 0, 0, 0, 2, 2, 1, 1, 0, 0, 3, 0]
     assert "proof written" in shared[2][1] and "proof written" not in shared[3][1]

@@ -6,6 +6,8 @@ file in place and then cuts it at the new end."""
 import json
 import os
 import stat
+from collections import OrderedDict
+from http import HTTPStatus
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,10 @@ def test_model_text_of_every_pool_countermodel_and_eval_model():
     {"worlds": ["wé", "世界", 'say "hi"', "back\\slash", "tab\tnew\nline",
                 "\U0001f600", ""],
      "leq": [["wé", "世界"]], "nominals": {"né": 'q"'}},
+    # ints are written directly: bools, int subclasses and floats are not ints here
+    (), ((), [1, (2, ())]), [True, 1, 1.0, -0.0, 1e300, float("inf")],
+    {"n": HTTPStatus.OK, "t": (HTTPStatus.NOT_FOUND,)},
+    {"d": OrderedDict(), "e": [OrderedDict(a=[])]},
 ])
 def test_text_of_edge_documents(doc):
     assert _json(doc) == json.dumps(doc, indent=2)

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import random
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from ialc.semantics import (
     _faults, _Goal, _values, model_from_dict, model_to_dict,
     validate_interpretation,
 )
-from ialc.syntax import parse_sequent
+from ialc.syntax import atoms_of, nominals_of, parse_problem, parse_sequent, roles_of
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def count_models_oracle(max_worlds, n_atoms, n_roles, n_noms):
@@ -265,6 +269,18 @@ def test_signature_for_collects_symbols():
     sig = signature_for(s, 3)
     assert sig == Signature(atoms=("A", "B", "C"), roles=("R", "S"),
                             nominals=("x", "y"), max_worlds=3)
+
+
+def test_signature_for_reads_what_the_three_collectors_read():
+    texts = [e["text"] for name in ("countermodel", "prove")
+             for e in json.loads((ROOT / "perfbench" / "pool" / f"{name}.json").read_text())]
+    texts += [p.read_text() for p in sorted((ROOT / "golden").glob("*.ialc"))]
+    assert len(texts) == 727 + 761 + 7
+    for text in texts:
+        s = parse_problem(text).sequent()
+        assert signature_for(s, 3) == Signature(
+            tuple(sorted(atoms_of(s))), tuple(sorted(roles_of(s))),
+            tuple(sorted(nominals_of(s))), 3), text
 
 
 # ---------------------------------------------------------------------------

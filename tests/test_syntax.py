@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import schema_instance_corpus
 from ialc import syntax
+from ialc.modelgen import Signature, signature_for
 from ialc.syntax import (
     And, Atom, BOT, Bot, Concept, ConceptF, Exists, Forall, Formula, NominalAssertion, Not, Or,
     MAX_NESTING, ParseError, RoleAssertion, Sequent, Subs, TOP, Top, outer_nominal,
@@ -103,6 +105,46 @@ def test_symbol_collectors():
     assert atoms_of(s) == {"A", "B", "C"}
     assert roles_of(s) == {"R", "S"}
     assert nominals_of(s) == {"x", "y", "z"}
+
+
+def _walk_reference(obj, inner=(Concept, Formula)):
+    """The recursive walk: one generator per level, parents first."""
+    if isinstance(obj, Sequent):
+        for m in (*obj.antecedent, obj.succedent):
+            yield from _walk_reference(m, inner)
+        return
+    yield obj
+    for child in obj.fields:
+        if isinstance(child, inner):
+            yield from _walk_reference(child, inner)
+
+
+def test_walk_matches_the_recursive_reference():
+    sequents = schema_instance_corpus(20, seed=11) + [parse_sequent(t) for t in (
+        "x : (y : some R.A) ; R(x,y) ; all S.(B -> C) |- z : (x : not A | B)",
+        "x : some R.(A & B) ; S(y,z) |- all R.C",
+        "|- top",
+    )]
+    members = [m for s in sequents for m in (*s.antecedent, s.succedent)]
+    concepts = [m.concept for m in members if isinstance(m, ConceptF)]
+    for obj in sequents + members + concepts:
+        for inner in ((Concept, Formula), Formula):
+            assert list(syntax._walk(obj, inner)) == list(_walk_reference(obj, inner)), obj
+    with pytest.raises(TypeError):
+        list(syntax._walk(Sequent.make(["A"], ConceptF(A))))
+
+
+def test_a_tree_deeper_than_the_recursion_limit_walks():
+    depth = 3000
+    assert sys.getrecursionlimit() < depth
+    chain = Exists("R", B)
+    for _ in range(depth):
+        chain = Not(chain)
+    s = Sequent.make([NominalAssertion("x", ConceptF(chain)), RoleAssertion("x", "S", "y")],
+                     ConceptF(chain))
+    assert sum(1 for _ in syntax._walk(s)) == 2 * depth + 8
+    assert atoms_of(s) == {"B"} and roles_of(s) == {"R", "S"} and nominals_of(s) == {"x", "y"}
+    assert signature_for(s, 2) == Signature(("B",), ("R", "S"), ("x", "y"), 2)
 
 
 def test_substitute_is_simultaneous_and_typed():
