@@ -4,8 +4,8 @@ Enumeration walks every interpretation over 1..max_worlds entities in a
 fixed lexicographic order (world count, preorder bitmask, role bitmasks,
 atom bitmasks, nominal assignment), keeping only role relations that
 satisfy the frame conditions and only refinement-closed atom extensions.
-Random generation rejection-samples roles against the frame conditions,
-so both paths emit models that pass validation.
+Random generation draws each part of a model from the same tables, so
+both paths emit models that pass validation.
 
 ``candidate`` keeps the frames that can hold the first model on which
 a sequent fails: first among their copies under a renaming of worlds,
@@ -35,7 +35,7 @@ from .semantics import (Interpretation, _bits, _closed_rows, _faults, _image, _K
 from .syntax import Atom, Exists, Forall, NominalAssertion, RoleAssertion, Sequent, _walk
 
 __all__ = [
-    "Signature", "GenerationBudgetError", "count_models", "enumerate_models", "candidate",
+    "Signature", "count_models", "enumerate_models", "candidate",
     "random_model", "signature_for",
 ]
 
@@ -62,10 +62,6 @@ class Signature(_SignatureFields):
         return self
 
     _make = classmethod(lambda cls, values: cls(*values))
-
-
-class GenerationBudgetError(RuntimeError):
-    """Rejection sampling exhausted its retry budget."""
 
 
 # The node kinds that carry names: (field index, kind) per name, where kind
@@ -236,34 +232,16 @@ def _lanes(up: tuple, atoms: tuple, nominals: tuple, roles: int) -> tuple[int, O
     return len(models), _Lanes.of(up, models)
 
 
-_EDGE_P = 0.3      # off-diagonal refinement edges
-_ROLE_P = 0.25     # role pairs per draw
-_ATOM_P = 0.4      # atom membership before closure
-
-
-def random_model(sig: Signature, seed: int, max_retries: int = 200) -> Interpretation:
-    """Deterministic random model on exactly max_worlds entities.
-
-    Roles are redrawn until they satisfy the frame conditions; raises
-    GenerationBudgetError when max_retries draws all fail.
-    """
-    rng = random.Random(seed)
-    n = sig.max_worlds
-    worlds = tuple(range(n))
-    up = _closed_rows([sum(1 << j for j in worlds if i != j and rng.random() < _EDGE_P)
-                       for i in worlds])
-    roles = {}
-    for role in sig.roles:
-        for _ in range(max_retries):
-            rows = _split(sum(1 << k for k in range(n * n) if rng.random() < _ROLE_P), n)
-            if not any(_faults(up, roles={"": rows})):
-                roles[role] = _Rows(rows)
-                break
-        else:
-            raise GenerationBudgetError(
-                f"no frame-compatible relation for role {role} "
-                f"after {max_retries} draws (seed {seed})")
-    atoms = {a: _image(up, sum(1 << w for w in worlds if rng.random() < _ATOM_P))
-             for a in sig.atoms}
-    nominals = {x: rng.choice(worlds) for x in sig.nominals}
-    return Interpretation(_Kernel(worlds, _Rows(up), roles), atoms, nominals)
+def random_model(sig: Signature, seed: int) -> Interpretation:
+    """Deterministic random model on exactly max_worlds entities, drawn from
+    the tables ``enumerate_models`` reads, so it is lawful by construction:
+    a preorder, each role in order, each atom, then each nominal's world.
+    It covers the world counts the enumeration does, 1 to 4 in practice:
+    the preorder table filters all 2**(n*n) relations, and a role table is
+    built per preorder on its first draw."""
+    rng, n = random.Random(seed), sig.max_worlds
+    up = rng.choice(_preorders(n))
+    roles = {r: rng.choice(_frame_relations(n, up.rows)) for r in sig.roles}
+    atoms = {a: rng.choice(_upclosed_sets(n, up.rows)) for a in sig.atoms}
+    nominals = {x: rng.randrange(n) for x in sig.nominals}
+    return Interpretation(_Kernel(tuple(range(n)), up, roles), atoms, nominals)

@@ -150,10 +150,8 @@ def test_criterion_5_semantic_identities(two_world_models):
         identity_holds(I, A, B)
     for seed in range(500):
         n = 3 + seed % 2
-        # dense 4-world preorders make frame-compatible roles rare, so give
-        # the rejection sampler more room
         I = random_model(Signature(atoms=("A", "B"), roles=("R",),
-                                   max_worlds=n), seed, max_retries=3000)
+                                   max_worlds=n), seed)
         identity_holds(I, A, B)
         identity_holds(I,
                        random_concept(rng, ("A", "B"), ("R",), 2),
@@ -165,8 +163,7 @@ def test_criterion_5_semantic_identities(two_world_models):
 def test_criterion_6_heredity_and_definability():
     rng = random.Random(66)
     pool = [random_model(Signature(atoms=("A", "B"), roles=("R",),
-                                   max_worlds=3 + i % 2), 9000 + i,
-                         max_retries=3000)
+                                   max_worlds=3 + i % 2), 9000 + i)
             for i in range(500)]
     trials = 0
     while trials < 10_000:

@@ -36,7 +36,7 @@ def test_random_models_are_pinned():
     sig = Signature(("A", "B"), ("R",), ("x",), 3)
     out = "".join(json.dumps(model_to_dict(random_model(sig, seed))) + "\n"
                   for seed in range(20))
-    assert sha256(out) == "62a992c2b5c9f09e618de367831eede87020fc918ca8461485e33bca3bc69bc9"
+    assert sha256(out) == "716a3de83c007b668b5702ae4564ab84d8ed74cf889ad66f0aba56c1359e673e"
 
 
 def test_countermodel_reports_are_pinned(capsys, golden_dir):

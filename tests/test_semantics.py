@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ialc.modelgen import (
-    GenerationBudgetError, Signature, enumerate_models, random_model,
-)
+from ialc.modelgen import Signature, enumerate_models, random_model
 from ialc.semantics import (
     Interpretation, ModelFileError, UnassignedNominalError, Violation,
     entails, extension, load_model, model_from_dict, model_to_dict, satisfies,
@@ -646,11 +644,7 @@ FULL_SIG = Signature(atoms=("A", "B"), roles=("R", "S"), nominals=("x", "y"))
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2**32), _concepts, _formulas, _sequents)
 def test_kernel_agrees_with_reference_on_random_models(n, seed, c, f, s):
-    try:
-        I = random_model(Signature(FULL_SIG.atoms, FULL_SIG.roles,
-                                   FULL_SIG.nominals, n), seed)
-    except GenerationBudgetError:
-        return
+    I = random_model(FULL_SIG._replace(max_worlds=n), seed)
     assert validate_interpretation(I).ok and not ref_violations(I)
     assert_kernel_agrees(I, c, f, s)
 
