@@ -228,7 +228,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except (_CliError, ParseError, ModelFileError, ProofFileError,
             UnassignedNominalError, hilbert.SchemaError, OSError,
-            ValueError) as e:
+            ValueError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

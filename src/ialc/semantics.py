@@ -28,9 +28,9 @@ every model on the frame, plus atom masks and nominals.
 One fault generator holds the frame laws for validation, model loading
 and model generation (a failing model's report lists its faults in the
 order ``validate_interpretation`` states), beside one Warshall closure.
-A sequent is compiled once into a bottom-up program, keyed on the
-hash-consed syntax nodes (one entry per distinct subconcept); one rule
-gives the lanes of a view on which it fails: a kernel views one model,
+Every compiled sequent comes from ``_compiled``: a bottom-up program keyed
+on the hash-consed syntax nodes (one entry per distinct subconcept); one
+rule gives the lanes of a view on which it fails: a kernel views one model,
 ``_Lanes`` a frame's models, a byte each (bitslicing: Biham, FSE 1997).
 """
 
@@ -50,7 +50,7 @@ from .syntax import (
 
 __all__ = [
     "Interpretation", "Violation", "ValidationReport", "UnassignedNominalError", "ModelFileError",
-    "validate_interpretation", "extension", "satisfies", "sequent_valid", "entails", "load_model",
+    "validate_interpretation", "extension", "satisfies", "sequent_valid", "load_model",
     "save_model", "model_to_dict", "model_from_dict",
 ]
 
@@ -438,7 +438,7 @@ def satisfies(I: Interpretation, f: Formula) -> bool:
     """Hybrid satisfaction: assertions hold hereditarily above their
     anchors; a bare concept holds when its extension is the whole domain.
     This is the validity of the sequent with f alone as its succedent."""
-    return _Goal(Sequent(frozenset(), f), True).holds(I)
+    return _compiled(Sequent(frozenset(), f), True).holds(I)
 
 
 def extension(I: Interpretation, c: Concept) -> frozenset:
@@ -517,7 +517,7 @@ class _Goal:
         return not self.failing(k, I._atoms, lambda x: k.up.rows[k.pos(I.entity_of(x))])
 
 
-# compiled sequents, kept for callers that check one sequent on many models
+# the one way to compile a sequent; the last few are kept for callers that check one on many models
 _compiled = lru_cache(maxsize=8)(_Goal)
 
 
@@ -530,13 +530,6 @@ def sequent_valid(I: Interpretation, s: Sequent, tbox_global: bool = True) -> bo
     subsumption concepts must hold at every world instead of just w.
     """
     return _compiled(s, tbox_global).holds(I)
-
-
-def entails(models: Iterable[Interpretation], s: Sequent,
-            tbox_global: bool = True) -> Optional[Interpretation]:
-    """First model in the stream on which s fails; None if none fails."""
-    goal = _Goal(s, tbox_global)
-    return next((I for I in models if not goal.holds(I)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from itertools import count, islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .modelgen import Signature, _lanes, candidate, enumerate_models
-from .semantics import Interpretation, UnassignedNominalError, _Goal, _save_json
+from .semantics import Interpretation, UnassignedNominalError, _compiled, _save_json
 from .syntax import (
     And, Bot, ConceptF, Exists, Forall, Formula, NominalAssertion, Or, RoleAssertion, Sequent,
     Subs, _text, _walk, nominals_of, parse_formula, parse_sequent, render, substitute,
@@ -373,11 +373,15 @@ def tree_from_dict(d: dict) -> ProofTree:
         if not isinstance(rule, str):
             raise ProofFileError(f"rule must be a string, got {rule!r}")
         conclusion = parse_sequent(d["conclusion"])
-        raw = d.get("params", {})
+        raw, premises = d.get("params", {}), d.get("premises", [])
         principal, cut = (parse_formula(raw[k]) if k in raw else None for k in ("principal", "cut"))
-        params = RuleParams(principal=principal, role=raw.get("role"), nominal=raw.get("nominal"),
-                            prefix=raw.get("prefix"), cut_formula=cut)
-        premises = tuple(tree_from_dict(c) for c in d.get("premises", []))
+        params = RuleParams(principal, raw.get("role"), raw.get("nominal"), raw.get("prefix"), cut)
+        for k in ("role", "nominal", "prefix"):
+            if k in raw and not isinstance(raw[k], str):
+                raise ProofFileError(f"{k} must be a string, got {raw[k]!r}")
+        if not isinstance(premises, list):
+            raise ProofFileError(f"premises must be an array, got {premises!r}")
+        premises = tuple(map(tree_from_dict, premises))
     except (KeyError, TypeError, AttributeError, RecursionError) as e:
         raise ProofFileError(f"malformed proof node: {e}") from None
     return ProofTree(conclusion, rule, params, premises)
@@ -575,11 +579,12 @@ def _counted(models: Iterator[Interpretation], tally: Counter,
 
 def find_countermodel(s: Sequent, sig: Signature, tbox_global: bool = True,
                       stats: Optional[dict] = None) -> Optional[Interpretation]:
-    """First enumerated model on which s fails, None if all satisfy it; sig
-    must assign every nominal of s.  Each frame ``modelgen.candidate`` keeps
-    is evaluated once, a lane per model.  A stats dict gets Counters of the
-    models ``enumerated`` and ``evaluated`` (lanes up to the countermodel)
-    and of the ``frames`` (kernels) enumerated, per world count."""
+    """First enumerated model on which s fails, None if all satisfy it (the
+    one first-failing-model loop); sig must assign every nominal of s.  The
+    goal from ``semantics._compiled`` is evaluated once per frame that
+    ``modelgen.candidate`` keeps, a lane per model.  A stats dict gets
+    Counters of the models ``enumerated`` and ``evaluated`` (lanes up to the
+    countermodel) and of the ``frames`` (kernels) enumerated, per world count."""
     if not nominals_of(s) <= set(sig.nominals):
         raise UnassignedNominalError(min(nominals_of(s) - set(sig.nominals)))
     models, evaluated = enumerate_models(sig), Counter()
@@ -587,7 +592,7 @@ def find_countermodel(s: Sequent, sig: Signature, tbox_global: bool = True,
         models = _counted(models, stats.setdefault("enumerated", Counter()),
                           stats.setdefault("frames", Counter()))
         evaluated = stats.setdefault("evaluated", Counter())
-    goal, up = _Goal(s, tbox_global), None
+    goal, up = _compiled(s, tbox_global), None
     for I in models:            # a frame's first model (a preorder's, if none is kept)
         k = I._k
         if k.up is not up:

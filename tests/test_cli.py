@@ -1,7 +1,9 @@
 import json
 import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,45 @@ def test_prove_with_theory_section(tmp_path, capsys):
     rc, out, _ = invoke(capsys, "prove", str(prob), "--emit-proof", str(proof))
     assert rc == 0 and out.startswith("proved")
     assert check_proof(load_proof(str(proof))).ok
+
+
+def _chain(path, steps: int, width: int) -> str:
+    """Write a problem whose goal follows from A0 by steps implications
+    A{i} -> A{i+1}, names padded to width digits, and return its path."""
+    name = lambda i: f"A{i:0{width}d}"
+    members = [name(0)] + [f"{name(i)} -> {name(i + 1)}" for i in range(steps)]
+    path.write_text("assume:\n  " + "\n  ".join(members) + f"\ngoal:\n  {name(steps)}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("steps,width,flags", [
+    # the search recurses past the limit
+    (60, 1, ["--depth", "1000"]),
+    # the search proves the goal, and writing the proof recurses past the limit
+    (500, 3, ["--depth", "900", "--visited", "2000000"]),
+])
+def test_a_prove_too_deep_for_the_recursion_limit_is_an_input_error(tmp_path, capsys, steps,
+                                                                    width, flags):
+    proof = tmp_path / "chain.prf"
+    rc, _, err = invoke(capsys, "prove", _chain(tmp_path / "chain.ialc", steps, width), *flags,
+                        "--emit-proof", str(proof))
+    assert rc == 3 and err.startswith("error: ") and err.count("\n") == 1
+    assert "recursion" in err and not proof.exists()
+
+
+def test_a_450_step_chain_is_proved_written_and_checked(tmp_path):
+    # a fresh process, so that the interpreter's stack holds only the CLI's frames
+    problem, proof = _chain(tmp_path / "chain.ialc", 450, 3), tmp_path / "chain.prf"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))))}
+    ialc = [sys.executable, "-m", "ialc.cli"]
+    out = subprocess.run([*ialc, "prove", problem, "--depth", "900", "--visited", "2000000",
+                          "--emit-proof", str(proof)], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0 and out.stdout.startswith("proved (visited ") and not out.stderr
+    out = subprocess.run([*ialc, "check", str(proof)], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "accepted\n", "")
 
 
 def test_prove_unknown_exit_code(capsys, golden_dir):
@@ -125,6 +166,23 @@ def test_check_rejects_bad_tree(tmp_path, capsys, golden_dir):
     bad.write_text(json.dumps(doc))
     rc, out, _ = invoke(capsys, "check", str(bad))
     assert rc == 1 and out.startswith("rejected")
+
+
+@pytest.mark.parametrize("path,key,value", [
+    ((0,), "role", 3), ((0,), "role", ["R"]), ((0,), "nominal", 5),
+    ((0,), "prefix", {"x": 1}), ((0,), "nominal", None), ((0, 0, 0), "premises", {}),
+])
+def test_check_rejects_a_node_field_of_the_wrong_json_type(tmp_path, capsys, golden_dir, path,
+                                                           key, value):
+    doc = json.loads((golden_dir / "axiom1.prf").read_text())
+    node = doc
+    for i in path:
+        node = node["premises"][i]
+    (node if key == "premises" else node["params"])[key] = value
+    bad = tmp_path / "bad.prf"
+    bad.write_text(json.dumps(doc))
+    rc, out, err = invoke(capsys, "check", str(bad))
+    assert (rc, out) == (3, "") and err.startswith(f"error: {key} must be ")
 
 
 def test_check_hilbert_file(capsys, golden_dir, tmp_path):

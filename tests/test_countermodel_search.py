@@ -27,7 +27,7 @@ from ialc.modelgen import (
 )
 from ialc import sequent
 from ialc.semantics import (
-    Interpretation, UnassignedNominalError, entails, model_to_dict, sequent_valid,
+    Interpretation, UnassignedNominalError, model_to_dict, sequent_valid,
 )
 from ialc.sequent import find_countermodel
 from ialc.syntax import (
@@ -205,7 +205,8 @@ def pulled(monkeypatch) -> list:
 def _plain(s, sig: Signature, tbox_global: bool) -> tuple:
     """The plain loop's first countermodel and how many models it pulled."""
     plain = [0]
-    return entails(_counting(enumerate_models(sig), plain), s, tbox_global), plain[0]
+    models = _counting(enumerate_models(sig), plain)
+    return next((I for I in models if not sequent_valid(I, s, tbox_global)), None), plain[0]
 
 
 def _pool_cases():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ialc.modelgen import Signature, enumerate_models, random_model
 from ialc.semantics import (
     Interpretation, ModelFileError, UnassignedNominalError, Violation,
-    entails, extension, load_model, model_from_dict, model_to_dict, satisfies,
+    extension, load_model, model_from_dict, model_to_dict, satisfies,
     _faults, _none, _Rows, save_model, sequent_valid, validate_interpretation,
 )
 from ialc.syntax import (
@@ -340,18 +340,20 @@ def test_monotone_strengthening(two_world_models_nominals):
                     assert sequent_valid(I, s.with_extra(extra))
 
 
-def test_entails_modal_schema_instances_valid(two_world_models):
+def test_modal_schema_instances_valid(two_world_models):
     from ialc.hilbert import instance
     from ialc.syntax import ConceptF, Sequent
     for axiom in range(1, 6):
-        inst = instance(f"ik {axiom}", {"C": A, "D": B, "R": "R"})
-        assert entails(two_world_models, Sequent.make([], ConceptF(inst))) is None
+        s = Sequent.make([], ConceptF(instance(f"ik {axiom}", {"C": A, "D": B, "R": "R"})))
+        assert all(sequent_valid(I, s) for I in two_world_models)
 
 
-def test_entails_returns_first_counterexample(two_world_models, chain):
-    assert entails(two_world_models, parse_sequent("A |- A")) is None
+def test_find_countermodel_returns_first_counterexample(two_world_models):
+    from ialc.sequent import find_countermodel
+    sig = Signature(atoms=("A", "B"), roles=("R",), max_worlds=2)
+    assert find_countermodel(parse_sequent("A |- A"), sig) is None
     s = parse_sequent("|- A | not A")
-    found = entails(two_world_models, s)
+    found = find_countermodel(s, sig)
     assert found is not None and not sequent_valid(found, s)
     # independent scan agrees on the index
     first = next(I for I in two_world_models if not sequent_valid(I, s))
