@@ -58,8 +58,8 @@ def _build_parser() -> _Parser:
     p.add_argument("problem")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--visited", type=int, default=DEFAULT_VISITED)
-    p.add_argument("--emit-proof", metavar="F", help="write the proof to F; if none is found, "
-                   "a regular file at F is removed, so no earlier proof stays there")
+    p.add_argument("--emit-proof", metavar="F", help="write the proof to F; if none is found or "
+                   "written, a regular file at F is removed, so no earlier proof stays there")
 
     p = sub.add_parser("check", help="check a sequent proof tree or an axiomatic proof file")
     p.add_argument("prooffile")
@@ -101,21 +101,24 @@ def _load_problem(path: str):
 
 
 def _cmd_prove(args) -> int:
-    goal = _load_problem(args.problem).sequent()
-    result = prove(goal, max_depth=args.depth, max_visited=args.visited)
-    if not result.proved:
-        stop = f"{result.budget} budget ran out" if result.budget else "search space exhausted"
-        if any(isinstance(getattr(f, "concept", None), Subs) for f in goal.antecedent):
-            stop += " under the local reading of the antecedent's subsumptions"
-        print(f"unknown, {stop} (depth {args.depth}, visited {result.visited}): {render(goal)}")
-        if args.emit_proof and os.path.isfile(args.emit_proof):
+    goal, written = _load_problem(args.problem).sequent(), False
+    try:
+        result = prove(goal, max_depth=args.depth, max_visited=args.visited)
+        if not result.proved:
+            stop = f"{result.budget} budget ran out" if result.budget else "search space exhausted"
+            if any(isinstance(getattr(f, "concept", None), Subs) for f in goal.antecedent):
+                stop += " under the local reading of the antecedent's subsumptions"
+            print(f"unknown, {stop} (depth {args.depth}, visited {result.visited}): {render(goal)}")
+            return EXIT_UNKNOWN
+        print(f"proved (visited {result.visited}): {render(goal)}")
+        if args.emit_proof:
+            save_proof(result.tree, args.emit_proof)
+            written = True
+            print(f"proof written to {args.emit_proof}")
+        return EXIT_OK
+    finally:    # no proof found or written: no earlier one stays at a regular file F
+        if args.emit_proof and not written and os.path.isfile(args.emit_proof):
             os.remove(args.emit_proof)
-        return EXIT_UNKNOWN
-    print(f"proved (visited {result.visited}): {render(goal)}")
-    if args.emit_proof:
-        save_proof(result.tree, args.emit_proof)
-        print(f"proof written to {args.emit_proof}")
-    return EXIT_OK
 
 
 def _cmd_check(args) -> int:

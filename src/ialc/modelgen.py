@@ -221,15 +221,18 @@ def candidate(kernel: _Kernel, sig: Signature) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _lanes(up: tuple, atoms: tuple, nominals: tuple, roles: int) -> tuple[int, Optional[_Lanes]]:
-    """How many models a search takes at once on the preorder up, for these atoms,
-    nominals and role count, and its frames' lanes; all, and None, if none is a candidate."""
+def _lanes(up: tuple, atoms: tuple, nominals: tuple,
+           roles: int) -> tuple[int, int, Optional[_Lanes]]:
+    """The block a countermodel search takes at once on the preorder up, for these
+    atoms, nominals and role count: (models, frames, lanes); one frame's, or all of
+    up's and None if no frame of up can be a candidate."""
     n = len(up)
     models = [(t, dict(zip(nominals, v))) for t in _atom_dicts(n, up, atoms)
               for v in product(range(n), repeat=len(nominals))]
     if not _fixers(up):
-        return len(models) * (len(_frame_relations(n, up)) ** roles if roles else 1), None
-    return len(models), _Lanes.of(up, models)
+        frames = len(_frame_relations(n, up)) ** roles if roles else 1
+        return len(models) * frames, frames, None
+    return len(models), 1, _Lanes.of(up, models)
 
 
 def random_model(sig: Signature, seed: int) -> Interpretation:

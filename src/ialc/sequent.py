@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter, deque
+from collections import defaultdict, deque
 from itertools import count, islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -404,8 +404,8 @@ def save_proof(t: ProofTree, path: str) -> None:
     """Write ``tree_to_dict(t)`` at path, by ``semantics._save_json``: over
     an existing file in place.  A write that fails partway leaves the new
     text's start followed by the old file's tail (where truncating first
-    would leave the start alone), and its error reaches the caller, so
-    ``ialc prove --emit-proof`` exits 3."""
+    would leave the start alone), and its error reaches the caller:
+    ``ialc prove --emit-proof`` then removes a regular file there and exits 3."""
     _save_json(tree_to_dict(t), path)
 
 
@@ -567,41 +567,34 @@ def prove(s: Sequent, max_depth: int = DEFAULT_DEPTH,
     return ProveResult(tree, search.visited, search.cache_hits, search.loop_prunes, budget)
 
 
-def _counted(models: Iterator[Interpretation], tally: Counter,
-             frames: Counter) -> Iterator[Interpretation]:
-    kernel = None
-    for I in models:
-        tally[len(I.worlds)] += 1
-        frames[len(I.worlds)] += I._k is not kernel
-        kernel = I._k
-        yield I
-
-
 def find_countermodel(s: Sequent, sig: Signature, tbox_global: bool = True,
                       stats: Optional[dict] = None) -> Optional[Interpretation]:
     """First enumerated model on which s fails, None if all satisfy it (the
-    one first-failing-model loop); sig must assign every nominal of s.  The
-    goal from ``semantics._compiled`` is evaluated once per frame that
-    ``modelgen.candidate`` keeps, a lane per model.  A stats dict gets
-    Counters of the models ``enumerated`` and ``evaluated`` (lanes up to the
-    countermodel) and of the ``frames`` (kernels) enumerated, per world count."""
-    if not nominals_of(s) <= set(sig.nominals):
-        raise UnassignedNominalError(min(nominals_of(s) - set(sig.nominals)))
-    models, evaluated = enumerate_models(sig), Counter()
-    if stats is not None:
-        models = _counted(models, stats.setdefault("enumerated", Counter()),
-                          stats.setdefault("frames", Counter()))
-        evaluated = stats.setdefault("evaluated", Counter())
-    goal, up = _compiled(s, tbox_global), None
-    for I in models:            # a frame's first model (a preorder's, if none is kept)
+    one first-failing-model loop); sig must assign every nominal of s.  It
+    takes the stream a block at a time (``modelgen._lanes``), evaluating a
+    frame that ``modelgen.candidate`` keeps once from ``semantics._compiled``,
+    a lane per model, and adds each block's sizes per world count, in stats or
+    a throwaway dict, to the models ``enumerated`` and ``evaluated`` (lanes up to the
+    countermodel) and the ``frames`` (kernels): defaultdicts, cheaper to make than Counters."""
+    if missing := nominals_of(s) - set(sig.nominals):
+        raise UnassignedNominalError(min(missing))
+    stats = {} if stats is None else stats
+    enumerated = stats.setdefault("enumerated", defaultdict(int))
+    frames = stats.setdefault("frames", defaultdict(int))
+    evaluated = stats.setdefault("evaluated", defaultdict(int))
+    models, goal, up = enumerate_models(sig), _compiled(s, tbox_global), None
+    for I in models:            # a block's first model
         k = I._k
         if k.up is not up:
-            up = k.up
-            size, layout = _lanes(up.rows, sig.atoms, sig.nominals, len(sig.roles))
+            up, n = k.up, len(k.worlds)
+            size, kernels, layout = _lanes(up.rows, sig.atoms, sig.nominals, len(sig.roles))
+        frames[n] += kernels
         if candidate(k, sig):
             lane = layout.first(goal, k)
-            evaluated[len(k.worlds)] += size if lane is None else lane + 1
+            evaluated[n] += size if lane is None else lane + 1
             if lane is not None:
+                enumerated[n] += lane + 1
                 return next(islice(models, lane - 1, None)) if lane else I
+        enumerated[n] += size
         deque(islice(models, size - 1), maxlen=0)
     return None

@@ -68,9 +68,12 @@ def _chain(path, steps: int, width: int) -> str:
     # the search proves the goal, and writing the proof recurses past the limit
     (500, 3, ["--depth", "900", "--visited", "2000000"]),
 ])
-def test_a_prove_too_deep_for_the_recursion_limit_is_an_input_error(tmp_path, capsys, steps,
-                                                                    width, flags):
+def test_a_prove_too_deep_for_the_recursion_limit_is_an_input_error(tmp_path, capsys, golden_dir,
+                                                                    steps, width, flags):
+    # an earlier proof at the path goes, as when no proof is found
     proof = tmp_path / "chain.prf"
+    rc, _, _ = invoke(capsys, "prove", str(golden_dir / "axiom1.ialc"), "--emit-proof", str(proof))
+    assert rc == 0 and proof.exists()
     rc, _, err = invoke(capsys, "prove", _chain(tmp_path / "chain.ialc", steps, width), *flags,
                         "--emit-proof", str(proof))
     assert rc == 3 and err.startswith("error: ") and err.count("\n") == 1

@@ -11,8 +11,9 @@ Three checks pin it:
   relabellings and is generated by one world plus the nominals' worlds,
   against brute-force oracles over the public views;
 - ``find_countermodel`` reports what the plain loop over the stream
-  reports, and pulls as many models from the stream, on the countermodel
-  pool and on seeded random sequents.
+  reports, pulls as many models from the stream and counts in its stats
+  the models and frames it pulled, on the countermodel pool and on seeded
+  random sequents.
 """
 
 import json
@@ -203,10 +204,33 @@ def pulled(monkeypatch) -> list:
 
 
 def _plain(s, sig: Signature, tbox_global: bool) -> tuple:
-    """The plain loop's first countermodel and how many models it pulled."""
-    plain = [0]
-    models = _counting(enumerate_models(sig), plain)
-    return next((I for I in models if not sequent_valid(I, s, tbox_global)), None), plain[0]
+    """The plain loop's first countermodel, how many models it pulled and
+    how many frames (kernels) they came from."""
+    plain, kernels = [0], set()
+    for I in _counting(enumerate_models(sig), plain):
+        kernels.add(I._k)
+        if not sequent_valid(I, s, tbox_global):
+            return I, plain[0], len(kernels)
+    return None, plain[0], len(kernels)
+
+
+def _matches_the_plain_loop(s, sig: Signature, pulled: list, ident) -> list:
+    """Under both readings, find_countermodel reports the plain loop's model
+    and pulls as many models, with stats or without, and its counts are the
+    stream position: the models and frames the plain loop pulled.  Returns
+    the plain loop's models."""
+    found = []
+    for tbox_global in (True, False):
+        expected, count, kernels = _plain(s, sig, tbox_global)
+        why = (ident, tbox_global)
+        for stats in (None, {}):
+            pulled[0] = 0
+            assert _same(find_countermodel(s, sig, tbox_global, stats), expected), why
+            assert pulled[0] == count, why
+        assert sum(stats["enumerated"].values()) == count, why
+        assert sum(stats["frames"].values()) == kernels, why
+        found.append(expected)
+    return found
 
 
 def _pool_cases():
@@ -222,12 +246,7 @@ def test_pool_countermodels_match_the_plain_loop(pulled):
     for e in cases:
         s = parse_problem(e["text"]).sequent()
         sig = signature_for(s, e["max_worlds"])
-        for tbox_global in (True, False):
-            expected, count = _plain(s, sig, tbox_global)
-            pulled[0] = 0
-            assert _same(find_countermodel(s, sig, tbox_global), expected), (e["id"], tbox_global)
-            assert pulled[0] == count, (e["id"], tbox_global)
-            found += expected is not None
+        found += sum(I is not None for I in _matches_the_plain_loop(s, sig, pulled, e["id"]))
     assert found > 900
 
 
@@ -246,12 +265,7 @@ def test_random_countermodels_match_the_plain_loop(pulled):
             drawn.append((s, sig))
     worlds = []
     for s, sig in drawn:
-        for tbox_global in (True, False):
-            expected, count = _plain(s, sig, tbox_global)
-            pulled[0] = 0
-            assert _same(find_countermodel(s, sig, tbox_global), expected), (render(s), tbox_global)
-            assert pulled[0] == count, (render(s), tbox_global)
-            worlds.append(len(expected.worlds))
+        worlds += [len(I.worlds) for I in _matches_the_plain_loop(s, sig, pulled, render(s))]
     assert sum(n > 1 for n in worlds) > 50
 
 
