@@ -60,6 +60,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--visited", type=int, default=DEFAULT_VISITED)
     p.add_argument("--emit-proof", metavar="F", help="write the proof to F; if none is found or "
                    "written, a regular file at F is removed, so no earlier proof stays there")
+    p.add_argument("--stats", action="store_true", help="print the visited nodes, cache hits, "
+                   "loop prunes, committed conclusions and stopping budget as JSON on stderr")
 
     p = sub.add_parser("check", help="check a sequent proof tree or an axiomatic proof file")
     p.add_argument("prooffile")
@@ -103,7 +105,13 @@ def _load_problem(path: str):
 def _cmd_prove(args) -> int:
     goal, written = _load_problem(args.problem).sequent(), False
     try:
-        result = prove(goal, max_depth=args.depth, max_visited=args.visited)
+        stats = {} if args.stats else None
+        start = time.perf_counter()
+        result = prove(goal, max_depth=args.depth, max_visited=args.visited, stats=stats)
+        if stats is not None:
+            stats.update(result._asdict(), elapsed_s=round(time.perf_counter() - start, 6))
+            del stats["tree"]
+            print(json.dumps(stats, sort_keys=True), file=sys.stderr)
         if not result.proved:
             stop = f"{result.budget} budget ran out" if result.budget else "search space exhausted"
             if any(isinstance(getattr(f, "concept", None), Subs) for f in goal.antecedent):

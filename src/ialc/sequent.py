@@ -255,7 +255,7 @@ def _p_nom(seq: Sequent, shapes: list, chooser) -> Iterator:
 # (label, params, premises) for each way the rule derives the conclusion.
 _RULES = {
     "axiom": (None, _axiom), "bot-l": ((True, Bot), _bot_l),
-    # invertible decompositions first
+    # invertible decompositions first (see _COMMITS)
     "and-l": _binary("and-l"), "exists-l": ((True, Exists), _exists_l),
     "and-r": _binary("and-r"), "sub-r": _binary("sub-r"), "or-l": _binary("or-l"),
     "forall-r": ((False, Forall), _forall_r),
@@ -265,6 +265,36 @@ _RULES = {
     "p-forall": ((False, Forall), _p_forall), "p-exists": ((False, Exists), _p_exists),
     "p-nom": (None, _p_nom),
 }
+
+# The steps whose premises are provable, by proofs the search builds, whenever
+# their conclusion is: once a premise fails, no rule can prove the conclusion,
+# so the search tries no other (``_Search.prove``).  The argument, by induction
+# on a proof of the conclusion, permutes the step below that proof's last rule:
+# - and-r: the premises keep the antecedent; an axiom on C & D is and-l and
+#   two axioms.
+# - and-l, or-l: the parts replace the principal in every node that holds it.
+#   As a concept member the principal is no box, so it already blocks p-nom
+#   and every promotion that its parts could; as an assertion it passes
+#   promotions and p-nom at its nominal unprefixes it with its parts.  An
+#   axiom on it becomes and-r, or1-r or or2-r over axioms.
+# - forall-r, exists-l: the premise adds R(x,y) (exists-l also y : C, for its
+#   principal) with a fresh y; these block nothing, since p-nom unprefixes
+#   only the succedent's nominal and no node of the proof names y.  The one
+#   last rule that does not permute is p-nom at x: p-forall above it, or
+#   p-exists on the principal, is rebuilt as exists-r on R(x,y) (for p-exists),
+#   forall-l on R(x,y) and p-nom at y.  An axiom on x : all R.C becomes
+#   forall-l, on x : some R.C exists-r, over axioms.
+# - sub-r is not covered: it adds C (x : C) to the antecedent, and the left
+#   premise of sub-l keeps the whole context, so the argument needs weakening
+#   by C there, which fails: C can block p-nom and the promotions
+#   (``all R.(A & B) |- all R.A`` is proved, ``B ; all R.(A & B) |- all R.A`` not).
+# Each n- variant follows from its rule.  The permuted proof can be taller (an
+# axiom on a compound formula grows a step, a rebuilt promotion several), and
+# a premise has a level less than its conclusion, so only a failure that did
+# not rely on the depth budget commits.  A failure that relied on a loop prune
+# commits under the same ancestors: its culprits become the conclusion's.
+_COMMITS = frozenset({"and-l", "n-and-l", "exists-l", "and-r", "n-and-r",
+                      "or-l", "n-or-l", "forall-r"})
 
 
 class _Premises(tuple):
@@ -427,24 +457,40 @@ class ProveResult(NamedTuple):
 
 _ENGINE_NOMINAL = re.compile(r"^_n\d+$")
 
+# the culprit of a failure that relied on the depth budget, an ancestor of every branch
+_DEPTH = "depth"
+_ON_DEPTH = frozenset((_DEPTH,))
+
+
+def _covers(failure: tuple[int, frozenset], depth: int, ancestors: frozenset) -> bool:
+    """Whether a failure (its depth, its culprits) fails a visit at depth
+    under these ancestors: one that relied on depth needs no more depth,
+    any other fails at every depth."""
+    d, culprits = failure
+    return culprits <= ancestors and (d >= depth or _DEPTH not in culprits)
+
 
 class _Search:
-    """Depth-first backward search with loop pruning and a failure cache.
+    """Depth-first backward search with loop pruning, a failure cache and
+    commitment to invertible steps.
 
     A failed call returns its culprits: the keys of the ancestors whose
-    loop prune the failure relied on (running out of depth relies on
-    none).  Each failure is cached under its key with its depth and
-    culprits, and a later visit with no more depth, whose ancestors
-    include those culprits, fails at once: the failure relied on no
-    other ancestor, further ancestors can only prune more, and less
-    depth can only remove proofs.  Only a search stopped by the visited
-    cap leaves its failures uncached.
+    loop prune the failure relied on, and ``_DEPTH`` when it relied on the
+    depth budget, that is when its subtree reached depth 0 or reused a
+    failure that did.  Each failure is cached under its key with its depth
+    and culprits, and a later visit whose ancestors include those culprits,
+    with no more depth unless the failure did not rely on depth, fails at
+    once (``_covers``): the failure relied on no other ancestor, further
+    ancestors can only prune more, and less depth can only remove proofs.
+    When a premise of a ``_COMMITS`` step fails without relying on depth,
+    no other rule is tried on the conclusion.  Only a search stopped by the
+    visited cap leaves its failures uncached.
     """
 
     def __init__(self, root: Sequent, max_visited: int):
         self.max_visited = max_visited
-        self.visited = self.cache_hits = self.loop_prunes = 0
-        self.exhausted = self.depth_cut = False
+        self.visited = self.cache_hits = self.loop_prunes = self.committed = 0
+        self.exhausted = False
         self.failed: dict[Sequent, list[tuple[int, frozenset]]] = {}
         self.used_nominals = set(nominals_of(root))
         self.counter = count()
@@ -487,16 +533,15 @@ class _Search:
             self.loop_prunes += 1
             return None, frozenset((key,))
         entries = self.failed.setdefault(key, [])
-        for d, c in entries:
-            if d >= depth and c <= ancestors:
+        for failure in entries:
+            if _covers(failure, depth, ancestors):
                 self.cache_hits += 1
-                return None, c
+                return None, failure[1]
         self.visited += 1
         if self.visited > self.max_visited:
             self.exhausted = True
             return None, None
-        culprits = frozenset()
-        self.depth_cut |= depth == 0
+        culprits = _ON_DEPTH if depth == 0 else frozenset()
         if depth > 0:
             inner = ancestors | {key}
             for rule, params, subgoals in self._candidates(seq, members):
@@ -513,9 +558,13 @@ class _Search:
                     trees.append(t)
                 else:
                     return ProofTree(seq, rule, params, tuple(trees)), None
+                if rule in _COMMITS and _DEPTH not in c:
+                    self.committed += 1
+                    break
             culprits -= {key}
-        if not any(d >= depth and c <= culprits for d, c in entries):
-            entries[:] = [(d, c) for d, c in entries if not (d <= depth and culprits <= c)]
+        if not any(_covers(failure, depth, culprits) for failure in entries):
+            entries[:] = [failure for failure in entries
+                          if not _covers((depth, culprits), *failure)]
             entries.append((depth, culprits))
         return None, culprits
 
@@ -551,19 +600,22 @@ class _Search:
 DEFAULT_DEPTH, DEFAULT_VISITED = 24, 100_000
 
 
-def prove(s: Sequent, max_depth: int = DEFAULT_DEPTH,
-          max_visited: int = DEFAULT_VISITED) -> ProveResult:
+def prove(s: Sequent, max_depth: int = DEFAULT_DEPTH, max_visited: int = DEFAULT_VISITED,
+          stats: Optional[dict] = None) -> ProveResult:
     """Bounded, deterministic, cut-free backward search.
 
     Returns a tree whose root is s and which check_proof accepts, or no
     tree at all; exhausting either budget is an honest unknown, never a
-    refutation.
+    refutation.  A stats dict gets ``committed``: the conclusions that a
+    failed invertible step failed.
     """
     if max_depth < 0 or max_visited < 0:
         raise ValueError(f"budgets must be nonnegative: depth {max_depth}, visited {max_visited}")
     search = _Search(s, max_visited)
-    tree, _ = search.prove(s, max_depth, frozenset())
-    budget = "visited" if search.exhausted else "depth" if tree is None and search.depth_cut else None
+    tree, culprits = search.prove(s, max_depth, _ON_DEPTH)
+    budget = "visited" if search.exhausted else "depth" if culprits and _DEPTH in culprits else None
+    if stats is not None:
+        stats["committed"] = search.committed
     return ProveResult(tree, search.visited, search.cache_hits, search.loop_prunes, budget)
 
 

@@ -244,6 +244,27 @@ def test_countermodel_stats_go_to_stderr_only(capsys, golden_dir, name, enumerat
     assert stats["elapsed_s"] >= 0 and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("problem,flags,counts", [
+    ("axiom4", [], (15, 0, 0, 0, None)),
+    ("assume:\n  A -> B\ngoal:\n  some R.A -> some R.B\n", [], (4, 0, 2, 0, None)),
+    ("assume:\n  A & B\ngoal:\n  C\n", [], (2, 0, 0, 1, None)),
+    ("lem", ["--depth", "1"], (3, 0, 0, 0, "depth")),
+])
+def test_prove_stats_go_to_stderr_only(capsys, golden_dir, tmp_path, problem, flags, counts):
+    path = golden_dir / f"{problem}.ialc"
+    if "\n" in problem:
+        path = tmp_path / "goal.ialc"
+        path.write_text(problem)
+    argv = ["prove", str(path), *flags]
+    rc, out, err = invoke(capsys, *argv, "--stats")
+    assert (rc, out, "") == invoke(capsys, *argv)
+    stats = json.loads(err)
+    assert err.count("\n") == 1 and list(stats) == sorted(stats)
+    assert stats.pop("elapsed_s") >= 0
+    assert stats == dict(zip(("visited", "cache_hits", "loop_prunes", "committed", "budget"),
+                             counts))
+
+
 def test_eval_formula_reports(capsys, golden_dir):
     rc, out, _ = invoke(capsys, "eval", "--model",
                         str(golden_dir / "chain.model"), "--formula", "top")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from itertools import count
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from ialc.sequent import (
 )
 from ialc.syntax import (
     Bot, ConceptF, Exists, Forall, NominalAssertion, RoleAssertion, Sequent,
-    nominals_of, parse_sequent, render,
+    nominals_of, parse_problem, parse_sequent, render,
 )
 from corpus import random_concept, schema_instance_corpus
 from ref_sequent import (
@@ -458,12 +459,61 @@ def test_unknown_names_the_budget_that_stopped_it():
     assert prove(S("|- A | not A"), max_depth=24).budget is None
 
 
+def test_a_failure_that_did_not_run_out_of_depth_names_no_budget():
+    # the first conjunct is proved after one of its branches runs out of depth;
+    # the second fails at every depth, so no depth budget stopped the search
+    goal = S("x : A |- x : ((all R.all R.B | A) & C)")
+    stats = {}
+    result = prove(goal, max_depth=3, stats=stats)
+    assert (result.proved, result.budget, stats) == (False, None, {"committed": 1})
+    assert prove(goal, max_depth=24).budget is None
+
+
+@pytest.mark.parametrize("depth,visited", [(9, 34), (10, 21)])
+def test_a_failure_that_ran_out_of_depth_commits_to_nothing(depth, visited):
+    # the first n-and-l premise fails at this depth only because it runs out;
+    # inverting it costs a level, and a later n-and-l finds the proof
+    goal = S("x : (all R.B | not B) ; x : (not B & (B & B)) ; x : all R.(A & bot) "
+             "|- x : (B & B -> some R.B -> all R.B)")
+    result = prove(goal, max_depth=depth)
+    assert result.proved and check_proof(result.tree).ok
+    assert result.visited == visited
+
+
+PROVE_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool" / "prove.json"
+
+
+def test_commitment_loses_no_proof():
+    """The goals proved before the search committed to invertible steps,
+    pinned by the sha256 of their sorted ids: the benchmark's prove pool at
+    depth 16, and seeded random sequents at depth 12 with a cap of 5,000."""
+    pool = [(e["id"], parse_problem(e["text"]).sequent())
+            for e in json.loads(PROVE_POOL.read_text())]
+    rng = random.Random(2026)
+    for goals, depth, cap, n, digest, most in [
+        (pool, 16, 100_000, 602,
+         "98c407ea1fd0e305d9f47067c9125fd4c4db9652b626386ab35f61ccd1471c5c", 11_000),
+        ([(i, _random_sequent(rng)) for i in range(1500)], 12, 5000, 149,
+         "e1413f4f6ad58ff4cd96f3df35024bf526a9548f524650060e9cea0b26b25fd9", 7500),
+    ]:
+        proved, visited = [], 0
+        for name, goal in goals:
+            result = prove(goal, max_depth=depth, max_visited=cap)
+            visited += result.visited
+            if result.proved:
+                assert check_proof(result.tree).ok, name
+                proved.append(name)
+        assert len(proved) == n
+        assert hashlib.sha256(json.dumps(sorted(proved)).encode()).hexdigest() == digest
+        assert visited <= most
+
+
 # sha256 over each goal's rendered root, visited, cache hits, loop prunes,
 # budget and proof file text: the five golden roots at depth 16, then 300
 # seeded random goals at depth 10, each with a cap of 5,000 visited nodes.
 # It pins the search's DFS order, engine names and failure cache, and must
 # not depend on PYTHONHASHSEED or on set iteration order.
-SEARCH_DIGEST = "d88418bd87e082dc4a8f3bf7b4df79deb4b2fd9ae046bad650162660aa027b17"
+SEARCH_DIGEST = "c56ab4c048d4ad8148758a60dcae4a622a1b4c287e06eac139cd296d79e866ad"
 
 
 def test_search_digest_is_pinned():
