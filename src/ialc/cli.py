@@ -70,7 +70,8 @@ def _build_parser() -> _Parser:
                                             "counterexample to the goal sequent")
     p.add_argument("problem")
     p.add_argument("--max-worlds", type=int, required=True)
-    p.add_argument("--emit-model", metavar="F")
+    p.add_argument("--emit-model", metavar="F", help="write the model to F; if none is found or "
+                   "written, a regular file at F is removed, so no earlier model stays there")
     p.add_argument("--tbox-local", action="store_true")
     p.add_argument("--stats", action="store_true", help="print the models enumerated and "
                    "evaluated and the frames enumerated per world count as JSON on stderr")
@@ -142,24 +143,29 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
-    goal = _load_problem(args.problem).sequent()
-    sig = signature_for(goal, args.max_worlds)
-    stats = {} if args.stats else None
-    start = time.perf_counter()
-    model = find_countermodel(goal, sig, tbox_global=not args.tbox_local, stats=stats)
-    if stats is not None:
-        stats["elapsed_s"] = round(time.perf_counter() - start, 6)
-        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
-    if model is None:
-        print(f"no countermodel with up to {args.max_worlds} worlds: {render(goal)}")
-        return EXIT_OK
-    print(f"countermodel with {len(model.worlds)} worlds: {render(goal)}")
-    if args.emit_model:
-        save_model(model, args.emit_model)
-        print(f"model written to {args.emit_model}")
-    else:
-        print(_json(model_to_dict(model)))
-    return EXIT_REFUTED
+    goal, written = _load_problem(args.problem).sequent(), False
+    try:
+        sig = signature_for(goal, args.max_worlds)
+        stats = {} if args.stats else None
+        start = time.perf_counter()
+        model = find_countermodel(goal, sig, tbox_global=not args.tbox_local, stats=stats)
+        if stats is not None:
+            stats["elapsed_s"] = round(time.perf_counter() - start, 6)
+            print(json.dumps(stats, sort_keys=True), file=sys.stderr)
+        if model is None:
+            print(f"no countermodel with up to {args.max_worlds} worlds: {render(goal)}")
+            return EXIT_OK
+        print(f"countermodel with {len(model.worlds)} worlds: {render(goal)}")
+        if args.emit_model:
+            save_model(model, args.emit_model)
+            written = True
+            print(f"model written to {args.emit_model}")
+        else:
+            print(_json(model_to_dict(model)))
+        return EXIT_REFUTED
+    finally:    # no model found or written: no earlier one stays at a regular file F
+        if args.emit_model and not written and os.path.isfile(args.emit_model):
+            os.remove(args.emit_model)
 
 
 def _cmd_eval(args) -> int:

@@ -25,8 +25,7 @@ from typing import Mapping, NamedTuple, Union
 
 from .syntax import (
     Atom, BOT, Concept, Exists, Forall, Not, And, Or, Subs,
-    ParseError, _SPACE, _code_lines, _parse_line, _walk, atoms_of, parse_concept, render, roles_of,
-    substitute,
+    ParseError, _SPACE, _code_lines, _parse_line, _walk, names_of, parse_concept, render, substitute,
 )
 
 __all__ = [
@@ -123,8 +122,8 @@ def check_hilbert_proof(p: HilbertProof) -> CheckResult:
                 want = instance(j.name, dict(j.subst))
             except SchemaError as e:
                 return CheckResult(False, idx, str(e))
-            used = atoms_of(SCHEMATA[j.name]) | roles_of(SCHEMATA[j.name])
-            if unused := [k for k, _ in j.subst if k not in used]:
+            atoms, roles, _ = names_of(SCHEMATA[j.name])
+            if unused := [k for k, _ in j.subst if k not in atoms and k not in roles]:
                 return CheckResult(False, idx, f"the schema has no metavariable {unused[0]}")
             if line.concept != want:
                 return CheckResult(False, idx,

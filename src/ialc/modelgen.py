@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .semantics import (Interpretation, _bits, _closed_rows, _faults, _image, _Kernel, _Lanes,
                         _none, _Rows)
-from .syntax import Atom, Exists, Forall, NominalAssertion, RoleAssertion, Sequent, _walk
+from .syntax import Sequent, names_of
 
 __all__ = [
     "Signature", "count_models", "enumerate_models", "candidate",
@@ -48,7 +48,7 @@ class _SignatureFields(NamedTuple):
 
 
 class Signature(_SignatureFields):
-    """Distinct names of each kind and at least one world, also after ``_replace``."""
+    """Distinct names of each kind and 1 to 5 worlds, also after ``_replace``."""
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -59,25 +59,16 @@ class Signature(_SignatureFields):
                 raise ValueError(f"duplicate {kind} names: {names}")
         if self.max_worlds < 1:
             raise ValueError("max_worlds must be at least 1")
+        if self.max_worlds > 5:     # the preorder table of n worlds filters 2**(n*n) relations
+            raise ValueError("max_worlds must be at most 5")
         return self
 
     _make = classmethod(lambda cls, values: cls(*values))
 
 
-# The node kinds that carry names: (field index, kind) per name, where kind
-# 0 is an atom, 1 a role and 2 a nominal.  Concepts hold no nominals.
-_NAMES = {Atom: ((0, 0),), Exists: ((0, 1),), Forall: ((0, 1),),
-          RoleAssertion: ((0, 2), (1, 1), (2, 2)), NominalAssertion: ((0, 2),)}
-
-
 def signature_for(s: Sequent, max_worlds: int) -> Signature:
     """Smallest signature covering the symbols of a sequent, read in one walk."""
-    names: tuple[set, set, set] = (set(), set(), set())
-    for node in _walk(s):
-        for i, kind in _NAMES.get(type(node), ()):
-            names[kind].add(node.fields[i])
-    atoms, roles, nominals = (tuple(sorted(n)) for n in names)
-    return Signature(atoms, roles, nominals, max_worlds)
+    return Signature(*(tuple(sorted(n)) for n in names_of(s)), max_worlds)
 
 
 def _split(mask: int, n: int) -> tuple[int, ...]:

@@ -25,9 +25,10 @@ them.  A relation is its bit rows plus its ``none`` table, filled on
 first lookup: the worlds none of whose successors meet a mask.  A model
 is the kernel of its frame (worlds, preorder and role rows), shared by
 every model on the frame, plus atom masks and nominals.
-One fault generator holds the frame laws for validation, model loading
-and model generation (a failing model's report lists its faults in the
-order ``validate_interpretation`` states), beside one Warshall closure.
+One fault generator holds the frame laws for validation, model loading and
+model generation's preorder and up-set tables (a failing model's report lists
+its faults in ``validate_interpretation``'s order), beside one Warshall closure;
+role tables come from F1 and F2 directly, checked against it only by a test.
 Every compiled sequent comes from ``_compiled``: a bottom-up program keyed
 on the hash-consed syntax nodes (one entry per distinct subconcept); one
 rule gives the lanes of a view on which it fails: a kernel views one model,
@@ -112,7 +113,6 @@ class _Rows(dict):
 
 _empty = lru_cache(maxsize=None)(lambda n: _Rows((0,) * n))
 _total = lru_cache(maxsize=None)(lambda n: _Rows(((1 << n) - 1,) * n))
-_positions = lru_cache(maxsize=64)(lambda worlds: {w: i for i, w in enumerate(worlds)})
 
 
 def _closed_rows(rows) -> tuple[int, ...]:
@@ -166,8 +166,6 @@ class _Kernel:
     as on ``_Lanes``, ``void[m]`` is full on the lanes where m is empty."""
     __slots__ = ("worlds", "full", "up", "roles")
     void = property(lambda k: _total(len(k.worlds)))
-    # a world's position: one dict per worlds tuple, shared, built when pos first asks
-    index = property(lambda k: _positions(k.worlds))
 
     def __init__(self, worlds: tuple, up: _Rows, roles: dict):
         self.worlds, self.up, self.roles = worlds, up, roles
@@ -175,8 +173,8 @@ class _Kernel:
 
     def pos(self, w: World) -> int:
         try:
-            return self.index[w]
-        except (KeyError, TypeError):
+            return self.worlds.index(w)
+        except ValueError:
             raise ValueError(f"entity {w!r} is not in the domain") from None
 
     def rel(self, role: str) -> _Rows:
@@ -307,12 +305,12 @@ def validate_interpretation(I: Interpretation) -> ValidationReport:
     """Check the preorder laws, heredity, F1/F2, and nominal targets.
 
     One fault generator holds the frame laws for validation, model loading
-    and model generation; its first fault decides.  Only a failing model
-    has all its violations listed, with witnesses: reflexivity in model
-    order; transitivity; heredity, then F1 and F2 (F1 first), per atom or
-    role in name order; each of these by the reprs of its witness pairs
-    (a <= b, b <= d; w <= v; w <= w2, w R v; v <= v2, w R v); dangling
-    nominals last, by name."""
+    and generation's preorder and up-set tables; its first fault decides.
+    Only a failing model has all its violations listed, with witnesses:
+    reflexivity in model order; transitivity; heredity, then F1 and F2 (F1
+    first), per atom or role in name order; each of these by the reprs of
+    its witness pairs (a <= b, b <= d; w <= v; w <= w2, w R v; v <= v2,
+    w R v); dangling nominals last, by name."""
     k, ws = I._k, I.worlds
     faults = partial(_faults, k.up.rows, I._atoms, {r: rel.rows for r, rel in k.roles.items()})
     # equality-based scan: stays total even for malformed targets

@@ -36,7 +36,6 @@ all the frame's models at once, and reports the first failing model.
 from __future__ import annotations
 
 import json
-import re
 from collections import defaultdict, deque
 from itertools import count, islice
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -455,8 +454,6 @@ class ProveResult(NamedTuple):
         return self.tree is not None
 
 
-_ENGINE_NOMINAL = re.compile(r"^_n\d+$")
-
 # the culprit of a failure that relied on the depth budget, an ancestor of every branch
 _DEPTH = "depth"
 _ON_DEPTH = frozenset((_DEPTH,))
@@ -492,28 +489,27 @@ class _Search:
         self.visited = self.cache_hits = self.loop_prunes = self.committed = 0
         self.exhausted = False
         self.failed: dict[Sequent, list[tuple[int, frozenset]]] = {}
-        self.used_nominals = set(nominals_of(root))
+        self.used_nominals = nominals_of(root)      # the root's names, which no witness takes
+        self.made: set[str] = set()                 # the witnesses fresh_nominal made
         self.counter = count()
-        self.engine: dict[Formula, tuple] = {}      # a formula's engine nominals
+        self.engine: dict[Formula, tuple] = {}      # a formula's witnesses
         self.renamed: dict[tuple, Formula] = {}     # (formula, their new names) -> renamed
 
     def fresh_nominal(self) -> str:
-        while True:
-            name = f"_n{next(self.counter)}"
-            if name not in self.used_nominals:
-                self.used_nominals.add(name)
-                return name
+        name = next(n for n in map("_n{}".format, self.counter) if n not in self.used_nominals)
+        self.made.add(name)
+        return name
 
     def normalize(self, seq: Sequent, members: list) -> Sequent:
-        """seq with its engine nominals renamed #0, #1, ..., names no input can spell, in
-        order of occurrence over the sorted members and the succedent; others pass through."""
-        engine, mapping, renamed = self.engine, {}, []
+        """seq with the witnesses this search made renamed #0, #1, ..., names no input can
+        spell, in order of occurrence over the sorted members and the succedent."""
+        engine, made, mapping, renamed = self.engine, self.made, {}, []
         for f in (*members, seq.succedent):
             noms = engine.get(f)
             if noms is None:
-                # the names of f's assertions, outermost first: its nominals and roles
+                # the witnesses f's assertions name, outermost first
                 noms = engine[f] = tuple(n for g in _walk(f, Formula) for n in g.fields
-                                         if isinstance(n, str) and _ENGINE_NOMINAL.match(n))
+                                         if n in made)
             for nom in noms:
                 if nom not in mapping:
                     mapping[nom] = f"#{len(mapping)}"

@@ -36,6 +36,8 @@ that starts no token is reported before any other error.  ``parse_sequent``
 is the one sequent parser, and every parse goes through one table from (rule,
 text) to what the rule parsed: only successful parses fill it, never the
 printer, and like the node table it is process-global and never shrinks.
+``names_of`` reads atoms, roles and nominals in one walk over ``_NAMES``, the table
+of the node fields that name them; ``nominals_of`` reads the formula nodes alone.
 ``substitute`` replaces atoms, roles and nominals at once; Hilbert schema
 instances and the instances of the axiom roots written once in
 ``hilbert.AXIOM_ROOTS`` use it.
@@ -51,7 +53,7 @@ __all__ = [
     "Concept", "ConceptF", "NominalAssertion", "RoleAssertion", "Formula",
     "Sequent", "Problem", "ParseError", "MAX_NESTING",
     "parse_concept", "parse_formula", "parse_sequent", "parse_problem",
-    "render", "outer_nominal", "atoms_of", "roles_of", "nominals_of",
+    "render", "outer_nominal", "names_of", "nominals_of",
     "substitute", "TOP", "BOT",
 ]
 
@@ -140,6 +142,12 @@ class NominalAssertion(Formula):
         return self
 
 
+# The node kinds that carry names: (field index, kind) per name, where kind
+# 0 is an atom, 1 a role and 2 a nominal.  Concepts hold no nominals.
+_NAMES = {Atom: ((0, 0),), Exists: ((0, 1),), Forall: ((0, 1),),
+          RoleAssertion: ((0, 2), (1, 1), (2, 2)), NominalAssertion: ((0, 2),)}
+
+
 class Sequent(NamedTuple):
     antecedent: frozenset[Formula]
     succedent: Formula
@@ -186,23 +194,17 @@ def _walk(obj, inner=(Concept, Formula)) -> Iterator[Union[Concept, Formula]]:
                 push(child)
 
 
-def atoms_of(obj) -> frozenset[str]:
-    return frozenset(c.name for c in _walk(obj) if isinstance(c, Atom))
-
-
-def roles_of(obj) -> frozenset[str]:
-    return frozenset(c.role for c in _walk(obj)
-                     if isinstance(c, (Exists, Forall, RoleAssertion)))
+def names_of(obj, inner=(Concept, Formula)) -> tuple[set, set, set]:
+    """The atoms, roles and nominals that obj names, in one walk into ``inner`` nodes."""
+    names: tuple[set, set, set] = (set(), set(), set())
+    for node in _walk(obj, inner):
+        for i, kind in _NAMES.get(type(node), ()):
+            names[kind].add(node.fields[i])
+    return names
 
 
 def nominals_of(obj) -> frozenset[str]:
-    noms: set[str] = set()
-    for f in _walk(obj, Formula):
-        if isinstance(f, NominalAssertion):
-            noms.add(f.nominal)
-        elif isinstance(f, RoleAssertion):
-            noms.update((f.subject, f.object))
-    return frozenset(noms)
+    return frozenset(names_of(obj, Formula)[2])
 
 
 def substitute(obj, names: Mapping[str, Union[Concept, str]]):

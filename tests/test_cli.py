@@ -110,16 +110,21 @@ def test_unproved_goal_removes_an_earlier_proof(tmp_path, capsys, golden_dir):
     assert invoke(capsys, "check", str(proof))[0] == 3
 
 
-def test_unproved_goal_removes_only_a_regular_file(tmp_path, capsys, golden_dir):
+@pytest.mark.parametrize("op,rc_none", [
+    (["prove", "lem.ialc", "--emit-proof"], 2),
+    (["countermodel", "axiom1.ialc", "--max-worlds", "2", "--emit-model"], 0),
+], ids=["prove", "countermodel"])
+def test_no_output_removes_only_a_regular_file(tmp_path, capsys, golden_dir, op, rc_none):
     # a device, a directory and a missing path stay as they are; a symlink to a
     # regular file loses the link and keeps its target
     target, link, folder = tmp_path / "target.prf", tmp_path / "link.prf", tmp_path / "dir"
     target.write_text("kept\n")
     link.symlink_to(target)
     folder.mkdir()
+    command, problem, *flags = op
     for path in (os.devnull, folder, tmp_path / "missing.prf", link):
-        rc, _, _ = invoke(capsys, "prove", str(golden_dir / "lem.ialc"), "--emit-proof", str(path))
-        assert rc == 2, path
+        rc, _, _ = invoke(capsys, command, str(golden_dir / problem), *flags, str(path))
+        assert rc == rc_none, path
     assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull) and folder.is_dir()
     assert not (tmp_path / "missing.prf").exists()
     assert not os.path.lexists(link) and target.read_text() == "kept\n"
@@ -226,6 +231,41 @@ def test_countermodel_none_found(capsys, tmp_path):
     prob.write_text("assume:\n  A\ngoal:\n  A\n")
     rc, out, _ = invoke(capsys, "countermodel", str(prob), "--max-worlds", "2")
     assert rc == 0 and out.startswith("no countermodel")
+
+
+def test_no_countermodel_removes_an_earlier_model(tmp_path, capsys, golden_dir):
+    model, axiom1 = tmp_path / "f.model", str(golden_dir / "axiom1.ialc")
+    rc, _, _ = invoke(capsys, "countermodel", str(golden_dir / "lem.ialc"), "--max-worlds", "2",
+                      "--emit-model", str(model))
+    assert rc == 1 and model.exists()
+    rc, out, _ = invoke(capsys, "countermodel", axiom1, "--max-worlds", "2",
+                        "--emit-model", str(model))
+    assert (rc, out) == (0, invoke(capsys, "countermodel", axiom1, "--max-worlds", "2")[1])
+    assert not model.exists()
+    assert invoke(capsys, "eval", "--model", str(model), "--sequent", "|- A")[0] == 3
+
+
+def test_a_model_that_cannot_be_written_removes_an_earlier_one(tmp_path, capsys, golden_dir,
+                                                              monkeypatch):
+    model, lem = tmp_path / "f.model", str(golden_dir / "lem.ialc")
+    assert invoke(capsys, "countermodel", lem, "--max-worlds", "2",
+                  "--emit-model", str(model))[0] == 1
+
+    def save_model(I, path):
+        raise OSError("disk full")
+    monkeypatch.setattr(cli, "save_model", save_model)
+    rc, _, err = invoke(capsys, "countermodel", lem, "--max-worlds", "2",
+                        "--emit-model", str(model))
+    assert (rc, err) == (3, "error: disk full\n")
+    assert not model.exists()
+
+
+def test_a_world_count_past_the_bound_is_an_input_error(capsys, golden_dir):
+    # six worlds would filter 2**36 relations for the preorder table: never reached
+    for argv in (["countermodel", str(golden_dir / "lem.ialc"), "--max-worlds", "6"],
+                 ["models", "--worlds", "6", "--count-only"]):
+        rc, out, err = invoke(capsys, *argv)
+        assert (rc, out, err) == (3, "", "error: max_worlds must be at most 5\n"), argv
 
 
 @pytest.mark.parametrize("name,enumerated,evaluated,frames", [

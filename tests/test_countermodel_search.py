@@ -33,7 +33,7 @@ from ialc.semantics import (
 from ialc.sequent import find_countermodel
 from ialc.syntax import (
     BOT, TOP, And, Atom, ConceptF, Exists, Forall, NominalAssertion, Not, Or,
-    RoleAssertion, Sequent, Subs, nominals_of, parse_problem, parse_sequent, render, roles_of,
+    RoleAssertion, Sequent, Subs, names_of, nominals_of, parse_problem, parse_sequent, render,
 )
 
 POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool" / "countermodel.json"
@@ -260,7 +260,7 @@ def test_random_countermodels_match_the_plain_loop(pulled):
     while len(drawn) < 600:
         s = _random_sequent(rng, [Atom("A"), TOP, BOT], ["x", "y"])
         sig = signature_for(s, 3)
-        if (roles_of(s) and nominals_of(s)
+        if (names_of(s)[1] and nominals_of(s)
                 and not sequent_valid(random_model(sig, rng.randrange(1 << 30)), s)):
             drawn.append((s, sig))
     worlds = []

@@ -16,7 +16,11 @@ from ialc.semantics import (
     _faults, _Goal, _values, model_from_dict, model_to_dict,
     validate_interpretation,
 )
-from ialc.syntax import atoms_of, nominals_of, parse_problem, parse_sequent, roles_of
+from ialc import syntax
+from ialc.syntax import (
+    Atom, Exists, Forall, Formula, NominalAssertion, RoleAssertion, names_of, nominals_of,
+    parse_problem, parse_sequent,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -221,19 +225,17 @@ def test_enumerations_share_atom_dicts_but_not_kernels():
     assert all(I._atoms is J._atoms and I._k is not J._k for I, J in zip(first, second))
 
 
-def test_kernels_on_the_same_worlds_share_one_index():
+def test_a_kernel_reads_a_world_position_from_its_worlds():
     sig = Signature(("A",), ("R",), ("x",), 3)
     kernels = {}
     for I in enumerate_models(sig):
         kernels.setdefault(len(I.worlds), {})[id(I._k)] = I._k
     for n, ks in kernels.items():
-        first, *rest = ks.values()
-        assert rest and all(k.index is first.index for k in rest)
-        assert first.index == {w: i for i, w in enumerate(range(n))}
-        assert [first.pos(w) for w in range(n)] == list(range(n))
-        for foreign in (n, -1, "0", [0]):
-            with pytest.raises(ValueError, match="not in the domain"):
-                first.pos(foreign)
+        for k in ks.values():
+            assert [k.pos(w) for w in range(n)] == list(range(n))
+            for foreign in (n, -1, "0", [0]):
+                with pytest.raises(ValueError, match="not in the domain"):
+                    k.pos(foreign)
 
 
 def test_a_kept_model_is_unchanged_by_a_later_enumeration():
@@ -260,8 +262,12 @@ def test_three_world_enumeration_samples_validate():
 def test_signature_rejects_bad_inputs():
     with pytest.raises(ValueError):
         Signature(atoms=("A", "A"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_worlds must be at least 1"):
         Signature(max_worlds=0)
+    # the preorder table of six worlds would filter 2**36 relations
+    with pytest.raises(ValueError, match="max_worlds must be at most 5"):
+        Signature(max_worlds=6)
+    assert Signature(max_worlds=5).max_worlds == 5
 
 
 def test_signature_for_collects_symbols():
@@ -269,6 +275,29 @@ def test_signature_for_collects_symbols():
     sig = signature_for(s, 3)
     assert sig == Signature(atoms=("A", "B", "C"), roles=("R", "S"),
                             nominals=("x", "y"), max_worlds=3)
+
+
+# The three collectors before names_of, kept verbatim as the reference.
+_walk = syntax._walk
+
+
+def ref_atoms_of(obj) -> frozenset[str]:
+    return frozenset(c.name for c in _walk(obj) if isinstance(c, Atom))
+
+
+def ref_roles_of(obj) -> frozenset[str]:
+    return frozenset(c.role for c in _walk(obj)
+                     if isinstance(c, (Exists, Forall, RoleAssertion)))
+
+
+def ref_nominals_of(obj) -> frozenset[str]:
+    noms: set[str] = set()
+    for f in _walk(obj, Formula):
+        if isinstance(f, NominalAssertion):
+            noms.add(f.nominal)
+        elif isinstance(f, RoleAssertion):
+            noms.update((f.subject, f.object))
+    return frozenset(noms)
 
 
 def test_signature_for_reads_what_the_three_collectors_read():
@@ -279,8 +308,11 @@ def test_signature_for_reads_what_the_three_collectors_read():
     for text in texts:
         s = parse_problem(text).sequent()
         assert signature_for(s, 3) == Signature(
-            tuple(sorted(atoms_of(s))), tuple(sorted(roles_of(s))),
-            tuple(sorted(nominals_of(s))), 3), text
+            tuple(sorted(ref_atoms_of(s))), tuple(sorted(ref_roles_of(s))),
+            tuple(sorted(ref_nominals_of(s))), 3), text
+        for obj in (s, *s.antecedent, s.succedent):
+            assert names_of(obj) == (ref_atoms_of(obj), ref_roles_of(obj), ref_nominals_of(obj))
+            assert nominals_of(obj) == ref_nominals_of(obj), text
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ from ialc.hilbert import AXIOM_ROOTS
 from ialc.modelgen import Signature, enumerate_models, signature_for
 from ialc.semantics import sequent_valid
 from ialc.sequent import (
-    ProofTree, RuleParams, check_proof, find_countermodel, prove, tree_to_dict,
+    ProofTree, RuleParams, _Search, check_proof, find_countermodel, prove, tree_to_dict,
 )
 from ialc.syntax import (
-    Bot, ConceptF, Exists, Forall, NominalAssertion, RoleAssertion, Sequent,
-    nominals_of, parse_problem, parse_sequent, render,
+    Atom, Bot, ConceptF, Exists, Forall, NominalAssertion, RoleAssertion, Sequent,
+    _text, nominals_of, parse_problem, parse_sequent, render,
 )
 from corpus import random_concept, schema_instance_corpus
 from ref_sequent import (
@@ -143,6 +143,19 @@ def test_canonical_names_avoid_user_names(nom):
              f"-> all R.(A -> some R.A & (A & bot)))")
     result = prove(goal)
     assert result.proved and result.visited == 21
+
+
+def test_only_the_searchs_own_witnesses_are_renamed():
+    # goal nominals spelt like witnesses stay in the key; the witness made
+    # next skips them and is renamed
+    root = S("_n0 : some R.A |- _n1 : some R.A")
+    search = _Search(root, 10)
+    assert search.normalize(root, sorted(root.antecedent, key=_text)) == root
+    witness = search.fresh_nominal()
+    assert witness == "_n2"
+    seq = root.with_extra(NominalAssertion(witness, ConceptF(Atom("A"))))
+    assert search.normalize(seq, sorted(seq.antecedent, key=_text)) == root.with_extra(
+        NominalAssertion("#0", ConceptF(Atom("A"))))
 
 
 # ---------------------------------------------------------------------------

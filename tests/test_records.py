@@ -115,12 +115,14 @@ def test_equal_fields_compare_equal_across_record_classes():
 
 
 def test_signature_validates_every_construction():
-    for bad in ({"max_worlds": 0}, {"atoms": ("A", "A")}, {"roles": ("R", "R")},
-                {"nominals": ("x", "x")}):
+    for bad in ({"max_worlds": 0}, {"max_worlds": 6}, {"atoms": ("A", "A")},
+                {"roles": ("R", "R")}, {"nominals": ("x", "x")}):
         with pytest.raises(ValueError):
             Signature(**bad)
     with pytest.raises(ValueError, match="max_worlds must be at least 1"):
         Signature()._replace(max_worlds=0)
+    with pytest.raises(ValueError, match="max_worlds must be at most 5"):
+        Signature()._replace(max_worlds=6)
     with pytest.raises(ValueError, match="duplicate atom names"):
         Signature(("A", "A"))
 

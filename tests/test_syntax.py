@@ -20,7 +20,7 @@ from ialc.syntax import (
     And, Atom, BOT, Bot, Concept, ConceptF, Exists, Forall, Formula, NominalAssertion, Not, Or,
     MAX_NESTING, ParseError, RoleAssertion, Sequent, Subs, TOP, Top, outer_nominal,
     parse_concept, parse_formula, parse_problem, parse_sequent, render,
-    atoms_of, nominals_of, roles_of, substitute,
+    names_of, nominals_of, substitute,
 )
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -102,9 +102,11 @@ def test_assertion_body_cannot_be_role_assertion():
 
 def test_symbol_collectors():
     s = parse_sequent("x : some R.(A & B) ; S(y,z) |- all R.C")
-    assert atoms_of(s) == {"A", "B", "C"}
-    assert roles_of(s) == {"R", "S"}
+    assert names_of(s) == ({"A", "B", "C"}, {"R", "S"}, {"x", "y", "z"})
     assert nominals_of(s) == {"x", "y", "z"}
+    # a walk of formula nodes alone, as nominals_of takes, reads no concept
+    assert names_of(s.succedent, Formula) == (set(), set(), set())
+    assert names_of(parse_concept("some R.A")) == ({"A"}, {"R"}, set())
 
 
 def _walk_reference(obj, inner=(Concept, Formula)):
@@ -143,7 +145,7 @@ def test_a_tree_deeper_than_the_recursion_limit_walks():
     s = Sequent.make([NominalAssertion("x", ConceptF(chain)), RoleAssertion("x", "S", "y")],
                      ConceptF(chain))
     assert sum(1 for _ in syntax._walk(s)) == 2 * depth + 8
-    assert atoms_of(s) == {"B"} and roles_of(s) == {"R", "S"} and nominals_of(s) == {"x", "y"}
+    assert names_of(s) == ({"B"}, {"R", "S"}, {"x", "y"}) and nominals_of(s) == {"x", "y"}
     assert signature_for(s, 2) == Signature(("B",), ("R", "S"), ("x", "y"), 2)
 
 
