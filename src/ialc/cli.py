@@ -7,6 +7,7 @@ counterexample found, 2 unknown (no proof within the budgets), 3 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -103,9 +104,21 @@ def _load_problem(path: str):
         return parse_problem(fh.read())
 
 
-def _cmd_prove(args) -> int:
-    goal, written = _load_problem(args.problem).sequent(), False
+@contextlib.contextmanager
+def _emitting(path: Optional[str], save):
+    """``emit(x)`` saves x at path; if nothing is saved (no result, or the save
+    fails), a regular file at path is removed, so no earlier output stays there."""
+    saved = []
     try:
+        yield lambda x: saved.append(save(x, path))
+    finally:
+        if path and not saved and os.path.isfile(path):
+            os.remove(path)
+
+
+def _cmd_prove(args) -> int:
+    goal = _load_problem(args.problem).sequent()
+    with _emitting(args.emit_proof, save_proof) as emit:
         stats = {} if args.stats else None
         start = time.perf_counter()
         result = prove(goal, max_depth=args.depth, max_visited=args.visited, stats=stats)
@@ -121,13 +134,9 @@ def _cmd_prove(args) -> int:
             return EXIT_UNKNOWN
         print(f"proved (visited {result.visited}): {render(goal)}")
         if args.emit_proof:
-            save_proof(result.tree, args.emit_proof)
-            written = True
+            emit(result.tree)
             print(f"proof written to {args.emit_proof}")
         return EXIT_OK
-    finally:    # no proof found or written: no earlier one stays at a regular file F
-        if args.emit_proof and not written and os.path.isfile(args.emit_proof):
-            os.remove(args.emit_proof)
 
 
 def _cmd_check(args) -> int:
@@ -143,8 +152,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
-    goal, written = _load_problem(args.problem).sequent(), False
-    try:
+    goal = _load_problem(args.problem).sequent()
+    with _emitting(args.emit_model, save_model) as emit:
         sig = signature_for(goal, args.max_worlds)
         stats = {} if args.stats else None
         start = time.perf_counter()
@@ -157,15 +166,11 @@ def _cmd_countermodel(args) -> int:
             return EXIT_OK
         print(f"countermodel with {len(model.worlds)} worlds: {render(goal)}")
         if args.emit_model:
-            save_model(model, args.emit_model)
-            written = True
+            emit(model)
             print(f"model written to {args.emit_model}")
         else:
             print(_json(model_to_dict(model)))
         return EXIT_REFUTED
-    finally:    # no model found or written: no earlier one stays at a regular file F
-        if args.emit_model and not written and os.path.isfile(args.emit_model):
-            os.remove(args.emit_model)
 
 
 def _cmd_eval(args) -> int:

@@ -10,23 +10,24 @@ both paths emit models that pass validation.
 ``candidate`` keeps the frames that can hold the first model on which
 a sequent fails: first among their copies under a renaming of worlds,
 and generated.  ``_lanes`` lays the models of a frame out as lanes, in
-stream order, so the countermodel search evaluates a kept frame once.
+stream order, so the countermodel search evaluates a kept frame once;
+without roles a preorder's one frame is judged there, once per process.
 
 A relation on n worlds is a bitmask over its n*n pairs, row by row, so
 the mask splits directly into the bit rows of the semantics kernel, one
 per frame.  Preorders and up-closed sets are filtered by the fault
 generator that validation uses.  Frame-compatible relations are built
 class by class from F1 and F2, the rows of a class found once per choice
-of the rows above it.  All, atom dicts and lanes included, are cached
-per preorder; ``count_models`` counts the stream from their sizes, and
-neither builds a role table for a signature without roles.
+of the rows above it.  All, atom dicts, role-free kernels and lanes
+included, are cached per preorder; ``count_models`` and ``_lanes`` take
+sizes from them, and neither builds a role table without roles.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache, reduce
-from itertools import permutations, product
+from functools import lru_cache, partial, reduce
+from itertools import permutations, product, starmap
 from operator import and_, or_
 from typing import Iterator, NamedTuple, Optional
 
@@ -131,20 +132,30 @@ def _atom_dicts(n: int, up: tuple, names: tuple) -> tuple[dict, ...]:
     return tuple(dict(zip(names, v)) for v in product(_upclosed_sets(n, up), repeat=len(names)))
 
 
+@lru_cache(maxsize=None)
+def _kernels(n: int) -> dict:
+    """The kernel of each preorder's one frame without roles, by its rows."""
+    return {up.rows: _Kernel(tuple(range(n)), up, {}) for up in _preorders(n)}
+
+
+def _sizes(n: int, up: tuple, atoms: int, roles: int, nominals: int) -> tuple[int, int]:
+    """(models, frames) of the preorder up, from the tables' sizes: no model is built."""
+    frames = len(_frame_relations(n, up)) ** roles if roles else 1
+    return frames * len(_upclosed_sets(n, up)) ** atoms * n ** nominals, frames
+
+
 def count_models(sig: Signature) -> int:
-    """The length of ``enumerate_models(sig)``, from the tables' sizes: no
-    model is built, and no role table for a signature without roles."""
-    return sum((len(_frame_relations(n, up.rows)) ** len(sig.roles) if sig.roles else 1)
-               * len(_upclosed_sets(n, up.rows)) ** len(sig.atoms) * n ** len(sig.nominals)
+    """The length of ``enumerate_models(sig)``, from the tables' sizes."""
+    return sum(_sizes(n, up.rows, len(sig.atoms), len(sig.roles), len(sig.nominals))[0]
                for n in range(1, sig.max_worlds + 1) for up in _preorders(n))
 
 
 def enumerate_models(sig: Signature) -> Iterator[Interpretation]:
     """Every interpretation over 1..max_worlds entities, in a fixed order.
 
-    The models of one frame (preorder and role vector) share one bit-row
-    kernel, built per call, and those of one preorder and atom vector one
-    atom dict, kept for the process, from the per-preorder tables.
+    A model's fields are read-only: it shares its frame's bit-row kernel (built
+    per call, or kept for the process without roles), its atom dict (kept for the
+    process) and, with the call's other models, its assignment dict.
     """
     for n in range(1, sig.max_worlds + 1):
         worlds = tuple(range(n))
@@ -152,12 +163,15 @@ def enumerate_models(sig: Signature) -> Iterator[Interpretation]:
                        for v in product(worlds, repeat=len(sig.nominals))]
         for up in _preorders(n):
             atom_dicts = _atom_dicts(n, up.rows, sig.atoms)
-            tables = _frame_relations(n, up.rows) if sig.roles else ()
-            for role_vec in product(tables, repeat=len(sig.roles)):
+            if not sig.roles:   # one frame: its block is expanded in C
+                yield from starmap(partial(Interpretation, _kernels(n)[up.rows]),
+                                   product(atom_dicts, assignments))
+                continue
+            for role_vec in product(_frame_relations(n, up.rows), repeat=len(sig.roles)):
                 kernel = _Kernel(worlds, up, dict(zip(sig.roles, role_vec)))
                 for atoms in atom_dicts:
                     for nominals in assignments:
-                        yield Interpretation(kernel, atoms, nominals.copy())
+                        yield Interpretation(kernel, atoms, nominals)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +230,15 @@ def _lanes(up: tuple, atoms: tuple, nominals: tuple,
            roles: int) -> tuple[int, int, Optional[_Lanes]]:
     """The block a countermodel search takes at once on the preorder up, for these
     atoms, nominals and role count: (models, frames, lanes); one frame's, or all of
-    up's and None if no frame of up can be a candidate."""
+    up's and None if no frame of up can be a candidate.  Without roles, up's one
+    frame is judged here, and its lanes view the frame's kernel."""
     n = len(up)
+    kernel = None if roles else _kernels(n)[up]
+    if not (_fixers(up) if roles else candidate(kernel, Signature(nominals=nominals))):
+        return (*_sizes(n, up, len(atoms), roles, len(nominals)), None)
     models = [(t, dict(zip(nominals, v))) for t in _atom_dicts(n, up, atoms)
               for v in product(range(n), repeat=len(nominals))]
-    if not _fixers(up):
-        frames = len(_frame_relations(n, up)) ** roles if roles else 1
-        return len(models) * frames, frames, None
-    return len(models), 1, _Lanes.of(up, models)
+    return len(models), 1, _Lanes.of(up, models)._replace(k=kernel)
 
 
 def random_model(sig: Signature, seed: int) -> Interpretation:

@@ -414,7 +414,8 @@ class _Lanes(NamedTuple):
 
     def first(self, goal: _Goal, k: _Kernel) -> Optional[int]:
         """The first lane of the frame k on which goal fails, None if it holds on all."""
-        failing = goal.failing(self._replace(k=k), self.atoms, self.anchors.__getitem__)
+        view = self if k is self.k else self._replace(k=k)
+        failing = goal.failing(view, self.atoms, self.anchors.__getitem__)
         return (failing & -failing).bit_length() - 1 >> 3 if failing else None
 
 

@@ -619,11 +619,12 @@ def find_countermodel(s: Sequent, sig: Signature, tbox_global: bool = True,
                       stats: Optional[dict] = None) -> Optional[Interpretation]:
     """First enumerated model on which s fails, None if all satisfy it (the
     one first-failing-model loop); sig must assign every nominal of s.  It
-    takes the stream a block at a time (``modelgen._lanes``), evaluating a
-    frame that ``modelgen.candidate`` keeps once from ``semantics._compiled``,
-    a lane per model, and adds each block's sizes per world count, in stats or
-    a throwaway dict, to the models ``enumerated`` and ``evaluated`` (lanes up to the
-    countermodel) and the ``frames`` (kernels): defaultdicts, cheaper to make than Counters."""
+    takes the stream a block at a time (``modelgen._lanes``, which judges a frame
+    without roles once per process), evaluating a frame that ``modelgen.candidate``
+    keeps once from ``semantics._compiled``, a lane per model, and adds each block's
+    sizes per world count, in stats or a throwaway dict, to the models ``enumerated``
+    and ``evaluated`` (lanes up to the countermodel) and the ``frames`` (kernels):
+    defaultdicts, cheaper to make than Counters."""
     if missing := nominals_of(s) - set(sig.nominals):
         raise UnassignedNominalError(min(missing))
     stats = {} if stats is None else stats
@@ -637,7 +638,8 @@ def find_countermodel(s: Sequent, sig: Signature, tbox_global: bool = True,
             up, n = k.up, len(k.worlds)
             size, kernels, layout = _lanes(up.rows, sig.atoms, sig.nominals, len(sig.roles))
         frames[n] += kernels
-        if candidate(k, sig):
+        # lanes that view k: a frame without roles, judged in _lanes
+        if layout is not None and (layout.k is k or candidate(k, sig)):
             lane = layout.first(goal, k)
             evaluated[n] += size if lane is None else lane + 1
             if lane is not None:

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ialc.modelgen import (
-    Signature, _frame_relations, _preorders, _split, _upclosed_sets,
-    count_models, enumerate_models, random_model, signature_for,
+    Signature, _atom_dicts, _fixers, _frame_relations, _lanes, _preorders, _split,
+    _upclosed_sets, candidate, count_models, enumerate_models, random_model, signature_for,
 )
 from ialc.semantics import (
-    _faults, _Goal, _values, model_from_dict, model_to_dict,
+    Interpretation, _faults, _Goal, _Kernel, _values, model_from_dict, model_to_dict,
     validate_interpretation,
 )
 from ialc import syntax
@@ -223,6 +223,64 @@ def test_enumerations_share_atom_dicts_but_not_kernels():
     first, second = list(enumerate_models(sig)), list(enumerate_models(sig))
     assert first == second
     assert all(I._atoms is J._atoms and I._k is not J._k for I, J in zip(first, second))
+
+
+def ref_enumerate_models(sig: Signature):
+    """The enumeration as nested loops, a kernel per frame and an assignment
+    dict per model: the reference for the order of the stream's models."""
+    for n in range(1, sig.max_worlds + 1):
+        worlds = tuple(range(n))
+        assignments = [dict(zip(sig.nominals, v))
+                       for v in product(worlds, repeat=len(sig.nominals))]
+        for up in _preorders(n):
+            atom_dicts = _atom_dicts(n, up.rows, sig.atoms)
+            tables = _frame_relations(n, up.rows) if sig.roles else ()
+            for role_vec in product(tables, repeat=len(sig.roles)):
+                kernel = _Kernel(worlds, up, dict(zip(sig.roles, role_vec)))
+                for atoms in atom_dicts:
+                    for nominals in assignments:
+                        yield Interpretation(kernel, atoms, nominals.copy())
+
+
+@pytest.mark.parametrize("sig", [Signature(("A", "B")[:a], (), ("x", "y")[:x], 3)
+                                 for a in range(3) for x in range(3)]
+                         + [Signature(("A",), ("R",), ("x",), 2)], ids=sig_id)
+def test_enumeration_is_the_nested_loops(sig):
+    models, ref = list(enumerate_models(sig)), list(ref_enumerate_models(sig))
+    assert len(models) == len(ref) == count_models(sig)
+    assert models == ref
+
+
+def test_role_free_enumerations_and_lanes_share_one_kernel_per_preorder():
+    sigs = [Signature(("A",), (), (), 3), Signature(("A", "B"), (), ("x",), 3)]
+    calls = [{} for _ in sigs]
+    for kernels, sig in zip(calls, sigs):
+        for I in enumerate_models(sig):
+            kernels.setdefault(I._k.up.rows, set()).add(I._k)
+    assert calls[0] == calls[1]
+    assert len(calls[0]) == sum(len(_preorders(n)) for n in range(1, 4))
+    for sig in sigs:
+        for up, (k,) in calls[0].items():
+            layout = _lanes(up, sig.atoms, sig.nominals, 0)[2]
+            assert layout is None or layout.k is k
+
+
+@pytest.mark.parametrize("sig", SMALL_SIGNATURES, ids=sig_id)
+def test_lanes_take_their_sizes_from_the_tables(sig):
+    for n in range(1, 4):
+        for up in _preorders(n):
+            size, frames, layout = _lanes(up.rows, sig.atoms, sig.nominals, len(sig.roles))
+            per_frame = len(_upclosed_sets(n, up.rows)) ** len(sig.atoms) * n ** len(sig.nominals)
+            everything = len(_frame_relations(n, up.rows)) ** len(sig.roles)
+            if layout is None:
+                assert (size, frames) == (per_frame * everything, everything)
+            else:
+                assert (size, frames, layout.size) == (per_frame, 1, per_frame)
+            # lanes for a preorder some frame of which is a candidate; without
+            # roles its one frame is that candidate
+            kept = (bool(_fixers(up.rows)) if sig.roles
+                    else candidate(_Kernel(tuple(range(n)), up, {}), sig))
+            assert (layout is not None) == kept
 
 
 def test_a_kernel_reads_a_world_position_from_its_worlds():
