@@ -26,8 +26,8 @@ sizes from them, and neither builds a role table without roles.
 from __future__ import annotations
 
 import random
-from functools import lru_cache, partial, reduce
-from itertools import permutations, product, starmap
+from functools import lru_cache, reduce
+from itertools import chain, permutations, product
 from operator import and_, or_
 from typing import Iterator, NamedTuple, Optional
 
@@ -151,27 +151,29 @@ def count_models(sig: Signature) -> int:
 
 
 def enumerate_models(sig: Signature) -> Iterator[Interpretation]:
-    """Every interpretation over 1..max_worlds entities, in a fixed order.
+    """Every interpretation over 1..max_worlds entities, in a fixed order:
+    the stream of frames, each expanded in C into its models.
 
     A model's fields are read-only: it shares its frame's bit-row kernel (built
     per call, or kept for the process without roles), its atom dict (kept for the
     process) and, with the call's other models, its assignment dict.
     """
+    return chain.from_iterable(_frames(sig))
+
+
+def _frames(sig: Signature) -> Iterator[Iterator[Interpretation]]:
+    """Each frame's models, in stream order: the preorder's one kernel, or one per role vector."""
     for n in range(1, sig.max_worlds + 1):
         worlds = tuple(range(n))
         assignments = [dict(zip(sig.nominals, v))
                        for v in product(worlds, repeat=len(sig.nominals))]
         for up in _preorders(n):
             atom_dicts = _atom_dicts(n, up.rows, sig.atoms)
-            if not sig.roles:   # one frame: its block is expanded in C
-                yield from starmap(partial(Interpretation, _kernels(n)[up.rows]),
-                                   product(atom_dicts, assignments))
-                continue
-            for role_vec in product(_frame_relations(n, up.rows), repeat=len(sig.roles)):
-                kernel = _Kernel(worlds, up, dict(zip(sig.roles, role_vec)))
-                for atoms in atom_dicts:
-                    for nominals in assignments:
-                        yield Interpretation(kernel, atoms, nominals)
+            kernels = ((_Kernel(worlds, up, dict(zip(sig.roles, v)))
+                        for v in product(_frame_relations(n, up.rows), repeat=len(sig.roles)))
+                       if sig.roles else (_kernels(n)[up.rows],))
+            for kernel in kernels:
+                yield map(Interpretation, product((kernel,), atom_dicts, assignments))
 
 
 # ---------------------------------------------------------------------------
@@ -253,4 +255,4 @@ def random_model(sig: Signature, seed: int) -> Interpretation:
     roles = {r: rng.choice(_frame_relations(n, up.rows)) for r in sig.roles}
     atoms = {a: rng.choice(_upclosed_sets(n, up.rows)) for a in sig.atoms}
     nominals = {x: rng.randrange(n) for x in sig.nominals}
-    return Interpretation(_Kernel(tuple(range(n)), up, roles), atoms, nominals)
+    return Interpretation((_Kernel(tuple(range(n)), up, roles), atoms, nominals))

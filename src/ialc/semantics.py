@@ -23,8 +23,8 @@ Bit rows are the only stored form of an interpretation: world i of
 extensions are ints; the pair and set fields are views computed from
 them.  A relation is its bit rows plus its ``none`` table, filled on
 first lookup: the worlds none of whose successors meet a mask.  A model
-is the kernel of its frame (worlds, preorder and role rows), shared by
-every model on the frame, plus atom masks and nominals.
+is a tuple: the kernel of its frame (worlds, preorder and role rows),
+shared by every model on the frame, its atom masks and its nominals.
 One fault generator holds the frame laws for validation, model loading and
 model generation's preorder and up-set tables (a failing model's report lists
 its faults in ``validate_interpretation``'s order), beside one Warshall closure;
@@ -42,6 +42,7 @@ import os
 import stat
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .syntax import (
@@ -193,13 +194,13 @@ class _Kernel:
         return frozenset((w, v) for w, row in zip(self.worlds, rows) for v in self.members(row))
 
 
-class Interpretation:
-    """A finite interpretation: its frame's kernel, atom masks and nominals'
-    entities.  The pair and set fields are views of the rows and masks."""
-    __slots__ = ("_k", "_atoms", "nominals")
-
-    def __init__(self, kernel: _Kernel, atoms: Mapping[str, int], nominals: Mapping[str, World]):
-        self._k, self._atoms, self.nominals = kernel, atoms, nominals
+class Interpretation(tuple):
+    """A finite interpretation: the tuple (kernel, atom masks, nominals' entities),
+    made in C by ``Interpretation((kernel, atoms, nominals))``.  The pair and set
+    fields are views of the rows and masks.  It compares by worlds, rows, atom
+    masks and nominals, not by kernel object, and is unhashable."""
+    __slots__ = ()
+    _k, _atoms, nominals = (property(itemgetter(i)) for i in range(3))
 
     @staticmethod
     def make(worlds: Iterable[World],
@@ -210,7 +211,7 @@ class Interpretation:
         """Normalize and sanity-check field shapes (not the frame laws),
         and build the bit rows."""
         ws, up, role_rows, masks = _shapes(worlds, leq, roles or {}, atoms or {})
-        return Interpretation(_Kernel(ws, _Rows(up), role_rows), masks, dict(nominals or {}))
+        return Interpretation((_Kernel(ws, _Rows(up), role_rows), masks, dict(nominals or {})))
 
     @property
     def worlds(self) -> tuple[World, ...]:
@@ -235,6 +236,10 @@ class Interpretation:
         k, o = self._k, other._k
         return ((k.worlds, k.up, k.roles, self._atoms, self.nominals)
                 == (o.worlds, o.up, o.roles, other._atoms, other.nominals))
+
+    def __ne__(self, other) -> bool:     # not tuple's, which compares kernels by identity
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def entity_of(self, nominal: str) -> World:
         try:
@@ -578,7 +583,7 @@ def model_from_dict(doc: dict, raw: bool = False) -> tuple[Interpretation, list[
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
         raise ModelFileError(f"malformed model document: {e}") from None
     k = _Kernel(ws, _Rows(_closed_rows(up)), role_rows)
-    I = Interpretation(k, {a: _image(k.up.rows, m) for a, m in masks.items()}, nominals)
+    I = Interpretation((k, {a: _image(k.up.rows, m) for a, m in masks.items()}, nominals))
     for a, m in masks.items():
         if I._atoms[a] != m:
             warnings.append(f"atom {a}: extension closed under refinement "

@@ -239,16 +239,24 @@ def ref_enumerate_models(sig: Signature):
                 kernel = _Kernel(worlds, up, dict(zip(sig.roles, role_vec)))
                 for atoms in atom_dicts:
                     for nominals in assignments:
-                        yield Interpretation(kernel, atoms, nominals.copy())
+                        yield Interpretation((kernel, atoms, nominals.copy()))
 
 
 @pytest.mark.parametrize("sig", [Signature(("A", "B")[:a], (), ("x", "y")[:x], 3)
                                  for a in range(3) for x in range(3)]
-                         + [Signature(("A",), ("R",), ("x",), 2)], ids=sig_id)
+                         + [Signature(("A",), ("R",), ("x",), 2), Signature((), ("R",), ("x",), 3),
+                            Signature(("A",), ("R", "S"), ("x",), 2)], ids=sig_id)
 def test_enumeration_is_the_nested_loops(sig):
     models, ref = list(enumerate_models(sig)), list(ref_enumerate_models(sig))
     assert len(models) == len(ref) == count_models(sig)
     assert models == ref
+    assert all(type(I) is Interpretation for I in models)
+    # the models of one frame share one kernel object, and no two frames share one
+    kernels = {}
+    for I, J in zip(models, ref):
+        kernels.setdefault(id(J._k), set()).add(id(I._k))
+    assert all(len(ks) == 1 for ks in kernels.values())
+    assert len(set().union(*kernels.values())) == len(kernels)
 
 
 def test_role_free_enumerations_and_lanes_share_one_kernel_per_preorder():

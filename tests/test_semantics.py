@@ -1,6 +1,8 @@
+import copy
 import gc
 import hashlib
 import json
+import pickle
 import random
 from itertools import product
 
@@ -370,6 +372,23 @@ def test_model_file_roundtrip(tmp_path, chain):
     loaded, warnings = load_model(str(path))
     assert warnings == []
     assert loaded == chain
+
+
+def test_a_model_is_a_value_of_its_fields():
+    # an enumerated model shares its frame's kernel; one made from its fields has its own
+    *_, J, I = enumerate_models(Signature(("A",), ("R",), ("x",), 2))
+    made = Interpretation.make(I.worlds, I.leq, I.roles, I.atoms, I.nominals)
+    assert made == I and made._k is not I._k and J._k is I._k
+    for a, b in ((I, made), (made, I), (I, I), (I, J), (made, J), (I, None)):
+        assert (a != b) is (not a == b)
+    with pytest.raises(TypeError):
+        hash(I)
+    for field in ("_k", "nominals"):
+        with pytest.raises(AttributeError):
+            setattr(I, field, getattr(J, field))
+    for model in (I, made):
+        for twin in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
+            assert type(twin) is Interpretation and twin == model and not twin != model
 
 
 def test_model_load_applies_closures():
