@@ -11,6 +11,7 @@ import contextlib
 import functools
 import json
 import os
+import signal
 import sys
 import time
 from typing import Optional
@@ -119,11 +120,10 @@ def _emitting(path: Optional[str], save):
 def _cmd_prove(args) -> int:
     goal = _load_problem(args.problem).sequent()
     with _emitting(args.emit_proof, save_proof) as emit:
-        stats = {} if args.stats else None
         start = time.perf_counter()
-        result = prove(goal, max_depth=args.depth, max_visited=args.visited, stats=stats)
-        if stats is not None:
-            stats.update(result._asdict(), elapsed_s=round(time.perf_counter() - start, 6))
+        result = prove(goal, max_depth=args.depth, max_visited=args.visited)
+        if args.stats:
+            stats = dict(result._asdict(), elapsed_s=round(time.perf_counter() - start, 6))
             del stats["tree"]
             print(json.dumps(stats, sort_keys=True), file=sys.stderr)
         if not result.proved:
@@ -256,6 +256,8 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):     # a reader that stops early ends ialc as any filter
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -375,16 +375,13 @@ def _values(k, t: Mapping, ops: tuple) -> list[int]:
 
 
 class _Bytewise:
-    """``t[m]``: the ``none`` table of rows on at most 8 worlds applied to each
-    of the size bytes of m (none of m is none of its lowest bit and the rest)."""
+    """``t[m]``: the ``none`` table of a relation on at most 8 worlds, read from
+    the relation's own entries, applied to each of the size bytes of m."""
     __slots__ = ("table", "size")
 
-    def __init__(self, rows: tuple, size: int):
-        t = bytearray(256)
-        for m in range(1 << len(rows)):
-            low = m & -m
-            t[m] = _none(rows, m) if m == low else t[low] & t[m ^ low]
-        self.table, self.size = bytes(t), size
+    def __init__(self, rel: _Rows, size: int):
+        self.table = bytes(map(rel.__getitem__, range(1 << len(rel.rows)))).ljust(256, b"\0")
+        self.size = size
 
     def __getitem__(self, m: int) -> int:
         return int.from_bytes(m.to_bytes(self.size, "little").translate(self.table), "little")
@@ -407,15 +404,16 @@ class _Lanes(NamedTuple):
         """Lane i the i-th of models, (atom masks, nominal -> world) pairs on up (<= 8 worlds)."""
         full, size, n = (1 << len(up)) - 1, len(models), len(up)
         pack = lambda lanes: int.from_bytes(bytes(lanes), "little")
-        return cls(size, pack([full] * size), _Bytewise(up, size), _Bytewise((full,) * n, size),
+        return cls(size, pack([full] * size), _Bytewise(_Rows(up), size),
+                   _Bytewise(_total(n), size),
                    {a: pack(t[a] for t, _ in models) for a in models[0][0]},
                    {x: pack(up[w[x]] for _, w in models) for x in models[0][1]})
 
     def rel(self, role: str) -> _Bytewise:
-        return _Bytewise(self.k.rel(role).rows, self.size)
+        return _Bytewise(self.k.rel(role), self.size)
 
     def cover(self, role: str) -> _Bytewise:
-        return _Bytewise(self.k.cover(role).rows, self.size)
+        return _Bytewise(self.k.cover(role), self.size)
 
     def first(self, goal: _Goal, k: _Kernel) -> Optional[int]:
         """The first lane of the frame k on which goal fails, None if it holds on all."""

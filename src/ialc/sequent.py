@@ -448,6 +448,7 @@ class ProveResult(NamedTuple):
     cache_hits: int = 0
     loop_prunes: int = 0
     budget: Optional[str] = None   # what stopped an unknown search: "visited", "depth" or None
+    committed: int = 0             # the conclusions that a failed invertible step failed
 
     @property
     def proved(self) -> bool:
@@ -596,23 +597,20 @@ class _Search:
 DEFAULT_DEPTH, DEFAULT_VISITED = 24, 100_000
 
 
-def prove(s: Sequent, max_depth: int = DEFAULT_DEPTH, max_visited: int = DEFAULT_VISITED,
-          stats: Optional[dict] = None) -> ProveResult:
+def prove(s: Sequent, max_depth: int = DEFAULT_DEPTH,
+          max_visited: int = DEFAULT_VISITED) -> ProveResult:
     """Bounded, deterministic, cut-free backward search.
 
-    Returns a tree whose root is s and which check_proof accepts, or no
-    tree at all; exhausting either budget is an honest unknown, never a
-    refutation.  A stats dict gets ``committed``: the conclusions that a
-    failed invertible step failed.
+    Returns a tree whose root is s and which check_proof accepts, or no tree
+    at all; exhausting either budget is an honest unknown, never a refutation.
     """
     if max_depth < 0 or max_visited < 0:
         raise ValueError(f"budgets must be nonnegative: depth {max_depth}, visited {max_visited}")
     search = _Search(s, max_visited)
     tree, culprits = search.prove(s, max_depth, _ON_DEPTH)
     budget = "visited" if search.exhausted else "depth" if culprits and _DEPTH in culprits else None
-    if stats is not None:
-        stats["committed"] = search.committed
-    return ProveResult(tree, search.visited, search.cache_hits, search.loop_prunes, budget)
+    return ProveResult(tree, search.visited, search.cache_hits, search.loop_prunes, budget,
+                       search.committed)
 
 
 def find_countermodel(s: Sequent, sig: Signature, tbox_global: bool = True,

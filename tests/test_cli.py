@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -80,19 +81,33 @@ def test_a_prove_too_deep_for_the_recursion_limit_is_an_input_error(tmp_path, ca
     assert "recursion" in err and not proof.exists()
 
 
+# ialc's main in a fresh process, and its environment
+_IALC = [sys.executable, "-m", "ialc.cli"]
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))))}
+
+
 def test_a_450_step_chain_is_proved_written_and_checked(tmp_path):
     # a fresh process, so that the interpreter's stack holds only the CLI's frames
     problem, proof = _chain(tmp_path / "chain.ialc", 450, 3), tmp_path / "chain.prf"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
-        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))))}
-    ialc = [sys.executable, "-m", "ialc.cli"]
-    out = subprocess.run([*ialc, "prove", problem, "--depth", "900", "--visited", "2000000",
-                          "--emit-proof", str(proof)], capture_output=True, text=True, env=env,
+    out = subprocess.run([*_IALC, "prove", problem, "--depth", "900", "--visited", "2000000",
+                          "--emit-proof", str(proof)], capture_output=True, text=True, env=_ENV,
                          timeout=120)
     assert out.returncode == 0 and out.stdout.startswith("proved (visited ") and not out.stderr
-    out = subprocess.run([*ialc, "check", str(proof)], capture_output=True, text=True, env=env,
+    out = subprocess.run([*_IALC, "check", str(proof)], capture_output=True, text=True, env=_ENV,
                          timeout=120)
     assert (out.returncode, out.stdout, out.stderr) == (0, "accepted\n", "")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_reader_that_stops_early_ends_ialc_as_any_filter():
+    # a closed stdout is not an input: no error line and no exit code, the signal ends ialc
+    proc = subprocess.Popen([*_IALC, "models", "--worlds", "3", "--roles", "1", "--nominals", "1"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENV)
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (-signal.SIGPIPE, b"")
 
 
 def test_prove_unknown_exit_code(capsys, golden_dir):

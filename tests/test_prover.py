@@ -476,9 +476,8 @@ def test_a_failure_that_did_not_run_out_of_depth_names_no_budget():
     # the first conjunct is proved after one of its branches runs out of depth;
     # the second fails at every depth, so no depth budget stopped the search
     goal = S("x : A |- x : ((all R.all R.B | A) & C)")
-    stats = {}
-    result = prove(goal, max_depth=3, stats=stats)
-    assert (result.proved, result.budget, stats) == (False, None, {"committed": 1})
+    result = prove(goal, max_depth=3)
+    assert (result.proved, result.budget, result.committed) == (False, None, 1)
     assert prove(goal, max_depth=24).budget is None
 
 

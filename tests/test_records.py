@@ -40,7 +40,8 @@ RECORDS = [
     (sequent.CheckResult(ok=False, path=(0, 1), reason="bad"),
      "CheckResult(ok=False, path=(0, 1), reason='bad')"),
     (sequent.ProveResult(tree=None, visited=3, cache_hits=1, loop_prunes=2, budget="depth"),
-     "ProveResult(tree=None, visited=3, cache_hits=1, loop_prunes=2, budget='depth')"),
+     "ProveResult(tree=None, visited=3, cache_hits=1, loop_prunes=2, budget='depth', "
+     "committed=0)"),
     (hilbert.Axiom(name="ipl a1", subst=(("C", parse_concept("A")),)),
      "Axiom(name='ipl a1', subst=(('C', Atom(name='A')),))"),
     (hilbert.Axiom(name="ik 4", subst=(("R", "S"),)), "Axiom(name='ik 4', subst=(('R', 'S'),))"),
@@ -87,7 +88,7 @@ def test_defaults():
     tree = sequent.ProofTree(S, "axiom")
     assert tree.params == sequent.RuleParams() and tree.premises == ()
     assert sequent.CheckResult(True) == (True, None, None)
-    assert sequent.ProveResult(None, 3)[2:] == (0, 0, None)
+    assert sequent.ProveResult(None, 3)[2:] == (0, 0, None, 0)
     assert hilbert.CheckResult(True)[1:] == (None, None)
 
 

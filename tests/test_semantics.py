@@ -14,7 +14,7 @@ from ialc.modelgen import Signature, enumerate_models, random_model
 from ialc.semantics import (
     Interpretation, ModelFileError, UnassignedNominalError, Violation,
     extension, load_model, model_from_dict, model_to_dict, satisfies,
-    _faults, _none, _Rows, save_model, sequent_valid, validate_interpretation,
+    _Bytewise, _faults, _none, _Rows, save_model, sequent_valid, validate_interpretation,
 )
 from ialc.syntax import (
     And, Atom, BOT, Bot, ConceptF, Exists, Forall, NominalAssertion, Not, Or,
@@ -701,6 +701,20 @@ def test_relation_tables_are_built_on_first_use():
             assert r == _Rows(rows) and not (r != _Rows(rows))     # equal by rows, whatever the tables
             assert [r[m] for m in range(1 << n)] == [_none(rows, m) for m in range(1 << n)]
             assert r == _Rows(rows) and not (r != _Rows(rows))
+
+
+def test_lane_tables_read_the_relation_none_table():
+    rng = random.Random(7)
+    for n in range(1, 4):
+        for rows in product(range(1 << n), repeat=n):       # every relation on n worlds
+            rel = _Rows(rows)
+            for size in range(1, 5):
+                lanes = _Bytewise(rel, size)
+                assert sorted(rel) == list(range(1 << n))    # one table for kernels and lanes
+                for _ in range(4):
+                    ms = [rng.randrange(1 << n) for _ in range(size)]
+                    m = sum(x << 8 * i for i, x in enumerate(ms))
+                    assert lanes[m] == sum(_none(rows, x) << 8 * i for i, x in enumerate(ms))
 
 
 def test_kernel_agrees_with_reference_on_every_small_frame():
