@@ -27,7 +27,7 @@ from .sequent import (
     prove, save_proof,
 )
 from .syntax import (
-    _SPACE, ConceptF, ParseError, Subs, _code_lines, parse_formula, parse_problem, parse_sequent,
+    _SPACE, ConceptF, ParseError, _code_lines, parse_formula, parse_problem, parse_sequent,
     render,
 )
 
@@ -74,7 +74,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-worlds", type=int, required=True)
     p.add_argument("--emit-model", metavar="F", help="write the model to F; if none is found or "
                    "written, a regular file at F is removed, so no earlier model stays there")
-    p.add_argument("--tbox-local", action="store_true")
     p.add_argument("--stats", action="store_true", help="print the models enumerated and "
                    "evaluated and the frames enumerated per world count as JSON on stderr")
 
@@ -118,7 +117,8 @@ def _emitting(path: Optional[str], save):
 
 
 def _cmd_prove(args) -> int:
-    goal = _load_problem(args.problem).sequent()
+    problem = _load_problem(args.problem)
+    goal = problem.sequent()
     with _emitting(args.emit_proof, save_proof) as emit:
         start = time.perf_counter()
         result = prove(goal, max_depth=args.depth, max_visited=args.visited)
@@ -128,7 +128,7 @@ def _cmd_prove(args) -> int:
             print(json.dumps(stats, sort_keys=True), file=sys.stderr)
         if not result.proved:
             stop = f"{result.budget} budget ran out" if result.budget else "search space exhausted"
-            if any(isinstance(getattr(f, "concept", None), Subs) for f in goal.antecedent):
+            if any(isinstance(f, ConceptF) for f in problem.theory):     # a subsumption
                 stop += " under the local reading of the antecedent's subsumptions"
             print(f"unknown, {stop} (depth {args.depth}, visited {result.visited}): {render(goal)}")
             return EXIT_UNKNOWN
@@ -152,12 +152,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
-    goal = _load_problem(args.problem).sequent()
+    problem = _load_problem(args.problem)
+    goal, local = problem.sequent(), frozenset(problem.assumptions).difference(problem.theory)
     with _emitting(args.emit_model, save_model) as emit:
         sig = signature_for(goal, args.max_worlds)
         stats = {} if args.stats else None
         start = time.perf_counter()
-        model = find_countermodel(goal, sig, tbox_global=not args.tbox_local, stats=stats)
+        model = find_countermodel(goal, sig, local, stats)
         if stats is not None:
             stats["elapsed_s"] = round(time.perf_counter() - start, 6)
             print(json.dumps(stats, sort_keys=True), file=sys.stderr)

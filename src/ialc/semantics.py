@@ -16,7 +16,7 @@ conditions:
 Sequent validity quantifies a vector of worlds above the interpretation
 of each outer nominal (shared across occurrences of the same nominal)
 plus one world for pure-concept members; antecedent subsumption concepts
-may optionally be read globally (the theory reading).
+are read globally (the theory reading) unless the caller marks them local.
 
 Bit rows are the only stored form of an interpretation: world i of
 ``worlds`` is bit i, and up-sets, role successor rows, atom and concept
@@ -93,14 +93,14 @@ def _none(rows, m: int) -> int:
 
 
 class _Rows(dict):
-    """A relation: its bit rows plus its ``none`` table, ``r[m] ==
-    _none(r.rows, m)``, each entry filled on first lookup.  It holds only
-    ints, so a dropped relation is freed without the collector.  An unread
-    table is empty and falsy: test a relation against None, not for truth."""
-    __slots__ = ("rows",)
+    """A relation: its bit rows, its ``none`` table, ``r[m] == _none(r.rows, m)``, each
+    entry filled on first lookup, and the ``cover`` that ``_Kernel.cover`` builds.  It holds
+    only ints and that cover, so a dropped relation is freed without the collector.  An
+    unread table is empty and falsy: test a relation against None, not for truth."""
+    __slots__ = ("rows", "cover")
 
     def __init__(self, rows: tuple):
-        self.rows = rows
+        self.rows, self.cover = rows, None
 
     def __missing__(self, m: int) -> int:
         return self.setdefault(m, _none(self.rows, m))
@@ -184,8 +184,11 @@ class _Kernel:
         return self.roles[role] if role in self.roles else _empty(len(self.worlds))
 
     def cover(self, role: str) -> _Rows:
-        """``cover(r)[m]``: the worlds whose role successors include m."""
-        return _Rows(tuple(self.full & ~r for r in self.rel(role).rows))
+        """``cover(r)[m]``: the worlds whose role successors include m; one per relation."""
+        rel = self.rel(role)
+        if rel.cover is None:
+            rel.cover = _Rows(tuple(self.full & ~r for r in rel.rows))
+        return rel.cover
 
     def members(self, m: int) -> tuple:
         return tuple(w for i, w in enumerate(self.worlds) if m >> i & 1)
@@ -440,7 +443,7 @@ def satisfies(I: Interpretation, f: Formula) -> bool:
     """Hybrid satisfaction: assertions hold hereditarily above their
     anchors; a bare concept holds when its extension is the whole domain.
     This is the validity of the sequent with f alone as its succedent."""
-    return _compiled(Sequent(frozenset(), f), True).holds(I)
+    return _compiled(Sequent(frozenset(), f), frozenset()).holds(I)
 
 
 def extension(I: Interpretation, c: Concept) -> frozenset:
@@ -471,13 +474,13 @@ def _member(f: Formula, ids: dict) -> tuple:
 
 
 class _Goal:
-    """A sequent compiled for evaluation on many interpretations.  The
-    quantified worlds (w and one per outer nominal) are independent, so
-    the sequent fails iff the antecedent leaves each some choice and the
-    succedent fails at one of them.  Assertions that depend on no world
-    come last and lazily: they may mention unassigned nominals."""
+    """A sequent compiled for evaluation on many interpretations.  The quantified worlds
+    (w and one per outer nominal) are independent, so the sequent fails iff the antecedent
+    leaves each some choice and the succedent fails at one of them.  A top-level antecedent
+    subsumption not in local is a TBox axiom, read at every world.  Assertions that depend
+    on no world come last and lazily: they may mention unassigned nominals."""
 
-    def __init__(self, s: Sequent, tbox_global: bool):
+    def __init__(self, s: Sequent, local: frozenset):
         ids: dict = {}
         self.outers = sorted({outer_nominal(f) for f in (*s.antecedent, s.succedent)} - {None})
         self.at, self.tbox, self.fixed = [], [], []
@@ -485,7 +488,7 @@ class _Goal:
             m = _member(f, ids)
             if len(m) == 1:
                 self.fixed.append(m[0])
-            elif tbox_global and isinstance(f, ConceptF) and isinstance(f.concept, Subs):
+            elif isinstance(f, ConceptF) and isinstance(f.concept, Subs) and f not in local:
                 self.tbox.append(m[1])
             else:
                 self.at.append(m)
@@ -531,7 +534,7 @@ def sequent_valid(I: Interpretation, s: Sequent, tbox_global: bool = True) -> bo
     sides.  With tbox_global, antecedent members that are top-level
     subsumption concepts must hold at every world instead of just w.
     """
-    return _compiled(s, tbox_global).holds(I)
+    return _compiled(s, frozenset() if tbox_global else s.antecedent).holds(I)
 
 
 # ---------------------------------------------------------------------------

@@ -613,23 +613,22 @@ def prove(s: Sequent, max_depth: int = DEFAULT_DEPTH,
                        search.committed)
 
 
-def find_countermodel(s: Sequent, sig: Signature, tbox_global: bool = True,
+def find_countermodel(s: Sequent, sig: Signature, local: frozenset = frozenset(),
                       stats: Optional[dict] = None) -> Optional[Interpretation]:
-    """First enumerated model on which s fails, None if all satisfy it (the
-    one first-failing-model loop); sig must assign every nominal of s.  It
-    takes the stream a block at a time (``modelgen._lanes``, which judges a frame
-    without roles once per process), evaluating a frame that ``modelgen.candidate``
-    keeps once from ``semantics._compiled``, a lane per model, and adds each block's
-    sizes per world count, in stats or a throwaway dict, to the models ``enumerated``
-    and ``evaluated`` (lanes up to the countermodel) and the ``frames`` (kernels):
-    defaultdicts, cheaper to make than Counters."""
+    """First enumerated model on which s fails, read with local as in ``semantics._Goal``, None
+    if all satisfy it (the one first-failing-model loop); sig must assign every nominal of s.
+    It takes the stream a block at a time (``modelgen._lanes``, which judges a frame without
+    roles once per process), evaluating a frame that ``modelgen.candidate`` keeps once from
+    ``semantics._compiled``, a lane per model, and adds each block's sizes per world count, in
+    stats or a throwaway dict, to the models ``enumerated`` and ``evaluated`` (lanes up to the
+    countermodel) and the ``frames`` (kernels): defaultdicts, cheaper to make than Counters."""
     if missing := nominals_of(s) - set(sig.nominals):
         raise UnassignedNominalError(min(missing))
     stats = {} if stats is None else stats
     enumerated = stats.setdefault("enumerated", defaultdict(int))
     frames = stats.setdefault("frames", defaultdict(int))
     evaluated = stats.setdefault("evaluated", defaultdict(int))
-    models, goal, up = enumerate_models(sig), _compiled(s, tbox_global), None
+    models, goal, up = enumerate_models(sig), _compiled(s, local), None
     for I in models:            # a block's first model
         k = I._k
         if k.up is not up:

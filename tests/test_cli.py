@@ -156,18 +156,26 @@ def test_prove_unknown_names_the_budget(capsys, golden_dir, problem, flags, stop
     assert re.search(r"visited \d+\)", out)
 
 
-def test_prove_unknown_says_subsumptions_were_read_locally(capsys, tmp_path):
-    # countermodel and eval read A -> B at every world, the search only where it is assumed
-    prob = tmp_path / "tbox.ialc"
-    prob.write_text("assume:\n  A -> B\ngoal:\n  some R.A -> some R.B\n")
+@pytest.mark.parametrize("headings, note, answer", [
+    # an assumption holds at the shared world only, as the search reads it
+    (["assume"], "", (1, "countermodel with 2 worlds")),
+    # countermodel reads a theory axiom at every world, the search only at the shared world
+    (["theory"], " under the local reading of the antecedent's subsumptions",
+     (0, "no countermodel with up to 3 worlds")),
+    # a member under both headings is theory
+    (["theory", "assume"], " under the local reading of the antecedent's subsumptions",
+     (0, "no countermodel with up to 3 worlds")),
+])
+def test_the_problem_file_gives_each_subsumption_its_reading(capsys, tmp_path, headings, note,
+                                                             answer):
+    prob = tmp_path / "problem.ialc"
+    prob.write_text("".join(f"{h}:\n  A -> B\n" for h in headings)
+                    + "goal:\n  some R.A -> some R.B\n")
     rc, out, _ = invoke(capsys, "prove", str(prob))
-    assert (rc, out) == (2, "unknown, search space exhausted under the local reading of the "
-                            "antecedent's subsumptions (depth 24, visited 4): "
+    assert (rc, out) == (2, f"unknown, search space exhausted{note} (depth 24, visited 4): "
                             "A -> B |- some R.A -> some R.B\n")
     rc, out, _ = invoke(capsys, "countermodel", str(prob), "--max-worlds", "3")
-    assert rc == 0 and out.startswith("no countermodel with up to 3 worlds")
-    rc, out, _ = invoke(capsys, "countermodel", str(prob), "--max-worlds", "3", "--tbox-local")
-    assert rc == 1 and out.startswith("countermodel with 2 worlds")
+    assert (rc, out[:len(answer[1])]) == answer
 
 
 def test_prove_then_check_accepts_merged_p_exists(tmp_path, capsys):
@@ -528,13 +536,13 @@ DISPATCH = {
         ["check", "f.prf", "--bogus"],
     ],
     "countermodel": [
-        ["countermodel", "p.ialc", "--max-worlds", "2", "--emit-model", "m.model",
-         "--tbox-local", "--stats"],
+        ["countermodel", "p.ialc", "--max-worlds", "2", "--emit-model", "m.model", "--stats"],
         ["countermodel", "p.ialc", "--max-worlds=2", "--emit-model=m.model"],
         ["countermodel", "p.ialc", "--max", "2"],
         ["countermodel", "p.ialc"],
         ["countermodel", "p.ialc", "--max-worlds"],
         ["countermodel", "p.ialc", "--max-worlds", "2", "--nope"],
+        ["countermodel", "p.ialc", "--max-worlds", "2", "--tbox-local"],
     ],
     "eval": [
         ["eval", "--model", "m.model", "--formula", "A", "--tbox-local", "--raw"],
@@ -605,13 +613,11 @@ def test_an_argv_naming_no_subcommand_goes_to_the_top_level_parser(capsys, monke
 def test_shared_parser_carries_no_option_over(tmp_path, capsys, monkeypatch, golden_dir):
     """One parser serves every run call; each call must behave as with a
     freshly built parser, whatever flags the previous call gave."""
-    tbox = tmp_path / "tbox.ialc"
-    tbox.write_text("theory:\n  A -> B\nassume:\n  x : A\ngoal:\n  x : B\n")
-    proof = tmp_path / "a1.prf"
-    chain = str(golden_dir / "chain.model")
+    proof, model = tmp_path / "a1.prf", tmp_path / "m.model"
+    chain, lem = str(golden_dir / "chain.model"), str(golden_dir / "lem.ialc")
     calls = [
-        ["countermodel", str(tbox), "--max-worlds", "2", "--tbox-local"],
-        ["countermodel", str(tbox), "--max-worlds", "2"],
+        ["countermodel", lem, "--max-worlds", "2", "--emit-model", str(model)],
+        ["countermodel", lem, "--max-worlds", "2"],
         ["prove", str(golden_dir / "axiom1.ialc"), "--emit-proof", str(proof)],
         ["prove", str(golden_dir / "axiom1.ialc")],
         ["prove", str(golden_dir / "lem.ialc"), "--depth", "1"],
@@ -638,5 +644,6 @@ def test_shared_parser_carries_no_option_over(tmp_path, capsys, monkeypatch, gol
     subparsers = [sub for parser in built for sub in parser.commands.values()]
     assert len(built) == 1 + len(calls)
     assert len({id(sub) for sub in subparsers}) == len(subparsers) == 6 * len(built)
-    assert [rc for rc, _, _ in shared] == [1, 0, 0, 0, 2, 2, 1, 1, 0, 0, 3, 0]
+    assert [rc for rc, _, _ in shared] == [1, 1, 0, 0, 2, 2, 1, 1, 0, 0, 3, 0]
+    assert "model written" in shared[0][1] and "model written" not in shared[1][1]
     assert "proof written" in shared[2][1] and "proof written" not in shared[3][1]

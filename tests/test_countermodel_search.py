@@ -222,10 +222,10 @@ def _matches_the_plain_loop(s, sig: Signature, pulled: list, ident) -> list:
     found = []
     for tbox_global in (True, False):
         expected, count, kernels = _plain(s, sig, tbox_global)
-        why = (ident, tbox_global)
+        why, local = (ident, tbox_global), frozenset() if tbox_global else s.antecedent
         for stats in (None, {}):
             pulled[0] = 0
-            assert _same(find_countermodel(s, sig, tbox_global, stats), expected), why
+            assert _same(find_countermodel(s, sig, local, stats), expected), why
             assert pulled[0] == count, why
         assert sum(stats["enumerated"].values()) == count, why
         assert sum(stats["frames"].values()) == kernels, why

@@ -207,7 +207,7 @@ def test_a_kept_model_is_unchanged_by_the_rest_of_the_stream():
     # every model evaluates one program on the kernel and atom dict it
     # shares with other models of the stream
     ops = _Goal(parse_sequent("x : (A -> some R.B) ; all R.A |- x : not B | some R.top"),
-                True).ops
+                frozenset()).ops
     kept = []
     for i, I in enumerate(enumerate_models(Signature(("A", "B"), ("R",), ("x",), 2))):
         if i % 7 == 0:
@@ -308,7 +308,7 @@ def test_a_kept_model_is_unchanged_by_a_later_enumeration():
     # the later stream shares the kept models' atom dicts and evaluates
     # another program on each of its own kernels
     sig = Signature(("A", "B"), ("R",), ("x",), 2)
-    goals = [_Goal(parse_sequent(t), True).ops for t in (
+    goals = [_Goal(parse_sequent(t), frozenset()).ops for t in (
         "x : (A -> some R.B) ; all R.A |- x : not B | some R.top", "A ; all R.B |- some R.(A & B)")]
     kept = [(I, model_to_dict(I), values(I, goals[0]))
             for I in islice(enumerate_models(sig), 0, None, 5)]

@@ -14,7 +14,8 @@ from ialc.modelgen import Signature, enumerate_models, random_model
 from ialc.semantics import (
     Interpretation, ModelFileError, UnassignedNominalError, Violation,
     extension, load_model, model_from_dict, model_to_dict, satisfies,
-    _Bytewise, _faults, _none, _Rows, save_model, sequent_valid, validate_interpretation,
+    _Bytewise, _faults, _Goal, _Kernel, _none, _Rows, save_model, sequent_valid,
+    validate_interpretation,
 )
 from ialc.syntax import (
     And, Atom, BOT, Bot, ConceptF, Exists, Forall, NominalAssertion, Not, Or,
@@ -326,6 +327,11 @@ def test_tbox_global_vs_local():
     s2 = parse_sequent("A -> B |- (A -> B) | C")
     assert sequent_valid(I2, s2, tbox_global=True)
     assert sequent_valid(I2, s2, tbox_global=False)
+    # local names the subsumptions read at the shared world, each on its own
+    ab, cc = parse_formula("A -> B"), parse_formula("C -> C")
+    s3 = Sequent.make([ab, cc], ConceptF(Atom("C")))
+    assert not _Goal(s3, frozenset({ab})).holds(I)
+    assert _Goal(s3, frozenset({cc})).holds(I) and _Goal(s3, frozenset()).holds(I)
 
 
 def test_monotone_strengthening(two_world_models_nominals):
@@ -715,6 +721,20 @@ def test_lane_tables_read_the_relation_none_table():
                     ms = [rng.randrange(1 << n) for _ in range(size)]
                     m = sum(x << 8 * i for i, x in enumerate(ms))
                     assert lanes[m] == sum(_none(rows, x) << 8 * i for i, x in enumerate(ms))
+
+
+def test_each_role_relation_keeps_one_cover():
+    for n in range(1, 4):
+        up = _Rows(tuple(1 << i for i in range(n)))
+        for rows in product(range(1 << n), repeat=n):       # every relation on n worlds
+            rel = _Rows(rows)
+            kernels = [_Kernel(tuple(range(n)), up, {"R": rel}) for _ in range(2)]
+            for role in ("R", "S"):     # S is undeclared: the empty relation
+                cover, succ = kernels[0].cover(role), kernels[0].rel(role).rows
+                assert kernels[0].cover(role) is cover is kernels[1].cover(role)
+                assert [cover[m] for m in range(1 << n)] == [
+                    sum(1 << i for i, row in enumerate(succ) if m & ~row == 0)
+                    for m in range(1 << n)]
 
 
 def test_kernel_agrees_with_reference_on_every_small_frame():
