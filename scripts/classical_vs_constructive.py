@@ -54,7 +54,8 @@ def main() -> int:
             continue
         model = find_countermodel(s, signature_for(s, args.max_worlds))
         if model is not None:
-            print(f"refuted  {text}   ({len(model.worlds)} worlds)")
+            n = len(model.worlds)
+            print(f"refuted  {text}   ({n} world{'' if n == 1 else 's'})")
             if args.show_models:
                 print(f"         {model_to_dict(model)}")
         else:

@@ -19,8 +19,8 @@ from typing import Optional
 from . import hilbert
 from .modelgen import Signature, count_models, enumerate_models, signature_for
 from .semantics import (
-    ModelFileError, UnassignedNominalError, _json, extension, load_model,
-    model_to_dict, satisfies, save_model, sequent_valid,
+    ModelFileError, UnassignedNominalError, _compiled, _json, extension, load_model,
+    model_to_dict, satisfies, save_model,
 )
 from .sequent import (
     DEFAULT_DEPTH, DEFAULT_VISITED, ProofFileError, check_proof, find_countermodel, parse_proof,
@@ -77,14 +77,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--stats", action="store_true", help="print the models enumerated and "
                    "evaluated and the frames enumerated per world count as JSON on stderr")
 
-    p = sub.add_parser("eval", help="evaluate a formula or sequent on a model")
+    p = sub.add_parser("eval", help="evaluate a problem's goal or a formula on a model")
     p.add_argument("--model", required=True, metavar="F")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--formula")
-    group.add_argument("--sequent")
-    p.add_argument("--tbox-local", action="store_true")
     p.add_argument("--raw", action="store_true",
                    help="skip frame validation when loading the model")
+    group = p.add_mutually_exclusive_group(required=True)  # after --raw: usage shows the group
+    group.add_argument("--formula")
+    group.add_argument("problem", nargs="?", help="its goal is read as countermodel reads it")
 
     p = sub.add_parser("axioms", help="write and verify the five axiom derivation trees")
     p.add_argument("--out", default=".", metavar="DIR")
@@ -100,8 +99,11 @@ def _build_parser() -> _Parser:
 
 
 def _load_problem(path: str):
+    """The problem at path, its goal sequent and the members read at the shared world: those
+    under ``assume:`` less those under ``theory:`` (a member under both headings is theory)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+        problem = parse_problem(fh.read())
+    return problem, problem.sequent(), frozenset(problem.assumptions).difference(problem.theory)
 
 
 @contextlib.contextmanager
@@ -117,8 +119,7 @@ def _emitting(path: Optional[str], save):
 
 
 def _cmd_prove(args) -> int:
-    problem = _load_problem(args.problem)
-    goal = problem.sequent()
+    problem, goal, _ = _load_problem(args.problem)
     with _emitting(args.emit_proof, save_proof) as emit:
         start = time.perf_counter()
         result = prove(goal, max_depth=args.depth, max_visited=args.visited)
@@ -152,8 +153,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
-    problem = _load_problem(args.problem)
-    goal, local = problem.sequent(), frozenset(problem.assumptions).difference(problem.theory)
+    _, goal, local = _load_problem(args.problem)
     with _emitting(args.emit_model, save_model) as emit:
         sig = signature_for(goal, args.max_worlds)
         stats = {} if args.stats else None
@@ -178,9 +178,9 @@ def _cmd_eval(args) -> int:
     model, warnings = load_model(args.model, raw=args.raw)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if args.sequent is not None:
-        valid = sequent_valid(model, parse_sequent(args.sequent),
-                              tbox_global=not args.tbox_local)
+    if args.problem is not None:
+        _, goal, local = _load_problem(args.problem)
+        valid = _compiled(goal, local).holds(model)
         print("sequent valid on model" if valid else "sequent invalid on model")
         return EXIT_OK if valid else EXIT_REFUTED
     f = parse_formula(args.formula)

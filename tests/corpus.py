@@ -1,7 +1,9 @@
 """Sequent corpora for the tests and ``scripts/soundness_sweep.py``: the axiom
 roots, written once as ``ialc.hilbert.AXIOM_ROOTS``, and random instances of
-them by ``ialc.syntax.substitute``.  Only tests and scripts use it, so it
-lives beside ``ref_sequent.py`` rather than in the package."""
+them by ``ialc.syntax.substitute``; and the paths, labels and relabellings of
+a proof tree's nodes, for the tests that mutate one rule label of a golden
+proof.  Only tests and scripts use it, so it lives beside ``ref_sequent.py``
+rather than in the package."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from functools import partial
 from typing import Sequence
 
 from ialc.hilbert import AXIOM_ROOTS
+from ialc.sequent import ProofTree
 from ialc.syntax import (
     And, Atom, BOT, Concept, Exists, Forall, Not, Or, Sequent, Subs, TOP,
     parse_sequent, substitute,
@@ -56,3 +59,26 @@ def schema_instance_corpus(per_axiom: int, seed: int,
             beta = random_concept(rng, atoms, roles, depth)
             out.append(axiom_root_sequent(i, alpha, beta))
     return out
+
+
+def _paths(tree, path=()):
+    """The path (premise indices from the root) of every node of tree, parents first."""
+    yield path
+    for i, child in enumerate(tree.premises):
+        yield from _paths(child, path + (i,))
+
+
+def _relabel(tree, path, label):
+    """tree with the node at path relabelled label."""
+    if not path:
+        return ProofTree(tree.conclusion, label, tree.params, tree.premises)
+    premises = list(tree.premises)
+    premises[path[0]] = _relabel(premises[path[0]], path[1:], label)
+    return ProofTree(tree.conclusion, tree.rule, tree.params, tuple(premises))
+
+
+def _rule_at(tree, path):
+    """The rule label of the node at path."""
+    for i in path:
+        tree = tree.premises[i]
+    return tree.rule

@@ -12,35 +12,13 @@ from ialc.cli import run
 from ialc.hilbert import AXIOM_ROOTS, HilbertProof, ProofLine, check_hilbert_proof, instance
 from ialc.modelgen import Signature, random_model
 from ialc.semantics import extension, load_model, sequent_valid
-from ialc.sequent import (
-    ProofTree, RULE_LABELS, check_proof, load_proof, prove,
-)
+from ialc.sequent import RULE_LABELS, check_proof, load_proof, prove
 from ialc.syntax import (
     Atom, BOT, ConceptF, Exists, NominalAssertion, Not, Or, ParseError,
     RoleAssertion, Subs, TOP, parse_formula, parse_sequent, render,
 )
-from corpus import random_concept, schema_instance_corpus
+from corpus import _paths, _relabel, _rule_at, random_concept, schema_instance_corpus
 from test_hilbert import identity_proof
-
-
-def _paths(tree, path=()):
-    yield path
-    for i, child in enumerate(tree.premises):
-        yield from _paths(child, path + (i,))
-
-
-def _relabel(tree, path, label):
-    if not path:
-        return ProofTree(tree.conclusion, label, tree.params, tree.premises)
-    premises = list(tree.premises)
-    premises[path[0]] = _relabel(premises[path[0]], path[1:], label)
-    return ProofTree(tree.conclusion, tree.rule, tree.params, tuple(premises))
-
-
-def _rule_at(tree, path):
-    for i in path:
-        tree = tree.premises[i]
-    return tree.rule
 
 
 def test_criterion_1_golden_corpus(golden_dir):
@@ -121,7 +99,7 @@ def test_criterion_4_intuitionistic_discrimination(tmp_path, capsys,
     rc = run(["countermodel", str(golden_dir / problem),
               "--max-worlds", "2", "--emit-model", str(model_path)])
     assert rc == 1, "expected a countermodel"
-    rc = run(["eval", "--model", str(model_path), "--sequent", goal])
+    rc = run(["eval", str(golden_dir / problem), "--model", str(model_path)])
     assert rc == 1, "eval must confirm invalidity"
     model, _ = load_model(str(model_path))
     assert len(model.worlds) <= 2

@@ -242,8 +242,7 @@ def test_countermodel_eval_pipeline(tmp_path, capsys, golden_dir):
     rc, out, _ = invoke(capsys, "countermodel", str(golden_dir / "lem.ialc"),
                         "--max-worlds", "2", "--emit-model", str(model))
     assert rc == 1 and out.startswith("countermodel with 2 worlds")
-    rc, out, _ = invoke(capsys, "eval", "--model", str(model),
-                        "--sequent", "|- A | not A")
+    rc, out, _ = invoke(capsys, "eval", str(golden_dir / "lem.ialc"), "--model", str(model))
     assert rc == 1 and out.strip() == "sequent invalid on model"
     loaded, _ = load_model(str(model))
     assert not sequent_valid(loaded, parse_sequent("|- A | not A"))
@@ -265,7 +264,44 @@ def test_no_countermodel_removes_an_earlier_model(tmp_path, capsys, golden_dir):
                         "--emit-model", str(model))
     assert (rc, out) == (0, invoke(capsys, "countermodel", axiom1, "--max-worlds", "2")[1])
     assert not model.exists()
-    assert invoke(capsys, "eval", "--model", str(model), "--sequent", "|- A")[0] == 3
+    rc, _, err = invoke(capsys, "eval", axiom1, "--model", str(model))
+    assert rc == 3 and str(model) in err
+
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool" / "countermodel.json"
+
+
+def test_eval_refutes_the_countermodel_of_its_own_problem(tmp_path, capsys, golden_dir):
+    """``eval P --model M`` reads P as ``countermodel P`` does, so it refutes
+    the model that countermodel emits: on every golden problem and every pool
+    problem with a countermodel, and on a subsumption under each heading."""
+    cases = [(p.stem, p.read_text(), 3) for p in sorted(golden_dir.glob("*.ialc"))]
+    cases += [(e["id"], e["text"], e["max_worlds"]) for e in json.loads(POOL.read_text())
+              if e["ref"]["worlds"] and e["ref"]["worlds"] <= e["max_worlds"]]
+    prob, model = tmp_path / "p.ialc", tmp_path / "p.model"
+    refuted = []
+    for name, text, worlds in cases:
+        prob.write_text(text)
+        rc, _, _ = invoke(capsys, "countermodel", str(prob), "--max-worlds", str(worlds),
+                          "--emit-model", str(model))
+        if rc == 1:
+            assert invoke(capsys, "eval", str(prob), "--model", str(model)) == \
+                (1, "sequent invalid on model\n", ""), name
+            refuted.append(name)
+    assert refuted[:2] == ["dne", "lem"] and len(refuted) == 2 + 471
+    # the assume: twin's countermodel falsifies A -> B at a successor, so read
+    # globally the subsumption fails there: the model refutes neither the theory:
+    # twin nor the file with the member under both headings, which is theory
+    def twin(*headings):
+        prob.write_text("".join(f"{h}:\n  A -> B\n" for h in headings)
+                        + "goal:\n  some R.A -> some R.B\n")
+        return str(prob)
+    assert invoke(capsys, "countermodel", twin("assume"), "--max-worlds", "3",
+                  "--emit-model", str(model))[0] == 1
+    for headings, answer in [(["assume"], (1, "sequent invalid on model\n", "")),
+                             (["theory"], (0, "sequent valid on model\n", "")),
+                             (["theory", "assume"], (0, "sequent valid on model\n", ""))]:
+        assert invoke(capsys, "eval", twin(*headings), "--model", str(model)) == answer, headings
 
 
 def test_a_model_that_cannot_be_written_removes_an_earlier_one(tmp_path, capsys, golden_dir,
@@ -416,7 +452,7 @@ def test_input_errors_exit_3(capsys, tmp_path, golden_dir):
     empty.write_text("A -> A\n")
     rc, out, err = invoke(capsys, "check", str(empty))
     assert (rc, out, err) == (3, "", "error: 1:1: expected '<concept> ; <justification>'\n")
-    # a member with whitespace the lexer does not skip fails as in `ialc eval`
+    # a member with whitespace the lexer does not skip fails as in `parse_sequent`
     form_feed = tmp_path / "form_feed.prf"
     form_feed.write_text('{"rule": "axiom", "conclusion": "\\u000cA |- A", "premises": []}')
     rc, out, err = invoke(capsys, "check", str(form_feed))
@@ -545,13 +581,16 @@ DISPATCH = {
         ["countermodel", "p.ialc", "--max-worlds", "2", "--tbox-local"],
     ],
     "eval": [
-        ["eval", "--model", "m.model", "--formula", "A", "--tbox-local", "--raw"],
-        ["eval", "--model=m.model", "--sequent=A |- B"],
-        ["eval", "--sequent", "|- x : A", "--model", "m.model"],
-        ["eval", "--model", "m.model", "--formula", "A", "--sequent", "A |- A"],
+        ["eval", "p.ialc", "--model", "m.model", "--raw"],
+        ["eval", "--model=m.model", "p.ialc"],
+        ["eval", "--mod", "m.model", "--formula", "A"],
+        ["eval", "--model", "m.model", "--formula", "A", "p.ialc"],
         ["eval", "--model", "m.model"],
         ["eval", "--formula", "A"],
         ["eval", "--model", "m.model", "--formula", "A", "--unknown"],
+        ["eval", "p.ialc", "q.ialc", "--model", "m.model"],
+        ["eval", "--model=m.model", "--sequent=A |- B"],
+        ["eval", "p.ialc", "--model", "m.model", "--tbox-local"],
     ],
     "axioms": [
         ["axioms"],
@@ -605,6 +644,8 @@ def test_an_argv_naming_no_subcommand_goes_to_the_top_level_parser(capsys, monke
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(argv)
         assert capsys.readouterr().out == shown and shown.startswith("usage: ialc")
+    # eval's usage shows that it reads exactly one of a formula and a problem
+    assert "(--formula FORMULA | problem)" in cli._build_parser().commands["eval"].format_usage()
     # with no argv, run reads the process's arguments
     monkeypatch.setattr(sys, "argv", ["ialc", "models", "--worlds", "1", "--count-only"])
     assert run() == 0 and capsys.readouterr().out == "1\n"
@@ -613,8 +654,9 @@ def test_an_argv_naming_no_subcommand_goes_to_the_top_level_parser(capsys, monke
 def test_shared_parser_carries_no_option_over(tmp_path, capsys, monkeypatch, golden_dir):
     """One parser serves every run call; each call must behave as with a
     freshly built parser, whatever flags the previous call gave."""
-    proof, model = tmp_path / "a1.prf", tmp_path / "m.model"
+    proof, model, a_b = tmp_path / "a1.prf", tmp_path / "m.model", tmp_path / "a_b.ialc"
     chain, lem = str(golden_dir / "chain.model"), str(golden_dir / "lem.ialc")
+    a_b.write_text("assume:\n  A\ngoal:\n  B\n")
     calls = [
         ["countermodel", lem, "--max-worlds", "2", "--emit-model", str(model)],
         ["countermodel", lem, "--max-worlds", "2"],
@@ -622,7 +664,7 @@ def test_shared_parser_carries_no_option_over(tmp_path, capsys, monkeypatch, gol
         ["prove", str(golden_dir / "axiom1.ialc")],
         ["prove", str(golden_dir / "lem.ialc"), "--depth", "1"],
         ["prove", str(golden_dir / "lem.ialc")],
-        ["eval", "--model", chain, "--sequent", "A |- B", "--tbox-local", "--raw"],
+        ["eval", str(a_b), "--model", chain, "--raw"],
         ["eval", "--model", chain, "--formula", "A"],
         ["models", "--worlds", "1", "--atoms", "1", "--count-only"],
         ["models", "--worlds", "1"],

@@ -4,13 +4,13 @@ import random
 import pytest
 
 from ialc.hilbert import AXIOM_ROOTS
-from ialc.sequent import (
-    ProofTree, RULE_LABELS, check_proof, load_proof, tree_to_dict,
-)
+from ialc.sequent import RULE_LABELS, check_proof, load_proof, tree_to_dict
 from ialc.syntax import (
     Atom, BOT, ConceptF, Exists, Forall, NominalAssertion, Or, Sequent, Subs, parse_sequent,
 )
-from corpus import axiom_root_sequent, random_concept, schema_instance_corpus
+from corpus import (
+    _paths, _relabel, _rule_at, axiom_root_sequent, random_concept, schema_instance_corpus,
+)
 
 
 def test_all_five_trees_accepted(golden_trees):
@@ -37,26 +37,6 @@ def test_tree_shapes(golden_trees):
     assert list(rules_of(golden_trees[5])) == [
         "n-sub-r", "forall-r", "n-sub-r", "n-sub-l",
         "exists-r", "axiom", "axiom", "forall-l", "axiom"]
-
-
-def _paths(tree, path=()):
-    yield path
-    for i, c in enumerate(tree.premises):
-        yield from _paths(c, path + (i,))
-
-
-def _relabel(tree, path, label):
-    if not path:
-        return ProofTree(tree.conclusion, label, tree.params, tree.premises)
-    premises = list(tree.premises)
-    premises[path[0]] = _relabel(premises[path[0]], path[1:], label)
-    return ProofTree(tree.conclusion, tree.rule, tree.params, tuple(premises))
-
-
-def _rule_at(tree, path):
-    for i in path:
-        tree = tree.premises[i]
-    return tree.rule
 
 
 def test_every_single_label_mutation_rejected(golden_trees):
