@@ -1,7 +1,7 @@
 """Command line: prove, check, countermodel, eval, axioms, models.
 
-Exit codes are stable: 0 proved/accepted/valid, 1 refuted/rejected/
-counterexample found, 2 unknown (no proof within the budgets), 3 input error.
+Exit codes are stable: 0 proved/accepted/valid, 1 refuted/rejected/counterexample found,
+2 unknown (no proof within the budgets, or out of memory), 3 input error or internal fault.
 """
 
 from __future__ import annotations
@@ -98,12 +98,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_problem(path: str):
-    """The problem at path, its goal sequent and the members read at the shared world: those
-    under ``assume:`` less those under ``theory:`` (a member under both headings is theory)."""
+def _load_problem(path: str, local: bool = False):
+    """The problem at path, its goal sequent and, if local, the members read at the shared world:
+    those under ``assume:`` less those under ``theory:`` (a member under both headings is theory)."""
     with open(path, "r", encoding="utf-8") as fh:
-        problem = parse_problem(fh.read())
-    return problem, problem.sequent(), frozenset(problem.assumptions).difference(problem.theory)
+        p = parse_problem(fh.read())
+    return p, p.sequent(), frozenset(p.assumptions).difference(p.theory) if local else None
 
 
 @contextlib.contextmanager
@@ -153,7 +153,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
-    _, goal, local = _load_problem(args.problem)
+    _, goal, local = _load_problem(args.problem, local=True)
     with _emitting(args.emit_model, save_model) as emit:
         sig = signature_for(goal, args.max_worlds)
         stats = {} if args.stats else None
@@ -179,7 +179,7 @@ def _cmd_eval(args) -> int:
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.problem is not None:
-        _, goal, local = _load_problem(args.problem)
+        _, goal, local = _load_problem(args.problem, local=True)
         valid = _compiled(goal, local).holds(model)
         print("sequent valid on model" if valid else "sequent invalid on model")
         return EXIT_OK if valid else EXIT_REFUTED
@@ -259,7 +259,14 @@ def run(argv: Optional[list[str]] = None) -> int:
 def main() -> None:
     if hasattr(signal, "SIGPIPE"):     # a reader that stops early ends ialc as any filter
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(run(sys.argv[1:]))
+    try:
+        sys.exit(run(sys.argv[1:]))
+    except MemoryError:         # a resource fault: unknown, as when a search budget runs out
+        error, code = "memory budget ran out", EXIT_UNKNOWN
+    except Exception as e:      # an internal fault, never an answer
+        error, code = f"internal fault {e!r}", EXIT_INPUT
+    print(f"error: {error}", file=sys.stderr)   # the fault's frames are freed by now
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,18 +15,17 @@ built by the search.  Rule labels:
                                       assertions pass through untouched
     cut, weaken                       structural
 
-Every rule but cut and weaken is written once, in ``_RULES``, as a
-backward decomposition yielding each (label, params, premises) instance
-on a conclusion; what the conclusion leaves open is asked of a chooser.
-The search picks it: an engine-fresh witness (``_n0``, ``_n1``, ...),
-each edge of the antecedent, the whole context for both sub-l premises,
-every ``x : C`` unprefixed for p-nom.  ``check_step`` reads it off the
-stated premises: the witness is a premise nominal absent from the
-conclusion (so exists-l and forall-r witnesses are fresh), the exists-r
-edge is the first premise's succedent, the sub-l premises may split the
-context, and the p-nom premise may have any antecedent that lifts to the
-conclusion's.  A stated param is compared only with the fields the
-instance sets, so a ``role`` contradicting the quantifier is rejected.
+Every rule but cut and weaken is written once, as a ``_RULES`` entry (principal, instances,
+arity), and ``RULE_ARITY`` and ``RULE_LABELS`` are read off that table: instances is a backward
+decomposition yielding each (label, params, premises) instance on a conclusion, and what the
+conclusion leaves open is asked of a chooser.  The search picks it: an engine-fresh witness
+(``_n0``, ``_n1``, ...), each edge of the antecedent, the whole context for both sub-l
+premises, every ``x : C`` unprefixed for p-nom.  ``check_step`` reads it off the stated
+premises: the witness is a premise nominal absent from the conclusion (so exists-l and
+forall-r witnesses are fresh), the exists-r edge is the first premise's succedent, the sub-l
+premises may split the context, and the p-nom premise may have any antecedent that lifts to
+the conclusion's.  A stated param is compared only with the fields the instance sets, so a
+``role`` contradicting the quantifier is rejected.
 
 ``find_countermodel`` evaluates a sequent once on each enumerated frame
 that can hold the first model to fail it (``modelgen.candidate``), for
@@ -52,22 +51,6 @@ __all__ = [
     "check_proof", "prove", "DEFAULT_DEPTH", "DEFAULT_VISITED", "ProveResult", "find_countermodel",
     "tree_to_dict", "tree_from_dict", "parse_proof", "load_proof", "save_proof", "ProofFileError",
 ]
-
-RULE_ARITY = {
-    "axiom": 0, "bot-l": 0,
-    "forall-r": 1, "forall-l": 1, "exists-r": 2, "exists-l": 1,
-    "sub-r": 1, "sub-l": 2, "and-r": 2, "and-l": 1,
-    "or1-r": 1, "or2-r": 1, "or-l": 2,
-    "p-exists": 1, "p-forall": 1, "p-nom": 1,
-    "cut": 2, "weaken": 1,
-}
-
-# every label, to the rule it instantiates: the propositional rules have a nominal variant
-_RULE_OF = {r: r for r in RULE_ARITY} | {
-    "n-" + r: r for r in ("sub-r", "sub-l", "and-r", "and-l", "or1-r", "or2-r", "or-l")}
-
-RULE_LABELS = tuple(sorted(RULE_ARITY) + sorted(_RULE_OF.keys() - RULE_ARITY))
-
 
 class RuleParams(NamedTuple):
     principal: Optional[Formula] = None   # the formula the rule acts on
@@ -120,20 +103,20 @@ def _parts(m: Formula, nominal: bool, c) -> tuple:
 
 
 # The propositional rules that keep their context: operator, principal on the
-# left, and the premises' (antecedent, succedent) pairs from (antecedent,
+# left, arity, and the premises' (antecedent, succedent) pairs from (antecedent,
 # antecedent minus principal, a, b, succedent).
 _BINARY_RULES = {
-    "and-l": (And, True, lambda ant, rest, a, b, g: [(rest | {a, b}, g)]),
-    "or-l": (Or, True, lambda ant, rest, a, b, g: [(rest | {a}, g), (rest | {b}, g)]),
-    "and-r": (And, False, lambda ant, rest, a, b, g: [(ant, a), (ant, b)]),
-    "sub-r": (Subs, False, lambda ant, rest, a, b, g: [(ant | {a}, b)]),
-    "or1-r": (Or, False, lambda ant, rest, a, b, g: [(ant, a)]),
-    "or2-r": (Or, False, lambda ant, rest, a, b, g: [(ant, b)]),
+    "and-l": (And, True, 1, lambda ant, rest, a, b, g: [(rest | {a, b}, g)]),
+    "or-l": (Or, True, 2, lambda ant, rest, a, b, g: [(rest | {a}, g), (rest | {b}, g)]),
+    "and-r": (And, False, 2, lambda ant, rest, a, b, g: [(ant, a), (ant, b)]),
+    "sub-r": (Subs, False, 1, lambda ant, rest, a, b, g: [(ant | {a}, b)]),
+    "or1-r": (Or, False, 1, lambda ant, rest, a, b, g: [(ant, a)]),
+    "or2-r": (Or, False, 1, lambda ant, rest, a, b, g: [(ant, b)]),
 }
 
 
 def _binary(rule: str) -> tuple:
-    op, left, premises = _BINARY_RULES[rule]
+    op, left, arity, premises = _BINARY_RULES[rule]
 
     def instances(seq: Sequent, shapes: list, chooser) -> Iterator:
         ant, g = seq.antecedent, seq.succedent
@@ -143,7 +126,7 @@ def _binary(rule: str) -> tuple:
                        RuleParams(principal=m) if left else _NO_PARAMS,
                        tuple(Sequent(frozenset(a), s) for a, s in
                              premises(ant, ant - {m} if left else ant, *_parts(m, nominal, c), g)))
-    return (left, op), instances
+    return (left, op), instances, arity
 
 
 def _axiom(seq: Sequent, shapes: list, chooser) -> Iterator:
@@ -247,23 +230,31 @@ def _p_nom(seq: Sequent, shapes: list, chooser) -> Iterator:
         yield "p-nom", RuleParams(prefix=x) if lifted else _NO_PARAMS, (Sequent(gamma, delta),)
 
 
-# Every rule but cut and weaken, in the order the search tries them, as
-# (principal, instances): principal is (on the left?, operator) of the
-# formula the rule decomposes, None when there is none and the rule reads
-# no shapes, and instances(conclusion, antecedent shapes, chooser) yields
-# (label, params, premises) for each way the rule derives the conclusion.
+# Every rule but cut and weaken, in the order the search tries them, as (principal, instances,
+# arity); RULE_ARITY and RULE_LABELS are read off this table.  principal is (on the left?,
+# operator) of the formula the rule decomposes, None when there is none and the rule reads no
+# shapes; instances(conclusion, antecedent shapes, chooser) yields (label, params, premises) for
+# each way the rule derives the conclusion, with arity premises.
 _RULES = {
-    "axiom": (None, _axiom), "bot-l": ((True, Bot), _bot_l),
+    "axiom": (None, _axiom, 0), "bot-l": ((True, Bot), _bot_l, 0),
     # invertible decompositions first (see _COMMITS)
-    "and-l": _binary("and-l"), "exists-l": ((True, Exists), _exists_l),
+    "and-l": _binary("and-l"), "exists-l": ((True, Exists), _exists_l, 1),
     "and-r": _binary("and-r"), "sub-r": _binary("sub-r"), "or-l": _binary("or-l"),
-    "forall-r": ((False, Forall), _forall_r),
+    "forall-r": ((False, Forall), _forall_r, 1),
     # branching / non-invertible choices
-    "or1-r": _binary("or1-r"), "or2-r": _binary("or2-r"), "exists-r": ((False, Exists), _exists_r),
-    "sub-l": ((True, Subs), _sub_l), "forall-l": ((True, Forall), _forall_l),
-    "p-forall": ((False, Forall), _p_forall), "p-exists": ((False, Exists), _p_exists),
-    "p-nom": (None, _p_nom),
+    "or1-r": _binary("or1-r"), "or2-r": _binary("or2-r"),
+    "exists-r": ((False, Exists), _exists_r, 2), "sub-l": ((True, Subs), _sub_l, 2),
+    "forall-l": ((True, Forall), _forall_l, 1), "p-forall": ((False, Forall), _p_forall, 1),
+    "p-exists": ((False, Exists), _p_exists, 1), "p-nom": (None, _p_nom, 1),
 }
+
+RULE_ARITY = {rule: arity for rule, (_, _, arity) in _RULES.items()} | {"cut": 2, "weaken": 1}
+
+# every label, to the rule it instantiates: the rules on a binary operator have a nominal variant
+_RULE_OF = {r: r for r in RULE_ARITY} | {"n-" + r: r for r, (principal, _, _) in _RULES.items()
+                                          if principal and principal[1] in (And, Or, Subs)}
+
+RULE_LABELS = tuple(sorted(RULE_ARITY) + sorted(_RULE_OF.keys() - RULE_ARITY))
 
 # The steps whose premises are provable, by proofs the search builds, whenever
 # their conclusion is: once a premise fails, no rule can prove the conclusion,
@@ -351,7 +342,7 @@ def _fault(rule: str, params: Optional[RuleParams],
     else:
         # initial sequents leave nothing to choose, and principal-free rules read no shapes
         premises = _Premises(premises) if premises else ()
-        principal, instances = _RULES[base]
+        principal, instances, _ = _RULES[base]
         ok = any(label == rule and prem == premises and _agrees(p, made) for label, made, prem
                  in instances(conclusion, principal and [_shape(m) for m in ant], premises))
     return None if ok else f"{rule} does not derive {render(conclusion)}"
@@ -569,7 +560,7 @@ class _Search:
         shapes = [_shape(m) for m in members]
         # only rules whose principal operator occurs on its side can apply
         present = {(True, type(c)) for _, _, c in shapes} | {(False, type(_shape(seq.succedent)[2]))}
-        for principal, instances in _RULES.values():
+        for principal, instances, _ in _RULES.values():
             if principal is None or principal in present:
                 yield from instances(seq, shapes, self)
 

@@ -110,6 +110,32 @@ def test_a_reader_that_stops_early_ends_ialc_as_any_filter():
     assert (proc.wait(timeout=120), err) == (-signal.SIGPIPE, b"")
 
 
+def test_running_out_of_memory_is_unknown_with_one_error_line(tmp_path):
+    # a valid goal over 8 atoms sweeps every 3-world model: under a 300 MB address space the
+    # enumeration runs out of memory, a resource fault (exit 2), never a refutation (exit 1)
+    resource = pytest.importorskip("resource")
+    cap = 300 * 2**20
+    out = subprocess.run([*_IALC, "countermodel", _chain(tmp_path / "chain.ialc", 7, 1),
+                          "--max-worlds", "3"], capture_output=True, text=True, env=_ENV,
+                         timeout=120,
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (out.returncode, out.stderr.count("\n")) == (2, 1), out.stderr
+    assert out.stderr.startswith("error: ") and "memory budget" in out.stderr
+
+
+def test_an_internal_fault_exits_3_with_one_line_naming_it(monkeypatch, capsys):
+    def broken(args):
+        raise KeyError("boom")
+    monkeypatch.setitem(cli._COMMANDS, "models", broken)
+    monkeypatch.setattr(sys, "argv", ["ialc", "models", "--worlds", "1"])
+    monkeypatch.setattr(signal, "signal", lambda *args: None)   # keep pytest's SIGPIPE handler
+    with pytest.raises(SystemExit) as stop:
+        cli.main()
+    err = capsys.readouterr().err
+    assert (stop.value.code, err.count("\n")) == (3, 1), err
+    assert err.startswith("error: ") and "KeyError('boom')" in err
+
+
 def test_prove_unknown_exit_code(capsys, golden_dir):
     rc, out, _ = invoke(capsys, "prove", str(golden_dir / "lem.ialc"))
     assert rc == 2 and out.startswith("unknown")

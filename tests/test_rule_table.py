@@ -8,13 +8,14 @@ import pytest
 from ialc.modelgen import Signature, enumerate_models
 from ialc.semantics import sequent_valid
 from ialc.sequent import (
-    RULE_LABELS, RuleParams, _RULES, _Search, _shape, check_step, prove,
+    RULE_ARITY, RULE_LABELS, RuleParams, _RULES, _Search, _shape, check_step, prove,
 )
 from ialc.syntax import (
     And, ConceptF, Exists, Forall, NominalAssertion, Or, RoleAssertion,
     Sequent, Subs, nominals_of, render,
 )
 from corpus import random_concept, schema_instance_corpus
+import ref_sequent
 from ref_sequent import ref_check_step
 from test_prover import _random_sequent
 
@@ -28,6 +29,12 @@ def _walk(t):
 # ---------------------------------------------------------------------------
 # Differential test against the previous checker
 # ---------------------------------------------------------------------------
+
+def test_public_rule_tables_equal_the_reference():
+    # both are read off _RULES; the reference spells every label and arity out
+    assert RULE_ARITY == ref_sequent.RULE_ARITY
+    assert RULE_LABELS == ref_sequent.RULE_LABELS
+
 
 def _narrowed(rule, params, premises, conclusion) -> bool:
     """The two steps the rule table rejects although the previous checker
@@ -233,7 +240,7 @@ def test_every_rule_preserves_validity_on_small_models(family):
         seq = Sequent.make([_formula(rng, base) for _ in range(rng.randint(0, 3))],
                            _formula(rng, base))
         shapes = [_shape(m) for m in seq.antecedent]
-        for rule, (_, instances) in _RULES.items():
+        for rule, (_, instances, _) in _RULES.items():
             if live[rule] >= quota:
                 continue
             for label, params, premises in instances(seq, shapes, _AnyChoice(rng)):
